@@ -1,21 +1,16 @@
 //! Snapshot-forked fleet benchmark: fork cost, aggregate throughput, and
 //! chaos recovery (micro-restore vs cold boot).
 //!
-//! Runs the [`regvault_server::fleet`] scenario three ways — a calm fleet
-//! (no chaos), a chaotic fleet recovering by re-forking the warm snapshot
+//! Runs the scenario of `regvault-cli fleet` three ways — a calm fleet (no
+//! chaos), a chaotic fleet recovering by re-forking the warm snapshot
 //! (micro-restore), and the same chaotic fleet recovering by full cold
-//! boots — and writes `BENCH_fleet.json` at the repository root. The
-//! deterministic scenario section is seed-stable; the host section
-//! carries wall-clock measurements (boot vs fork nanos, steps/s).
+//! boots — and writes `BENCH_fleet.json` at the repository root. Each run
+//! object is the CLI's `fleet --json` report and passes the CLI's per-run
+//! gate. On top of that the comparison fails loudly if:
 //!
-//! The run fails loudly if:
-//!
-//! * the accounting identity (offered = served + failed + shed) is ever
-//!   violated, in any run;
 //! * a fork is not at least 10x cheaper than a cold boot (wall clock);
 //! * under chaos, micro-restore does not beat cold boot on both recovery
-//!   latency (p99) and served fraction;
-//! * any warm image fails its restore-integrity check.
+//!   latency (p99 vs p50) and requests served.
 //!
 //! ```text
 //! cargo run --release --bin fleet            # full run, rewrites the JSON
@@ -25,66 +20,36 @@
 use std::process::ExitCode;
 
 use regvault_bench::json::Value;
-use regvault_bench::repo_root;
+use regvault_bench::write_figure_json;
+use regvault_cli::fleet::{gate, render_human, report_json};
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
 
-fn report_to_json(label: &str, r: &FleetReport) -> (String, Value) {
-    let s = &r.scenario;
-    let h = &r.host;
-    let q = |x: f64| s.latency.quantile(x).unwrap_or(0);
-    let rq = |x: f64| s.recovery_latency.quantile(x).unwrap_or(0);
-    (
-        label.to_owned(),
-        Value::Obj(vec![
-            ("instances".into(), Value::Int(s.instances)),
-            ("offered".into(), Value::Int(s.offered)),
-            ("served".into(), Value::Int(s.served)),
-            ("failed".into(), Value::Int(s.failed)),
-            ("shed".into(), Value::Int(s.shed)),
-            ("accounting_holds".into(), Value::Bool(s.accounting_holds())),
-            ("kills".into(), Value::Int(s.kills)),
-            ("micro_restores".into(), Value::Int(s.micro_restores)),
-            ("cold_boots".into(), Value::Int(s.cold_boots)),
-            (
-                "restore_mismatches".into(),
-                Value::Int(s.restore_mismatches),
-            ),
-            ("steps".into(), Value::Int(s.steps)),
-            ("latency_p50_cycles".into(), Value::Int(q(0.5))),
-            ("latency_p99_cycles".into(), Value::Int(q(0.99))),
-            ("recovery_p50_cycles".into(), Value::Int(rq(0.5))),
-            ("recovery_p99_cycles".into(), Value::Int(rq(0.99))),
-            ("warm_pages".into(), Value::Int(s.warm_pages)),
-            ("dirty_pages_mean".into(), Value::Num(s.dirty_pages_mean())),
-            ("dirty_pages_max".into(), Value::Int(s.dirty_pages_max)),
-            ("boot_nanos".into(), Value::Int(h.boot_nanos)),
-            ("fork_nanos_mean".into(), Value::Num(h.fork_nanos_mean())),
-            ("fork_speedup".into(), Value::Num(h.fork_speedup())),
-            ("steps_per_sec".into(), Value::Num(r.steps_per_sec())),
-            ("workers".into(), Value::Int(h.workers as u64)),
-        ]),
-    )
-}
-
-fn print_row(label: &str, r: &FleetReport) {
-    let s = &r.scenario;
-    println!(
-        "{label:<16} {:>6} served / {:>4} failed / {:>4} shed of {:>6} offered  \
-         kills={:<3} micro={:<3} cold={:<3} p99={:<7} rec_p99={:<8} \
-         fork {:>7.0} ns ({:>6.1}x vs boot)  {:>6.2} Msteps/s",
-        s.served,
-        s.failed,
-        s.shed,
-        s.offered,
-        s.kills,
-        s.micro_restores,
-        s.cold_boots,
-        s.latency.quantile(0.99).unwrap_or(0),
-        s.recovery_latency.quantile(0.99).unwrap_or(0),
-        r.host.fork_nanos_mean(),
-        r.host.fork_speedup(),
-        r.steps_per_sec() / 1e6,
-    );
+/// The cross-run gates the single-run CLI cannot check.
+fn compare(calm: &FleetReport, micro: &FleetReport, cold: &FleetReport) -> Result<(), String> {
+    // Fork cheapness: stamping out an instance must be at least 10x
+    // cheaper than cold-booting one (the CoW headline).
+    let h = &calm.host;
+    if h.fork_speedup() < 10.0 {
+        return Err(format!(
+            "fork speedup {:.1}x < 10x (fork {:.0} ns, boot {} ns)",
+            h.fork_speedup(),
+            h.fork_nanos_mean(),
+            h.boot_nanos
+        ));
+    }
+    let (m, c) = (&micro.scenario, &cold.scenario);
+    let m99 = m.recovery_latency.quantile(0.99).unwrap_or(0);
+    let c50 = c.recovery_latency.quantile(0.5).unwrap_or(u64::MAX);
+    if m99 >= c50 {
+        return Err(format!("micro-restore p99 {m99} >= cold-boot p50 {c50}"));
+    }
+    if m.served < c.served {
+        return Err(format!(
+            "micro-restore served {} < cold-boot served {}",
+            m.served, c.served
+        ));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -92,122 +57,48 @@ fn main() -> ExitCode {
     let (instances, requests) = if quick { (16, 12) } else { (64, 48) };
     let seed = 0xF1EE_7C0DE;
     let chaos = 8; // mean requests between kills
+    let runs = [
+        ("calm", 0, true),
+        ("chaos_micro_restore", chaos, true),
+        ("chaos_cold_boot", chaos, false),
+    ];
 
-    println!(
-        "snapshot-forked fleet: {instances} instances x {requests} requests, \
-         chaos interval {chaos}, seed {seed:#x}\n"
-    );
-
-    let calm = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        ..FleetConfig::default()
-    });
-    print_row("calm", &calm);
-
-    let micro = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        chaos_kill_interval: chaos,
-        micro_restore: true,
-        ..FleetConfig::default()
-    });
-    print_row("chaos-micro", &micro);
-
-    let cold = run_fleet(&FleetConfig {
-        instances,
-        requests_per_instance: requests,
-        seed,
-        chaos_kill_interval: chaos,
-        micro_restore: false,
-        ..FleetConfig::default()
-    });
-    print_row("chaos-cold", &cold);
-
+    let mut doc = vec![
+        ("bench", "fleet".into()),
+        ("instances", instances.into()),
+        ("requests_per_instance", requests.into()),
+        ("seed", seed.into()),
+        ("chaos_kill_interval", chaos.into()),
+    ];
     let mut ok = true;
-    for (label, r) in [
-        ("calm", &calm),
-        ("chaos-micro", &micro),
-        ("chaos-cold", &cold),
-    ] {
-        if !r.scenario.accounting_holds() {
-            eprintln!(
-                "FAIL: {label}: accounting identity violated: {:?}",
-                r.scenario
-            );
+    let mut reports = Vec::new();
+    for (label, chaos_kill_interval, micro_restore) in runs {
+        let report = run_fleet(&FleetConfig {
+            instances,
+            requests_per_instance: requests,
+            seed,
+            chaos_kill_interval,
+            micro_restore,
+            ..FleetConfig::default()
+        });
+        println!("{label}:\n{}", render_human(&report));
+        if let Err(e) = gate(&report, chaos_kill_interval > 0) {
+            eprintln!("FAIL: {label}: {e}");
             ok = false;
         }
-        if r.scenario.restore_mismatches > 0 {
-            eprintln!("FAIL: {label}: warm image failed an integrity check");
-            ok = false;
-        }
+        doc.push((label, report_json(&report)));
+        reports.push(report);
     }
-    // Fork cheapness: stamping out an instance must be at least 10x
-    // cheaper than cold-booting one (the CoW headline).
-    if calm.host.fork_speedup() < 10.0 {
-        eprintln!(
-            "FAIL: fork speedup {:.1}x < 10x (fork {:.0} ns, boot {} ns)",
-            calm.host.fork_speedup(),
-            calm.host.fork_nanos_mean(),
-            calm.host.boot_nanos
-        );
+    if let Err(e) = compare(&reports[0], &reports[1], &reports[2]) {
+        eprintln!("FAIL: {e}");
         ok = false;
     }
-    // Chaos comparison: micro-restore must beat cold boot on recovery
-    // latency and keep at least as many requests served.
-    if micro.scenario.kills == 0 || cold.scenario.kills == 0 {
-        eprintln!("FAIL: chaos schedule never fired");
-        ok = false;
-    } else {
-        let m99 = micro.scenario.recovery_latency.quantile(0.99).unwrap_or(0);
-        let c50 = cold
-            .scenario
-            .recovery_latency
-            .quantile(0.5)
-            .unwrap_or(u64::MAX);
-        if m99 >= c50 {
-            eprintln!("FAIL: micro-restore p99 {m99} >= cold-boot p50 {c50}");
-            ok = false;
-        }
-        if micro.scenario.served < cold.scenario.served {
-            eprintln!(
-                "FAIL: micro-restore served {} < cold-boot served {}",
-                micro.scenario.served, cold.scenario.served
-            );
-            ok = false;
-        }
-    }
-
-    println!(
-        "\nchaos: {} kills; micro-restore rec p99 {} cycles vs cold-boot {} cycles; \
-         served {} vs {}",
-        micro.scenario.kills,
-        micro.scenario.recovery_latency.quantile(0.99).unwrap_or(0),
-        cold.scenario.recovery_latency.quantile(0.99).unwrap_or(0),
-        micro.scenario.served,
-        cold.scenario.served,
-    );
 
     if quick {
-        println!("\n--quick: skipping BENCH_fleet.json rewrite");
+        println!("--quick: skipping BENCH_fleet.json rewrite");
     } else {
-        let doc = Value::Obj(vec![
-            ("bench".into(), Value::Str("fleet".into())),
-            ("instances".into(), Value::Int(instances as u64)),
-            ("requests_per_instance".into(), Value::Int(requests)),
-            ("seed".into(), Value::Int(seed)),
-            ("chaos_kill_interval".into(), Value::Int(chaos)),
-            report_to_json("calm", &calm),
-            report_to_json("chaos_micro_restore", &micro),
-            report_to_json("chaos_cold_boot", &cold),
-        ]);
-        let path = repo_root().join("BENCH_fleet.json");
-        std::fs::write(&path, doc.render()).expect("write BENCH_fleet.json");
-        println!("\nwrote {}", path.display());
+        write_figure_json("fleet", &Value::obj(doc));
     }
-
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -1,14 +1,12 @@
 //! Supervised multi-tenant serve benchmark: sustained request serving
 //! under live fault injection.
 //!
-//! Runs the [`regvault_server`] scenario twice under full protection — a
-//! fault-free baseline and a faulted run with the seeded injector firing
-//! continuously — and writes `BENCH_serve.json` at the repository root:
-//! sustained throughput (served requests per million simulated cycles),
-//! p50/p90/p99 end-to-end latency, recovery counts (fail-overs, respawns,
-//! cold restarts), and shed counts. The run fails loudly if the accounting
-//! identity (offered = served + failed + shed) is ever violated or a
-//! faulted tenant is neither recovered nor explicitly quarantined.
+//! Runs the scenario of `regvault-cli serve` three times under full
+//! protection — a fault-free baseline, a faulted run with the seeded
+//! injector firing continuously, and the same faulted run with micro-reboot
+//! off (every escalation pays the cold-reboot penalty) — and writes
+//! `BENCH_serve.json` at the repository root. Each run object is the CLI's
+//! `serve --json` report and passes the CLI's per-run gate.
 //!
 //! ```text
 //! cargo run --release --bin serve            # full run, rewrites the JSON
@@ -18,81 +16,9 @@
 use std::process::ExitCode;
 
 use regvault_bench::json::Value;
-use regvault_bench::repo_root;
-use regvault_server::{ServeConfig, ServeReport, Supervisor};
-
-fn run(cfg: ServeConfig) -> ServeReport {
-    Supervisor::new(cfg).expect("kernel boot").run()
-}
-
-fn report_to_json(label: &str, r: &ServeReport) -> (String, Value) {
-    let q = |x: f64| r.latency.quantile(x).unwrap_or(0);
-    (
-        label.to_owned(),
-        Value::Obj(vec![
-            ("offered".into(), Value::Int(r.offered)),
-            ("served".into(), Value::Int(r.served)),
-            ("failed".into(), Value::Int(r.failed)),
-            ("shed".into(), Value::Int(r.shed)),
-            ("shed_deadline".into(), Value::Int(r.shed_deadline)),
-            ("accounting_holds".into(), Value::Bool(r.accounting_holds())),
-            ("rps_per_mcycle".into(), Value::Num(r.rps_per_mcycle())),
-            ("latency_p50_cycles".into(), Value::Int(q(0.5))),
-            ("latency_p90_cycles".into(), Value::Int(q(0.9))),
-            ("latency_p99_cycles".into(), Value::Int(q(0.99))),
-            ("latency_mean_cycles".into(), Value::Num(r.latency.mean())),
-            ("faults_injected".into(), Value::Int(r.faults_injected)),
-            ("recoveries".into(), Value::Int(r.recoveries)),
-            ("respawns".into(), Value::Int(r.respawns)),
-            ("respawns_denied".into(), Value::Int(r.respawns_denied)),
-            ("frontend_respawns".into(), Value::Int(r.frontend_respawns)),
-            ("cold_restarts".into(), Value::Int(r.cold_restarts)),
-            ("micro_reboots".into(), Value::Int(r.micro_reboots)),
-            (
-                "micro_reboot_mismatches".into(),
-                Value::Int(r.micro_reboot_mismatches),
-            ),
-            ("breaker_opens".into(), Value::Int(r.breaker_opens)),
-            (
-                "terminal_tenants".into(),
-                Value::Int(r.terminal_tenants as u64),
-            ),
-            ("cycles".into(), Value::Int(r.cycles)),
-            ("aborted".into(), Value::Bool(r.aborted)),
-        ]),
-    )
-}
-
-fn print_row(label: &str, r: &ServeReport) {
-    let q = |x: f64| r.latency.quantile(x).unwrap_or(0);
-    println!(
-        "{label:<18} {:>7} served / {:>5} failed / {:>5} shed of {:>7} offered  \
-         {:>7.2} rps/Mcyc  p50={:<6} p99={:<7} recoveries={} respawns={} micro={} cold={}",
-        r.served,
-        r.failed,
-        r.shed,
-        r.offered,
-        r.rps_per_mcycle(),
-        q(0.5),
-        q(0.99),
-        r.recoveries,
-        r.respawns,
-        r.micro_reboots,
-        r.cold_restarts,
-    );
-}
-
-/// Invariant checks beyond the per-run assertions: every faulted tenant
-/// ends recovered (serving/probation/restarting) or explicitly quarantined
-/// behind an open breaker — there is no fourth state.
-fn supervision_closed(r: &ServeReport) -> bool {
-    r.tenants.iter().all(|t| {
-        matches!(
-            t.state,
-            "serving" | "probation" | "restarting" | "breaker-open" | "breaker-open-terminal"
-        )
-    })
-}
+use regvault_bench::write_figure_json;
+use regvault_cli::serve::{gate, render_human, report_json};
+use regvault_server::{ServeConfig, Supervisor};
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -102,97 +28,43 @@ fn main() -> ExitCode {
         (2_000, 30_000)
     };
     let seed = 0xC0FF_EE00;
+    let runs = [
+        ("baseline", 0, true),
+        ("under_faults", fault_interval, true),
+        ("under_faults_cold_respawn", fault_interval, false),
+    ];
 
-    println!(
-        "supervised multi-tenant serve: {requests} requests, 4 tenants, \
-         full protection, seed {seed:#x}\n"
-    );
-
-    let baseline = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval: 0,
-        ..ServeConfig::default()
-    });
-    print_row("baseline", &baseline);
-
-    let faulted = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval,
-        ..ServeConfig::default()
-    });
-    print_row("under-faults", &faulted);
-
-    // The PR-6-style recovery baseline: same faulted run with micro-reboot
-    // off, so escalations pay the full cold-reboot penalty.
-    let cold_only = run(ServeConfig {
-        requests,
-        seed,
-        fault_interval,
-        micro_reboot: false,
-        ..ServeConfig::default()
-    });
-    print_row("cold-respawn", &cold_only);
-
+    let mut doc = vec![
+        ("bench", "serve".into()),
+        ("requests", requests.into()),
+        ("tenants", 4u64.into()),
+        ("seed", seed.into()),
+        ("fault_interval_cycles", fault_interval.into()),
+    ];
     let mut ok = true;
-    for (label, r) in [
-        ("baseline", &baseline),
-        ("under-faults", &faulted),
-        ("cold-respawn", &cold_only),
-    ] {
-        if !r.accounting_holds() {
-            eprintln!("FAIL: {label}: accounting identity violated: {r:?}");
+    for (label, fault_interval, micro_reboot) in runs {
+        let report = Supervisor::new(ServeConfig {
+            requests,
+            seed,
+            fault_interval,
+            micro_reboot,
+            ..ServeConfig::default()
+        })
+        .expect("kernel boot")
+        .run();
+        println!("{label}:\n{}", render_human(&report));
+        if let Err(e) = gate(&report, fault_interval > 0) {
+            eprintln!("FAIL: {label}: {e}");
             ok = false;
         }
-        if r.aborted {
-            eprintln!("FAIL: {label}: run aborted at its safety guard");
-            ok = false;
-        }
-        if !supervision_closed(r) {
-            eprintln!("FAIL: {label}: tenant in unknown supervision state");
-            ok = false;
-        }
+        doc.push((label, report_json(&report)));
     }
-    if faulted.faults_injected == 0 {
-        eprintln!("FAIL: fault injector never fired");
-        ok = false;
-    }
-    if faulted.served == 0 {
-        eprintln!("FAIL: no request survived the fault campaign");
-        ok = false;
-    }
-
-    println!(
-        "\nunder faults: {} injected, {} fail-overs, {} tenant respawns, \
-         {} micro reboots, {} cold restarts, {} breaker opens, {} terminal",
-        faulted.faults_injected,
-        faulted.recoveries,
-        faulted.respawns,
-        faulted.micro_reboots,
-        faulted.cold_restarts,
-        faulted.breaker_opens,
-        faulted.terminal_tenants,
-    );
 
     if quick {
-        println!("\n--quick: skipping BENCH_serve.json rewrite");
+        println!("--quick: skipping BENCH_serve.json rewrite");
     } else {
-        let doc = Value::Obj(vec![
-            ("bench".into(), Value::Str("serve".into())),
-            ("requests".into(), Value::Int(requests)),
-            ("tenants".into(), Value::Int(4)),
-            ("seed".into(), Value::Int(seed)),
-            ("fault_interval_cycles".into(), Value::Int(fault_interval)),
-            report_to_json("baseline", &baseline),
-            report_to_json("under_faults", &faulted),
-            report_to_json("under_faults_cold_respawn", &cold_only),
-        ]);
-        let path = repo_root().join("BENCH_serve.json");
-        std::fs::write(&path, doc.render()).expect("write BENCH_serve.json");
-        println!("\nwrote {}", path.display());
+        write_figure_json("serve", &Value::obj(doc));
     }
-
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -12,6 +12,11 @@
 //!   shown in the table but never gate, since the committed copies may
 //!   have been generated on different hardware.
 //!
+//! A gated row cannot pass vacuously: it fails when its key is missing on
+//! either side, and when the fresh file is not newer than its baseline
+//! copy (the baseline is copied aside first, so a file the run did not
+//! regenerate would compare the committed numbers with themselves).
+//!
 //! ```text
 //! cargo run --release --bin trajectory -- --baseline <dir> [--fresh <dir>]
 //! ```
@@ -22,6 +27,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::SystemTime;
 
 use regvault_bench::json::find_number;
 use regvault_bench::repo_root;
@@ -107,32 +113,19 @@ const METRICS: &[Metric] = &[
         direction: Direction::HigherIsBetter,
         gated: false,
     },
-    // Hot-path wall clock: context only, host-dependent.
-    Metric {
-        file: "BENCH_hotpath.json",
-        key: "qarma_optimized_encrypt_ns",
-        direction: Direction::LowerIsBetter,
-        gated: false,
-    },
-    Metric {
-        file: "BENCH_hotpath.json",
-        key: "unixbench_syscall_full_steps_per_sec",
-        direction: Direction::HigherIsBetter,
-        gated: false,
-    },
-    Metric {
-        file: "BENCH_hotpath.json",
-        key: "superblock_coverage",
-        direction: Direction::HigherIsBetter,
-        gated: true,
-    },
 ];
 
 /// Regression tolerance for gated metrics.
 const TOLERANCE: f64 = 0.10;
 
-fn load(dir: &Path, file: &str) -> Option<String> {
-    std::fs::read_to_string(dir.join(file)).ok()
+/// A metric's value in `dir`, with the modification time of its file.
+fn load(dir: &Path, metric: &Metric) -> (Option<f64>, Option<SystemTime>) {
+    let path = dir.join(metric.file);
+    let value = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|text| find_number(&text, metric.key));
+    let modified = std::fs::metadata(&path).and_then(|m| m.modified()).ok();
+    (value, modified)
 }
 
 fn main() -> ExitCode {
@@ -171,7 +164,7 @@ fn main() -> ExitCode {
     println!("| metric | committed | fresh | delta | status |");
     println!("|---|---:|---:|---:|---|");
 
-    let mut regressions = Vec::new();
+    let mut failures = Vec::new();
     for metric in METRICS {
         let label = format!(
             "{}:{}",
@@ -181,15 +174,26 @@ fn main() -> ExitCode {
                 .trim_end_matches(".json"),
             metric.key
         );
-        let before =
-            load(&baseline_dir, metric.file).and_then(|text| find_number(&text, metric.key));
-        let after = load(&fresh_dir, metric.file).and_then(|text| find_number(&text, metric.key));
+        let (before, before_time) = load(&baseline_dir, metric);
+        let (after, after_time) = load(&fresh_dir, metric);
         let (Some(before), Some(after)) = (before, after) else {
-            // A missing side (new artifact, renamed key) is reported, never
-            // gated — the ratchet only applies to metrics both trees have.
-            println!("| {label} | — | — | — | n/a |");
+            // A missing side (new artifact, renamed key) is reported; a
+            // gated row fails on it rather than dropping out of the gate.
+            let status = if metric.gated { "**MISSING**" } else { "n/a" };
+            println!("| {label} | — | — | — | {status} |");
+            if metric.gated {
+                failures.push(format!("{label}: key missing on one side"));
+            }
             continue;
         };
+        if metric.gated && after_time <= before_time {
+            println!("| {label} | {before:.4} | {after:.4} | — | **STALE** |");
+            failures.push(format!(
+                "{label}: {} was not regenerated after the baseline copy",
+                metric.file
+            ));
+            continue;
+        }
         // Signed relative change, oriented so positive = improvement.
         let delta = if before.abs() < f64::EPSILON {
             if after.abs() < f64::EPSILON {
@@ -219,7 +223,7 @@ fn main() -> ExitCode {
             delta * 100.0
         );
         if regressed {
-            regressions.push(format!(
+            failures.push(format!(
                 "{label}: {before:.4} -> {after:.4} ({:+.1}%)",
                 delta * 100.0
             ));
@@ -227,7 +231,7 @@ fn main() -> ExitCode {
     }
     println!();
 
-    if regressions.is_empty() {
+    if failures.is_empty() {
         println!(
             "No gated metric regressed beyond {:.0}%.",
             TOLERANCE * 100.0
@@ -235,13 +239,13 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "**{} gated metric(s) regressed beyond {:.0}%:**\n",
-            regressions.len(),
+            "**{} gated metric(s) failed (regressed beyond {:.0}%, missing, or stale):**\n",
+            failures.len(),
             TOLERANCE * 100.0
         );
-        for r in &regressions {
-            println!("- {r}");
-            eprintln!("FAIL: {r}");
+        for f in &failures {
+            println!("- {f}");
+            eprintln!("FAIL: {f}");
         }
         ExitCode::FAILURE
     }

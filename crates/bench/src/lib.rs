@@ -12,11 +12,17 @@
 //! | `fig5b_lmbench` | Figure 5b: LMbench overheads |
 //! | `fig5c_spec` | Figure 5c: SPEC intspeed overheads |
 //! | `ablations` | design-choice ablations called out in DESIGN.md |
+//!
+//! The `serve` and `fleet` binaries compare three configurations of the
+//! scenario `regvault-cli serve`/`fleet` runs once, reusing its report
+//! builder and per-run gate; `BENCH_leakage.json` is the output of
+//! `regvault-cli leakage --json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+/// The workspace's JSON writer (re-exported from `regvault-cli`).
+pub use regvault_cli::json;
 
 use std::path::PathBuf;
 

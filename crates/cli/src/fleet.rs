@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
 
+use crate::json::Value;
 use crate::CliError;
 
 /// Parsed `fleet` arguments.
@@ -92,73 +93,68 @@ pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
     })
 }
 
-/// Renders a fleet report as JSON. The `scenario` object is deterministic
-/// per seed; the `host` object carries wall-clock measurements.
+/// Builds the JSON object of one fleet run. The key order is the schema of
+/// a run object in `BENCH_fleet.json`. Every value is deterministic per
+/// seed except the host wall-clock keys (`boot_nanos`, `fork_nanos_mean`,
+/// `fork_speedup`, `steps_per_sec`, `workers`, `run_nanos`).
 #[must_use]
-pub fn render_json(report: &FleetReport) -> String {
-    let mut out = render_scenario_json(report);
-    out.pop(); // trailing newline
-    out.pop(); // closing brace
-    let h = &report.host;
-    let _ = writeln!(
-        out,
-        ",\"host\":{{\"boot_nanos\":{},\"fork_nanos_mean\":{:.0},\
-         \"fork_speedup\":{:.1},\"run_nanos\":{},\"workers\":{},\
-         \"steps_per_sec\":{:.0}}}}}",
-        h.boot_nanos,
-        h.fork_nanos_mean(),
-        h.fork_speedup(),
-        h.run_nanos,
-        h.workers,
-        report.steps_per_sec(),
-    );
-    out
+pub fn report_json(r: &FleetReport) -> Value {
+    let s = &r.scenario;
+    let h = &r.host;
+    let q = |x: f64| Value::from(s.latency.quantile(x).unwrap_or(0));
+    let rq = |x: f64| Value::from(s.recovery_latency.quantile(x).unwrap_or(0));
+    Value::obj([
+        ("instances", s.instances.into()),
+        ("offered", s.offered.into()),
+        ("served", s.served.into()),
+        ("failed", s.failed.into()),
+        ("shed", s.shed.into()),
+        ("accounting_holds", s.accounting_holds().into()),
+        ("kills", s.kills.into()),
+        ("micro_restores", s.micro_restores.into()),
+        ("cold_boots", s.cold_boots.into()),
+        ("restore_mismatches", s.restore_mismatches.into()),
+        ("steps", s.steps.into()),
+        ("latency_p50_cycles", q(0.5)),
+        ("latency_p99_cycles", q(0.99)),
+        ("recovery_p50_cycles", rq(0.5)),
+        ("recovery_p99_cycles", rq(0.99)),
+        ("warm_pages", s.warm_pages.into()),
+        ("dirty_pages_mean", s.dirty_pages_mean().into()),
+        ("dirty_pages_max", s.dirty_pages_max.into()),
+        ("boot_nanos", h.boot_nanos.into()),
+        ("fork_nanos_mean", h.fork_nanos_mean().into()),
+        ("fork_speedup", h.fork_speedup().into()),
+        ("steps_per_sec", r.steps_per_sec().into()),
+        ("workers", h.workers.into()),
+        ("busy_cycles", s.busy_cycles.into()),
+        ("latency_count", s.latency.count().into()),
+        ("run_nanos", h.run_nanos.into()),
+    ])
 }
 
-/// Renders only the deterministic scenario half as JSON — byte-identical
-/// across runs with the same seed and config, for seed-stability checks.
-#[must_use]
-pub fn render_scenario_json(report: &FleetReport) -> String {
-    let s = &report.scenario;
-    let q = |x: f64| s.latency.quantile(x).unwrap_or(0);
-    let rq = |x: f64| s.recovery_latency.quantile(x).unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"instances\":{},\"offered\":{},\"served\":{},\"failed\":{},\
-         \"shed\":{},\"accounting_holds\":{},\
-         \"kills\":{},\"micro_restores\":{},\"cold_boots\":{},\
-         \"restore_mismatches\":{},\
-         \"steps\":{},\"busy_cycles\":{},\
-         \"latency\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},\
-         \"recovery\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}},\
-         \"warm_pages\":{},\"dirty_pages_mean\":{:.1},\"dirty_pages_max\":{}}}",
-        s.instances,
-        s.offered,
-        s.served,
-        s.failed,
-        s.shed,
-        s.accounting_holds(),
-        s.kills,
-        s.micro_restores,
-        s.cold_boots,
-        s.restore_mismatches,
-        s.steps,
-        s.busy_cycles,
-        s.latency.count(),
-        s.latency.mean(),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-        s.recovery_latency.count(),
-        s.recovery_latency.mean(),
-        rq(0.5),
-        rq(0.99),
-        s.warm_pages,
-        s.dirty_pages_mean(),
-        s.dirty_pages_max,
-    );
-    out
+/// The per-run gate of a fleet run: the accounting identity holds, every
+/// kill was recovered, the warm image passed its restore-integrity checks,
+/// something was served, and an armed chaos schedule actually fired.
+///
+/// # Errors
+///
+/// Names the first invariant the run broke.
+pub fn gate(r: &FleetReport, chaos_armed: bool) -> Result<(), CliError> {
+    let s = &r.scenario;
+    if !s.accounting_holds() {
+        Err("accounting identity violated".to_owned())
+    } else if chaos_armed && s.kills == 0 {
+        Err("chaos never fired".to_owned())
+    } else if s.micro_restores + s.cold_boots != s.kills {
+        Err("unrecovered kill".to_owned())
+    } else if s.restore_mismatches > 0 {
+        Err("warm image failed integrity check".to_owned())
+    } else if s.served == 0 {
+        Err("nothing served".to_owned())
+    } else {
+        Ok(())
+    }
 }
 
 /// Renders a fleet report for humans.
@@ -225,39 +221,18 @@ pub fn render_human(report: &FleetReport) -> String {
 /// # Errors
 ///
 /// Returns flag-parse failures and — in `--smoke` mode — a non-zero exit
-/// when the accounting identity is violated, a kill went unrecovered, or
-/// the warm image failed a restore-integrity check.
+/// when the run fails its [`gate`].
 pub fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
     let args = parse_fleet_args(args)?;
     let report = run_fleet(&args.config);
     let rendered = if args.json {
-        render_json(&report)
+        report_json(&report).render()
     } else {
         render_human(&report)
     };
     if args.smoke {
-        let s = &report.scenario;
-        if !s.accounting_holds() {
-            return Err(format!(
-                "{rendered}fleet --smoke: accounting identity violated\n"
-            ));
-        }
-        if s.kills == 0 {
-            return Err(format!("{rendered}fleet --smoke: chaos never fired\n"));
-        }
-        if s.micro_restores + s.cold_boots != s.kills {
-            return Err(format!("{rendered}fleet --smoke: unrecovered kill\n"));
-        }
-        if s.restore_mismatches > 0 {
-            return Err(format!(
-                "{rendered}fleet --smoke: warm image failed integrity check\n"
-            ));
-        }
-        if s.served == 0 {
-            return Err(format!(
-                "{rendered}fleet --smoke: nothing served through chaos\n"
-            ));
-        }
+        gate(&report, args.config.chaos_kill_interval > 0)
+            .map_err(|e| format!("{rendered}fleet --smoke: {e}\n"))?;
     }
     Ok(rendered)
 }
@@ -265,6 +240,7 @@ pub fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{find_number, first_run_keys, object_keys};
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| (*a).to_owned()).collect()
@@ -289,13 +265,36 @@ mod tests {
             "3",
         ]))
         .expect("fleet runs");
-        assert!(out.contains("\"accounting_holds\":true"), "{out}");
-        assert!(out.contains("\"fork_speedup\":"), "{out}");
-        assert_eq!(
-            out.matches('{').count(),
-            out.matches('}').count(),
-            "balanced JSON: {out}"
-        );
+        assert!(out.contains("\"accounting_holds\": true"), "{out}");
+        assert_eq!(find_number(&out, "offered"), Some(32.0), "{out}");
+        assert!(find_number(&out, "fork_speedup").is_some(), "{out}");
+    }
+
+    /// `fleet --json` is a `BENCH_fleet.json` run object: the committed
+    /// artifact's run keys are a prefix of the CLI's, in the same order.
+    #[test]
+    fn json_keys_follow_the_bench_schema() {
+        let bench = include_str!("../../../BENCH_fleet.json");
+        let run_keys = first_run_keys(bench);
+        assert!(run_keys.contains(&"recovery_p99_cycles"), "{run_keys:?}");
+        let out = cmd_fleet(&s(&["--json", "--instances", "2", "--requests", "4"])).unwrap();
+        let keys = object_keys(&out, 1);
+        assert!(keys.starts_with(&run_keys), "{keys:?} vs {run_keys:?}");
+    }
+
+    #[test]
+    fn gate_rejects_a_broken_run() {
+        let mut report = run_fleet(&FleetConfig {
+            instances: 2,
+            requests_per_instance: 4,
+            ..FleetConfig::default()
+        });
+        assert_eq!(gate(&report, false), Ok(()));
+        assert!(gate(&report, true).unwrap_err().contains("never fired"));
+        report.scenario.restore_mismatches = 1;
+        assert!(gate(&report, false).unwrap_err().contains("integrity"));
+        report.scenario.served += 1;
+        assert!(gate(&report, false).unwrap_err().contains("accounting"));
     }
 
     #[test]
@@ -323,12 +322,26 @@ mod tests {
         assert!(cmd_fleet(&s(&["--instances", "lots"])).is_err());
     }
 
-    /// Seed stability: the deterministic scenario body is byte-identical
+    /// Seed stability: the deterministic keys of a run are byte-identical
     /// across runs with the same seed — including across different worker
-    /// counts — and changes with the seed.
+    /// counts — and change with the seed.
     #[test]
     fn same_seed_renders_identical_scenario_json() {
-        use regvault_server::fleet::{run_fleet, FleetConfig};
+        const HOST_KEYS: [&str; 6] = [
+            "boot_nanos",
+            "fork_nanos_mean",
+            "fork_speedup",
+            "steps_per_sec",
+            "workers",
+            "run_nanos",
+        ];
+        let scenario = |cfg: &FleetConfig| {
+            let Value::Obj(mut pairs) = report_json(&run_fleet(cfg)) else {
+                unreachable!("a run is an object")
+            };
+            pairs.retain(|(key, _)| !HOST_KEYS.contains(&key.as_str()));
+            Value::Obj(pairs).render()
+        };
         let cfg = FleetConfig {
             instances: 5,
             requests_per_instance: 10,
@@ -336,13 +349,13 @@ mod tests {
             seed: 0xABCD,
             ..FleetConfig::default()
         };
-        let a = render_scenario_json(&run_fleet(&cfg));
-        let b = render_scenario_json(&run_fleet(&FleetConfig { workers: 1, ..cfg }));
+        let a = scenario(&cfg);
+        let b = scenario(&FleetConfig { workers: 1, ..cfg });
         assert_eq!(a, b, "scenario body must be seed-stable");
-        let c = render_scenario_json(&run_fleet(&FleetConfig {
+        let c = scenario(&FleetConfig {
             seed: 0xABCE,
             ..cfg
-        }));
+        });
         assert_ne!(a, c, "a different seed must actually change the run");
     }
 }

@@ -13,10 +13,11 @@ use regvault_attacks::oracle::{CollisionReport, MemOracle};
 use regvault_server::{ServeConfig, Supervisor};
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use crate::json::Value;
 use crate::CliError;
 
-/// Default campaign seed (shared with the bench bin so the committed
-/// `BENCH_leakage.json` reproduces byte-for-byte).
+/// Default campaign seed: `leakage --json` with it reproduces the committed
+/// `BENCH_leakage.json` byte-for-byte.
 pub const DEFAULT_SEED: u64 = 0x5EC7_0C11;
 
 /// Parsed `leakage` arguments.
@@ -26,8 +27,7 @@ pub struct LeakageArgs {
     pub seed: u64,
     /// Emit machine-readable JSON.
     pub json: bool,
-    /// Smoke mode: a trimmed corpus, exiting non-zero unless the
-    /// unmitigated runs leak and the mitigation cuts collisions >= 10x.
+    /// Smoke mode: a trimmed corpus (the [`gate`] applies either way).
     pub smoke: bool,
 }
 
@@ -154,47 +154,62 @@ pub fn run_campaign(seed: u64, smoke: bool) -> Result<LeakageReport, CliError> {
     Ok(LeakageReport { scenarios })
 }
 
-fn render_report_json(report: &CollisionReport) -> String {
-    format!(
-        "{{\"observations\":{},\"distinct_pairs\":{},\"collisions\":{},\
-         \"colliding_pairs\":{},\"rate\":{:.6}}}",
-        report.observations,
-        report.distinct_pairs,
-        report.collisions,
-        report.colliding_pairs,
-        report.collision_rate()
-    )
+fn collisions_json(report: &CollisionReport) -> Value {
+    Value::obj([
+        ("observations", report.observations.into()),
+        ("distinct_pairs", report.distinct_pairs.into()),
+        ("collisions", report.collisions.into()),
+        ("colliding_pairs", report.colliding_pairs.into()),
+        ("rate", report.collision_rate().into()),
+    ])
 }
 
-/// Renders the campaign as JSON (hand-rolled, byte-stable per seed).
+/// Builds the campaign report; with the default seed and the full corpus
+/// this is `BENCH_leakage.json`.
 #[must_use]
-pub fn render_json(report: &LeakageReport, seed: u64) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"seed\":{seed},\"scenarios\":[");
-    for (i, row) in report.scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"off\":{},\"on\":{},\"epoch_rekeys\":{},\
-             \"reduction\":{:.2}}}",
-            row.name,
-            render_report_json(&row.off),
-            render_report_json(&row.on),
-            row.epoch_rekeys,
-            row.reduction()
-        );
+pub fn report_json(report: &LeakageReport, seed: u64) -> Value {
+    let rows = report.scenarios.iter().map(|row| {
+        Value::obj([
+            ("name", row.name.as_str().into()),
+            ("off", collisions_json(&row.off)),
+            ("on", collisions_json(&row.on)),
+            ("epoch_rekeys", row.epoch_rekeys.into()),
+            ("reduction", row.reduction().into()),
+        ])
+    });
+    Value::obj([
+        ("seed", seed.into()),
+        ("scenarios", Value::arr(rows)),
+        ("total_off_collisions", report.total_off_collisions().into()),
+        ("total_on_collisions", report.total_on_collisions().into()),
+        ("overall_reduction", report.overall_reduction().into()),
+    ])
+}
+
+/// The campaign gate: the unmitigated corpus leaks (the oracle sees the
+/// side channel), the mitigation cuts collisions at least 10x overall, and
+/// some mitigated run actually rekeyed (the knob is live).
+///
+/// # Errors
+///
+/// Names the first gate the campaign failed.
+pub fn gate(report: &LeakageReport) -> Result<(), CliError> {
+    if report.total_off_collisions() == 0 {
+        Err("unmitigated corpus shows no collisions — \
+             the oracle is not observing the side channel"
+            .to_owned())
+    } else if report.overall_reduction() < 10.0 {
+        Err(format!(
+            "mitigation reduction {:.1}x is below the 10x floor (off={} on={})",
+            report.overall_reduction(),
+            report.total_off_collisions(),
+            report.total_on_collisions()
+        ))
+    } else if report.scenarios.iter().all(|r| r.epoch_rekeys == 0) {
+        Err("no mitigated run performed a rekey — the knob is dead".to_owned())
+    } else {
+        Ok(())
     }
-    let _ = writeln!(
-        out,
-        "],\"total_off_collisions\":{},\"total_on_collisions\":{},\
-         \"overall_reduction\":{:.2}}}",
-        report.total_off_collisions(),
-        report.total_on_collisions(),
-        report.overall_reduction()
-    );
-    out
 }
 
 fn render_human(report: &LeakageReport, seed: u64) -> String {
@@ -234,30 +249,13 @@ fn render_human(report: &LeakageReport, seed: u64) -> String {
 ///
 /// # Errors
 ///
-/// Flag errors, scenario failures, and (smoke mode) a failed leakage
-/// gate: the unmitigated corpus must leak and the mitigation must cut
-/// collisions at least 10x.
+/// Flag errors, scenario failures, and a campaign that fails its [`gate`].
 pub fn cmd_leakage(args: &[String]) -> Result<String, CliError> {
     let parsed = parse_leakage_args(args)?;
     let report = run_campaign(parsed.seed, parsed.smoke)?;
-    if parsed.smoke {
-        if report.total_off_collisions() == 0 {
-            return Err("leakage smoke: unmitigated corpus shows no collisions — \
-                 the oracle is not observing the side channel"
-                .to_owned());
-        }
-        if report.overall_reduction() < 10.0 {
-            return Err(format!(
-                "leakage smoke: mitigation reduction {:.1}x is below the 10x floor \
-                 (off={} on={})",
-                report.overall_reduction(),
-                report.total_off_collisions(),
-                report.total_on_collisions()
-            ));
-        }
-    }
+    gate(&report).map_err(|e| format!("leakage: {e}"))?;
     if parsed.json {
-        Ok(render_json(&report, parsed.seed))
+        Ok(report_json(&report, parsed.seed).render())
     } else {
         Ok(render_human(&report, parsed.seed))
     }
@@ -266,6 +264,7 @@ pub fn cmd_leakage(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::find_number;
 
     #[test]
     fn smoke_campaign_passes_its_own_gate() {
@@ -280,7 +279,32 @@ mod tests {
         let a = cmd_leakage(&args).unwrap();
         let b = cmd_leakage(&args).unwrap();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"seed\":"));
+        assert_eq!(find_number(&a, "seed"), Some(DEFAULT_SEED as f64));
+        assert!(find_number(&a, "overall_reduction").unwrap() >= 10.0);
+    }
+
+    #[test]
+    fn gate_rejects_each_failing_direction() {
+        let collisions = |collisions| CollisionReport {
+            observations: 100,
+            distinct_pairs: 100 - collisions,
+            collisions,
+            colliding_pairs: collisions,
+        };
+        let campaign = |off, on, epoch_rekeys| LeakageReport {
+            scenarios: vec![ScenarioLeakage {
+                name: "s".to_owned(),
+                off: collisions(off),
+                on: collisions(on),
+                epoch_rekeys,
+            }],
+        };
+        assert_eq!(gate(&campaign(50, 0, 3)), Ok(()));
+        assert!(gate(&campaign(0, 0, 3))
+            .unwrap_err()
+            .contains("no collisions"));
+        assert!(gate(&campaign(50, 6, 3)).unwrap_err().contains("10x floor"));
+        assert!(gate(&campaign(50, 0, 0)).unwrap_err().contains("rekey"));
     }
 
     #[test]

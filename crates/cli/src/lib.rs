@@ -29,10 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fleet;
+pub mod fleet;
+pub mod json;
 pub mod leakage;
 mod observe;
-mod serve;
+pub mod serve;
 
 pub use fleet::{cmd_fleet, parse_fleet_args, FleetArgs};
 pub use observe::{cmd_metrics, cmd_profile, cmd_trace, ProfileTracer, TraceFormat, TraceSubject};
@@ -51,10 +52,11 @@ use regvault_sim::{
 use regvault_verifier::baseline::Baseline;
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
-    sarif_report, verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions,
-    ViolationKind,
+    verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions, ViolationKind,
 };
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
+
+use json::Value;
 
 /// Error string type used by the CLI (messages go straight to stderr).
 pub type CliError = String;
@@ -539,6 +541,126 @@ pub fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, CliError> {
     Ok(parsed)
 }
 
+/// A verifier report as JSON: `{"clean", "functions", "instructions",
+/// "crypto_ops", "errors", "warnings", "violations": [{"kind", "severity",
+/// "function", "offset", "insn", "detail", "fingerprint"}], "skipped_data",
+/// "callgraph"?}`.
+#[must_use]
+pub fn report_json(report: &Report) -> Value {
+    let violations = report.violations.iter().map(|v| {
+        Value::obj([
+            ("kind", v.kind.id().into()),
+            ("severity", v.severity().id().into()),
+            ("function", v.function.as_str().into()),
+            ("offset", v.offset.into()),
+            ("insn", v.insn.as_str().into()),
+            ("detail", v.detail.as_str().into()),
+            ("fingerprint", v.fingerprint.as_str().into()),
+        ])
+    });
+    let mut pairs = vec![
+        ("clean", report.is_clean().into()),
+        ("functions", report.stats.len().into()),
+        ("instructions", report.instructions().into()),
+        ("crypto_ops", report.crypto_ops().into()),
+        ("errors", report.count_by_severity(Severity::Error).into()),
+        (
+            "warnings",
+            report.count_by_severity(Severity::Warning).into(),
+        ),
+        ("violations", Value::arr(violations)),
+        (
+            "skipped_data",
+            Value::arr(report.skipped_data.iter().map(|name| name.as_str().into())),
+        ),
+    ];
+    if let Some(g) = report.graph {
+        pairs.push((
+            "callgraph",
+            Value::obj([
+                ("functions", g.functions.into()),
+                ("edges", g.edges.into()),
+                ("direct_calls", g.direct_calls.into()),
+                ("resolved_indirect", g.resolved_indirect.into()),
+                ("unresolved_indirect", g.unresolved_indirect.into()),
+                ("tail_calls", g.tail_calls.into()),
+            ]),
+        ));
+    }
+    Value::obj(pairs)
+}
+
+/// Labeled verifier reports as one SARIF 2.1.0-style document.
+///
+/// `runs` pairs an artifact label (e.g. `dhry2@full` or a file name) with
+/// its report; all results land in a single SARIF run so the document is one
+/// ratchetable unit. Fingerprints are emitted as the `regvault/v1` partial
+/// fingerprint, which is what the baseline matches on.
+#[must_use]
+pub fn sarif_json(runs: &[(String, &Report)]) -> Value {
+    let rules = ViolationKind::ALL.iter().map(|kind| {
+        Value::obj([
+            ("id", kind.id().into()),
+            (
+                "defaultConfiguration",
+                Value::obj([("level", kind.severity().id().into())]),
+            ),
+        ])
+    });
+    let results = runs.iter().flat_map(|(label, report)| {
+        report.violations.iter().map(move |v| {
+            let location = Value::obj([
+                (
+                    "physicalLocation",
+                    Value::obj([
+                        (
+                            "artifactLocation",
+                            Value::obj([("uri", label.as_str().into())]),
+                        ),
+                        ("region", Value::obj([("byteOffset", v.offset.into())])),
+                    ]),
+                ),
+                (
+                    "logicalLocations",
+                    Value::arr([Value::obj([("name", v.function.as_str().into())])]),
+                ),
+            ]);
+            Value::obj([
+                ("ruleId", v.kind.id().into()),
+                ("level", v.severity().id().into()),
+                (
+                    "message",
+                    Value::obj([("text", format!("{} — {}", v.insn, v.detail).into())]),
+                ),
+                ("locations", Value::arr([location])),
+                (
+                    "partialFingerprints",
+                    Value::obj([("regvault/v1", v.fingerprint.as_str().into())]),
+                ),
+            ])
+        })
+    });
+    let driver = Value::obj([
+        ("name", "regvault-verifier".into()),
+        ("version", env!("CARGO_PKG_VERSION").into()),
+        ("rules", Value::arr(rules)),
+    ]);
+    Value::obj([
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("version", "2.1.0".into()),
+        (
+            "runs",
+            Value::arr([Value::obj([
+                ("tool", Value::obj([("driver", driver)])),
+                ("results", Value::arr(results)),
+            ])]),
+        ),
+    ])
+}
+
 /// Aggregated whole-program analysis summary: call-graph coverage plus a
 /// per-lint findings table with severities and the analysis wall time.
 fn analysis_summary(reports: &[&Report], elapsed: std::time::Duration) -> String {
@@ -678,9 +800,9 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
     let runs = vec![("<input>".to_owned(), &report)];
     let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
     let mut rendered = if args.sarif {
-        sarif_report(&runs)
+        sarif_json(&runs).render()
     } else if args.json {
-        report.render_json()
+        report_json(&report).render()
     } else {
         let mut text = report.render_human();
         if args.interprocedural {
@@ -775,23 +897,23 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         .iter()
         .map(|(_, _, r)| r.count_by_severity(Severity::Error))
         .sum();
-    let mut out = String::new();
-    if args.sarif {
-        let _ = writeln!(out, "{}", sarif_report(&runs));
+    let out = if args.sarif {
+        sarif_json(&runs).render()
     } else if args.json {
-        let _ = write!(out, "{{\"clean\":{},\"images\":[", total_violations == 0);
-        for (i, (name, label, report)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"config\":\"{label}\",\"report\":{}}}",
-                report.render_json()
-            );
-        }
-        let _ = writeln!(out, "]}}");
+        let images = rows.iter().map(|(name, label, report)| {
+            Value::obj([
+                ("name", name.as_str().into()),
+                ("config", (*label).into()),
+                ("report", report_json(report)),
+            ])
+        });
+        Value::obj([
+            ("clean", (total_violations == 0).into()),
+            ("images", Value::arr(images)),
+        ])
+        .render()
     } else {
+        let mut out = String::new();
         for (name, label, report) in &rows {
             let verdict = if report.has_errors() { "FAIL" } else { "OK" };
             let _ = writeln!(
@@ -815,7 +937,8 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
             "verified {} images: {total_violations} violation(s)",
             rows.len()
         );
-    }
+        out
+    };
     if errors == 0 && !ratchet_failed {
         Ok(out)
     } else {
@@ -1107,7 +1230,46 @@ mod tests {
             ..VerifyArgs::default()
         };
         let out = cmd_verify_source("main:\n  ebreak", &args).unwrap();
-        assert!(out.contains("\"clean\":true"), "{out}");
+        assert!(out.contains("\"clean\": true"), "{out}");
+        assert_eq!(json::find_number(&out, "errors"), Some(0.0), "{out}");
+    }
+
+    fn spill_report() -> Report {
+        let mut report = Report::default();
+        report.violations.push(regvault_verifier::Violation {
+            kind: ViolationKind::PlainSpill,
+            function: "main".into(),
+            offset: 0x40,
+            insn: "sd t0, 0(t6)".into(),
+            detail: "sensitive plaintext in t0 stored to \"stack\"".into(),
+            context: vec![],
+            fingerprint: String::new(),
+        });
+        report.finalize();
+        report
+    }
+
+    #[test]
+    fn report_json_carries_each_violation() {
+        let out = report_json(&spill_report()).render();
+        assert!(out.contains("\"kind\": \"plain-spill\""), "{out}");
+        assert!(out.contains("\"severity\": \"error\""), "{out}");
+        assert!(out.contains("stored to \\\"stack\\\""), "{out}");
+        assert_eq!(json::find_number(&out, "offset"), Some(64.0), "{out}");
+        assert_eq!(json::find_number(&out, "errors"), Some(1.0), "{out}");
+        assert!(!out.contains("\"callgraph\""), "{out}");
+    }
+
+    #[test]
+    fn sarif_document_shape() {
+        let report = spill_report();
+        let out = sarif_json(&[("img@full".to_owned(), &report)]).render();
+        assert!(out.contains("\"version\": \"2.1.0\""), "{out}");
+        assert!(out.contains("\"ruleId\": \"plain-spill\""), "{out}");
+        assert!(out.contains("\"uri\": \"img@full\""), "{out}");
+        assert!(out.contains("\"regvault/v1\": \""), "{out}");
+        assert!(out.contains("\"unprotected-spill-gadget\""), "{out}");
+        assert_eq!(json::find_number(&out, "byteOffset"), Some(64.0), "{out}");
     }
 
     #[test]
@@ -1170,7 +1332,7 @@ mod tests {
             ..VerifyArgs::default()
         };
         let out = cmd_verify_source("main:\n  ebreak", &args).unwrap();
-        assert!(out.contains("\"version\":\"2.1.0\""), "{out}");
+        assert!(out.contains("\"version\": \"2.1.0\""), "{out}");
         assert!(out.contains("regvault-verifier"), "{out}");
     }
 

@@ -26,6 +26,7 @@ use regvault_workloads::{
     lmbench::Lmbench, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
 };
 
+use crate::json::Value;
 use crate::{boot_bare_machine, CliError};
 
 /// Base address bare programs load at ([`crate::boot_bare_machine`]).
@@ -123,103 +124,92 @@ fn execute(subject: &TraceSubject, tracer: Box<dyn Tracer>) -> Result<RunArtifac
     }
 }
 
-/// Minimal JSON string escaping (symbols and rendered instructions contain
-/// no control characters, but be safe about quotes and backslashes).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn dir(decrypt: bool) -> Value {
+    (if decrypt { "crd" } else { "cre" }).into()
 }
 
-/// Renders an event's payload as a JSON object string.
-fn args_json(event: &TraceEvent) -> String {
+fn hex(n: u64) -> Value {
+    format!("{n:#x}").into()
+}
+
+/// An event's payload as a JSON object.
+fn event_args(event: &TraceEvent) -> Value {
     match event {
         TraceEvent::InsnRetire { pc, insn } => {
-            format!(
-                "{{\"pc\":\"{pc:#x}\",\"insn\":\"{}\"}}",
-                esc(&insn.to_string())
-            )
+            Value::obj([("pc", hex(*pc)), ("insn", insn.to_string().into())])
         }
         TraceEvent::ClbHit { ksel, decrypt } | TraceEvent::ClbMiss { ksel, decrypt } => {
-            format!(
-                "{{\"ksel\":{ksel},\"dir\":\"{}\"}}",
-                if *decrypt { "crd" } else { "cre" }
-            )
+            Value::obj([("ksel", (*ksel).into()), ("dir", dir(*decrypt))])
         }
         TraceEvent::ClbEvict { ksel } | TraceEvent::ClbInvalidate { ksel } => {
-            format!("{{\"ksel\":{ksel}}}")
+            Value::obj([("ksel", (*ksel).into())])
         }
         TraceEvent::QarmaOp {
             ksel,
             tweak,
             decrypt,
-        } => format!(
-            "{{\"ksel\":{ksel},\"tweak\":\"{tweak:#x}\",\"dir\":\"{}\"}}",
-            if *decrypt { "crd" } else { "cre" }
-        ),
+        } => Value::obj([
+            ("ksel", (*ksel).into()),
+            ("tweak", hex(*tweak)),
+            ("dir", dir(*decrypt)),
+        ]),
         TraceEvent::CipOpen { frame } | TraceEvent::CipClose { frame } => {
-            format!("{{\"frame\":\"{frame:#x}\"}}")
+            Value::obj([("frame", hex(*frame))])
         }
         TraceEvent::TrapEnter { cause } | TraceEvent::TrapExit { cause } => match cause {
-            TrapCause::Syscall(num) => format!("{{\"cause\":\"syscall\",\"sysno\":{num}}}"),
-            TrapCause::Timer => "{\"cause\":\"timer\"}".to_owned(),
-            TrapCause::Exception(cause) => {
-                format!(
-                    "{{\"cause\":\"exception\",\"detail\":\"{}\"}}",
-                    esc(&format!("{cause:?}"))
-                )
+            TrapCause::Syscall(num) => {
+                Value::obj([("cause", "syscall".into()), ("sysno", (*num).into())])
             }
+            TrapCause::Timer => Value::obj([("cause", "timer".into())]),
+            TrapCause::Exception(cause) => Value::obj([
+                ("cause", "exception".into()),
+                ("detail", format!("{cause:?}").into()),
+            ]),
         },
-        TraceEvent::Fault { kind, effect } => format!(
-            "{{\"kind\":\"{}\",\"effect\":\"{}\"}}",
-            esc(&format!("{kind:?}")),
-            esc(&format!("{effect:?}"))
-        ),
+        TraceEvent::Fault { kind, effect } => Value::obj([
+            ("kind", format!("{kind:?}").into()),
+            ("effect", format!("{effect:?}").into()),
+        ]),
         TraceEvent::ContextSwitch { from, to } => {
-            format!("{{\"from\":{from},\"to\":{to}}}")
+            Value::obj([("from", (*from).into()), ("to", (*to).into())])
         }
         TraceEvent::MemStore { addr, value } => {
-            format!("{{\"addr\":\"{addr:#x}\",\"value\":\"{value:#x}\"}}")
+            Value::obj([("addr", hex(*addr)), ("value", hex(*value))])
         }
     }
 }
 
-/// Renders the retained records as Chrome `trace_event` JSON. Trap
-/// entry/exit become `B`/`E` duration events (they nest properly in this
-/// kernel); everything else becomes a thread-scoped instant event. The
-/// timestamp axis is simulated cycles.
-fn render_chrome(records: &[&TraceRecord]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The retained records as Chrome `trace_event` JSON. Trap entry/exit
+/// become `B`/`E` duration events (they nest properly in this kernel);
+/// everything else becomes a thread-scoped instant event. The timestamp
+/// axis is simulated cycles.
+fn chrome_json(records: &[&TraceRecord]) -> Value {
+    let events = records.iter().map(|record| {
+        let (name, cat, ph) = match &record.event {
+            TraceEvent::TrapEnter { cause } => (cause.label(), "trap", "B"),
+            TraceEvent::TrapExit { cause } => (cause.label(), "trap", "E"),
+            event => (event.kind(), "sim", "i"),
+        };
+        let mut pairs = vec![
+            ("name", name.into()),
+            ("cat", cat.into()),
+            ("ph", ph.into()),
+        ];
+        if ph == "i" {
+            pairs.push(("s", "t".into()));
         }
-        let ts = record.cycle;
-        let args = args_json(&record.event);
-        match &record.event {
-            TraceEvent::TrapEnter { cause } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"trap\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{args}}}",
-                    cause.label()
-                );
-            }
-            TraceEvent::TrapExit { cause } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"trap\",\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{args}}}",
-                    cause.label()
-                );
-            }
-            event => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":1,\"tid\":1,\"args\":{args}}}",
-                    event.kind()
-                );
-            }
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}\n");
-    out
+        pairs.extend([
+            ("ts", record.cycle.into()),
+            ("pid", 1u64.into()),
+            ("tid", 1u64.into()),
+            ("args", event_args(&record.event)),
+        ]);
+        Value::obj(pairs)
+    });
+    Value::obj([
+        ("traceEvents", Value::arr(events)),
+        ("displayTimeUnit", "ns".into()),
+    ])
 }
 
 /// `trace` subcommand: run under a [`RingTracer`] and export the stream.
@@ -240,30 +230,23 @@ pub fn cmd_trace(
         .expect("the installed tracer is a ring");
     let records = ring.records();
     match format {
-        TraceFormat::Chrome => Ok(render_chrome(&records)),
+        TraceFormat::Chrome => Ok(chrome_json(&records).render()),
         TraceFormat::Json => {
-            let mut out = String::from("{\"records\":[");
-            for (i, record) in records.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"cycle\":{},\"instret\":{},\"kind\":\"{}\",\"args\":{}}}",
-                    record.cycle,
-                    record.instret,
-                    record.event.kind(),
-                    args_json(&record.event)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "],\"emitted\":{},\"dropped\":{},\"outcome\":\"{}\"}}",
-                ring.emitted(),
-                ring.dropped_any(),
-                esc(&artifacts.outcome)
-            );
-            Ok(out)
+            let records = records.iter().map(|record| {
+                Value::obj([
+                    ("cycle", record.cycle.into()),
+                    ("instret", record.instret.into()),
+                    ("kind", record.event.kind().into()),
+                    ("args", event_args(&record.event)),
+                ])
+            });
+            Ok(Value::obj([
+                ("records", Value::arr(records)),
+                ("emitted", ring.emitted().into()),
+                ("dropped", ring.dropped_any().into()),
+                ("outcome", artifacts.outcome.into()),
+            ])
+            .render())
         }
         TraceFormat::Human => {
             let mut out = String::new();
@@ -303,57 +286,40 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
     };
 
     if json {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (name, value) in metrics.counters() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{value}", esc(name));
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (name, data) in metrics.histograms() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{:.2},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                esc(name),
-                data.count(),
-                data.sum(),
-                data.mean(),
-                data.min().unwrap_or(0),
-                data.max().unwrap_or(0),
-                data.quantile(0.50).unwrap_or(0),
-                data.quantile(0.90).unwrap_or(0),
-                data.quantile(0.99).unwrap_or(0),
-            );
+        let counters = metrics.counters().map(|(name, value)| (name, value.into()));
+        let histograms = metrics.histograms().map(|(name, data)| {
             // Raw log2 buckets as [lower_bound, count] pairs (empty buckets
             // elided), so downstream tooling can re-derive any quantile.
-            let mut first_bucket = true;
-            for (lo, n) in data.nonzero_buckets() {
-                if !first_bucket {
-                    out.push(',');
-                }
-                first_bucket = false;
-                let _ = write!(out, "[{lo},{n}]");
-            }
-            out.push_str("]}");
-        }
-        let _ = writeln!(
-            out,
-            "}},\"clb_hit_rate\":{hit_rate:.6},\"clb\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{}}},\"outcome\":\"{}\"}}",
-            clb.hits,
-            clb.misses,
-            clb.evictions,
-            clb.invalidations,
-            esc(&artifacts.outcome)
-        );
-        Ok(out)
+            let buckets = data
+                .nonzero_buckets()
+                .map(|(lo, n)| Value::arr([lo.into(), n.into()]));
+            let summary = Value::obj([
+                ("count", data.count().into()),
+                ("sum", data.sum().into()),
+                ("mean", data.mean().into()),
+                ("min", data.min().unwrap_or(0).into()),
+                ("max", data.max().unwrap_or(0).into()),
+                ("p50", data.quantile(0.50).unwrap_or(0).into()),
+                ("p90", data.quantile(0.90).unwrap_or(0).into()),
+                ("p99", data.quantile(0.99).unwrap_or(0).into()),
+                ("buckets", Value::arr(buckets)),
+            ]);
+            (name, summary)
+        });
+        let clb_stats = Value::obj([
+            ("hits", clb.hits.into()),
+            ("misses", clb.misses.into()),
+            ("evictions", clb.evictions.into()),
+            ("invalidations", clb.invalidations.into()),
+        ]);
+        Ok(Value::obj([
+            ("counters", Value::obj(counters)),
+            ("histograms", Value::obj(histograms)),
+            ("clb_hit_rate", hit_rate.into()),
+            ("clb", clb_stats),
+            ("outcome", artifacts.outcome.into()),
+        ])
+        .render())
     } else {
         let mut out = String::new();
         let _ = writeln!(out, "counters:");
@@ -522,29 +488,34 @@ pub fn cmd_profile(subject: &TraceSubject, json: bool) -> Result<String, CliErro
 
     let total_steps: u64 = profiler.steps.iter().sum::<u64>() + profiler.other_steps;
     if json {
-        let mut out = String::from("{\"functions\":[");
-        for (i, region) in profiler.regions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"steps\":{},\"crypto_ops\":{},\"qarma_ops\":{}}}",
-                esc(&region.name),
+        let counts = |steps: u64, crypto: u64, qarma: u64| -> [(&str, Value); 3] {
+            [
+                ("steps", steps.into()),
+                ("crypto_ops", crypto.into()),
+                ("qarma_ops", qarma.into()),
+            ]
+        };
+        let functions = profiler.regions.iter().enumerate().map(|(i, region)| {
+            let mut pairs = vec![("name", region.name.as_str().into())];
+            pairs.extend(counts(
                 profiler.steps[i],
                 profiler.crypto[i],
-                profiler.qarma[i]
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"other\":{{\"steps\":{},\"crypto_ops\":{},\"qarma_ops\":{}}},\"total_steps\":{total_steps},\"outcome\":\"{}\"}}",
+                profiler.qarma[i],
+            ));
+            Value::obj(pairs)
+        });
+        let other = counts(
             profiler.other_steps,
             profiler.other_crypto,
             profiler.other_qarma,
-            esc(&artifacts.outcome)
         );
-        Ok(out)
+        Ok(Value::obj([
+            ("functions", Value::arr(functions)),
+            ("other", Value::obj(other)),
+            ("total_steps", total_steps.into()),
+            ("outcome", artifacts.outcome.into()),
+        ])
+        .render())
     } else {
         let mut out = String::new();
         let _ = writeln!(
@@ -593,6 +564,7 @@ pub fn cmd_profile(subject: &TraceSubject, json: bool) -> Result<String, CliErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::find_number;
 
     const CRYPTO_PROGRAM: &str = "main:
          li   t1, 0x9000
@@ -614,24 +586,20 @@ helper:
     }
 
     #[test]
-    fn trace_chrome_is_structurally_valid_json() {
+    fn trace_chrome_renders_trace_events() {
         let subject = TraceSubject::Bare(CRYPTO_PROGRAM.to_owned());
         let out = cmd_trace(&subject, TraceFormat::Chrome, 4096).unwrap();
-        assert!(out.starts_with("{\"traceEvents\":["), "{out}");
-        assert!(out.contains("\"ph\":\"i\""), "{out}");
-        // Balanced braces/brackets — no parser available, but the writer is
-        // purely concatenative so this catches structural slips.
-        let opens = out.matches('{').count();
-        let closes = out.matches('}').count();
-        assert_eq!(opens, closes, "{out}");
+        assert!(out.starts_with("{\n  \"traceEvents\": [\n"), "{out}");
+        assert!(out.contains("\"ph\": \"i\""), "{out}");
+        assert!(out.contains("\"name\": \"qarma\""), "{out}");
     }
 
     #[test]
     fn trace_json_counts_records() {
         let subject = TraceSubject::Bare(CRYPTO_PROGRAM.to_owned());
         let out = cmd_trace(&subject, TraceFormat::Json, 4096).unwrap();
-        assert!(out.contains("\"emitted\":"), "{out}");
-        assert!(out.contains("\"kind\":\"insn\""), "{out}");
+        assert!(find_number(&out, "emitted").unwrap() > 0.0, "{out}");
+        assert!(out.contains("\"kind\": \"insn\""), "{out}");
     }
 
     #[test]
@@ -639,18 +607,10 @@ helper:
         let subject = TraceSubject::Bare(CRYPTO_PROGRAM.to_owned());
         let out = cmd_metrics(&subject, true).unwrap();
         // The registry's counters and the CLB's own stats are reported side
-        // by side; extract both and cross-check.
-        let grab = |key: &str| -> u64 {
-            let at = out.find(key).unwrap_or_else(|| panic!("{key} in {out}"));
-            let rest = &out[at + key.len()..];
-            rest.chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        assert_eq!(grab("\"clb_hits\":"), grab("\"hits\":"));
-        assert_eq!(grab("\"clb_misses\":"), grab("\"misses\":"));
+        // by side; cross-check them.
+        let grab = |key: &str| find_number(&out, key).unwrap_or_else(|| panic!("{key} in {out}"));
+        assert_eq!(grab("clb_hits"), grab("hits"));
+        assert_eq!(grab("clb_misses"), grab("misses"));
     }
 
     #[test]
@@ -659,14 +619,14 @@ helper:
         let out = cmd_metrics(&subject, true).unwrap();
         // Kernel-registered histograms (syscall_cycles) must carry computed
         // quantiles alongside the raw log2 buckets.
-        assert!(out.contains("\"syscall_cycles\":{"), "{out}");
-        assert!(out.contains("\"p50\":"), "{out}");
-        assert!(out.contains("\"p90\":"), "{out}");
-        assert!(out.contains("\"p99\":"), "{out}");
-        assert!(out.contains("\"buckets\":[["), "{out}");
-        let opens = out.matches('{').count();
-        let closes = out.matches('}').count();
-        assert_eq!(opens, closes, "{out}");
+        let at = out
+            .find("\"syscall_cycles\": {")
+            .expect("syscall_cycles histogram");
+        let histogram = &out[at..];
+        for key in ["count", "p50", "p90", "p99"] {
+            assert!(find_number(histogram, key).is_some(), "{key} in {out}");
+        }
+        assert!(histogram.contains("\"buckets\": [\n        ["), "{out}");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 
 use regvault_server::{ServeConfig, ServeReport, Supervisor};
 
+use crate::json::Value;
 use crate::{parse_config, CliError};
 
 /// Parsed `serve` arguments.
@@ -93,71 +94,80 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
     })
 }
 
-/// Renders a serve report as JSON (same hand-rolled shape as the rest of
-/// the CLI: no serde in the container).
+/// Builds the JSON object of one serve run. The key order is the schema of
+/// a run object in `BENCH_serve.json`; every value is deterministic per
+/// seed (the scenario runs in virtual time).
 #[must_use]
-pub fn render_json(report: &ServeReport) -> String {
-    let q = |x: f64| report.latency.quantile(x).unwrap_or(0);
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"offered\":{},\"served\":{},\"failed\":{},\"shed\":{},\
-         \"shed_deadline\":{},\
-         \"accounting_holds\":{},\"rps_per_mcycle\":{:.3},\
-         \"faults_injected\":{},\"recoveries\":{},\"respawns\":{},\
-         \"respawns_denied\":{},\"frontend_respawns\":{},\
-         \"cold_restarts\":{},\"micro_reboots\":{},\
-         \"micro_reboot_mismatches\":{},\
-         \"breaker_opens\":{},\"terminal_tenants\":{},\
-         \"cycles\":{},\"aborted\":{},\
-         \"latency\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},\
-         \"tenants\":[",
-        report.offered,
-        report.served,
-        report.failed,
-        report.shed,
-        report.shed_deadline,
-        report.accounting_holds(),
-        report.rps_per_mcycle(),
-        report.faults_injected,
-        report.recoveries,
-        report.respawns,
-        report.respawns_denied,
-        report.frontend_respawns,
-        report.cold_restarts,
-        report.micro_reboots,
-        report.micro_reboot_mismatches,
-        report.breaker_opens,
-        report.terminal_tenants,
-        report.cycles,
-        report.aborted,
-        report.latency.count(),
-        report.latency.mean(),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-    );
-    for (i, t) in report.tenants.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"slot\":{},\"state\":\"{}\",\"served\":{},\"failed\":{},\
-             \"shed\":{},\"respawns\":{},\"respawns_denied\":{},\
-             \"breaker_opens\":{}}}",
-            t.slot,
+pub fn report_json(r: &ServeReport) -> Value {
+    let q = |x: f64| Value::from(r.latency.quantile(x).unwrap_or(0));
+    let tenants = r.tenants.iter().map(|t| {
+        Value::obj([
+            ("slot", t.slot.into()),
+            ("state", t.state.into()),
+            ("served", t.served.into()),
+            ("failed", t.failed.into()),
+            ("shed", t.shed.into()),
+            ("respawns", t.respawns.into()),
+            ("respawns_denied", t.respawns_denied.into()),
+            ("breaker_opens", t.breaker_opens.into()),
+        ])
+    });
+    Value::obj([
+        ("offered", r.offered.into()),
+        ("served", r.served.into()),
+        ("failed", r.failed.into()),
+        ("shed", r.shed.into()),
+        ("shed_deadline", r.shed_deadline.into()),
+        ("accounting_holds", r.accounting_holds().into()),
+        ("rps_per_mcycle", r.rps_per_mcycle().into()),
+        ("latency_p50_cycles", q(0.5)),
+        ("latency_p90_cycles", q(0.9)),
+        ("latency_p99_cycles", q(0.99)),
+        ("latency_mean_cycles", r.latency.mean().into()),
+        ("faults_injected", r.faults_injected.into()),
+        ("recoveries", r.recoveries.into()),
+        ("respawns", r.respawns.into()),
+        ("respawns_denied", r.respawns_denied.into()),
+        ("frontend_respawns", r.frontend_respawns.into()),
+        ("cold_restarts", r.cold_restarts.into()),
+        ("micro_reboots", r.micro_reboots.into()),
+        ("micro_reboot_mismatches", r.micro_reboot_mismatches.into()),
+        ("breaker_opens", r.breaker_opens.into()),
+        ("terminal_tenants", r.terminal_tenants.into()),
+        ("cycles", r.cycles.into()),
+        ("aborted", r.aborted.into()),
+        ("latency_count", r.latency.count().into()),
+        ("tenants", Value::arr(tenants)),
+    ])
+}
+
+/// The per-run gate of a serve run: it completed, the accounting identity
+/// holds, every tenant ends recovered or explicitly quarantined, something
+/// was served, and an armed fault injector actually fired.
+///
+/// # Errors
+///
+/// Names the first invariant the run broke.
+pub fn gate(r: &ServeReport, faults_armed: bool) -> Result<(), CliError> {
+    let supervision_closed = r.tenants.iter().all(|t| {
+        matches!(
             t.state,
-            t.served,
-            t.failed,
-            t.shed,
-            t.respawns,
-            t.respawns_denied,
-            t.breaker_opens,
-        );
+            "serving" | "probation" | "restarting" | "breaker-open" | "breaker-open-terminal"
+        )
+    });
+    if r.aborted {
+        Err("run aborted at its safety guard".to_owned())
+    } else if !r.accounting_holds() {
+        Err("accounting identity violated".to_owned())
+    } else if !supervision_closed {
+        Err("tenant in unknown supervision state".to_owned())
+    } else if r.served == 0 {
+        Err("no request was served".to_owned())
+    } else if faults_armed && r.faults_injected == 0 {
+        Err("fault injector never fired".to_owned())
+    } else {
+        Ok(())
     }
-    out.push_str("]}\n");
-    out
 }
 
 /// Renders a serve report for humans.
@@ -234,34 +244,20 @@ pub fn render_human(report: &ServeReport) -> String {
 /// # Errors
 ///
 /// Returns flag-parse failures, kernel boot failures, and — in `--smoke`
-/// mode — a non-zero exit when the run aborted or the accounting identity
-/// is violated.
+/// mode — a non-zero exit when the run fails its [`gate`].
 pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let args = parse_serve_args(args)?;
+    let faults_armed = args.config.fault_interval > 0;
     let report = Supervisor::new(args.config)
         .map_err(|e| format!("serve: kernel boot failed: {e}"))?
         .run();
     let rendered = if args.json {
-        render_json(&report)
+        report_json(&report).render()
     } else {
         render_human(&report)
     };
     if args.smoke {
-        if report.aborted {
-            return Err(format!("{rendered}serve --smoke: run aborted\n"));
-        }
-        if !report.accounting_holds() {
-            return Err(format!(
-                "{rendered}serve --smoke: accounting identity violated\n"
-            ));
-        }
-        // Smoke mode always arms the injector; a zero count means it
-        // silently failed to fire.
-        if report.faults_injected == 0 {
-            return Err(format!(
-                "{rendered}serve --smoke: fault injector never fired\n"
-            ));
-        }
+        gate(&report, faults_armed).map_err(|e| format!("{rendered}serve --smoke: {e}\n"))?;
     }
     Ok(rendered)
 }
@@ -269,6 +265,7 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{find_number, first_run_keys, object_keys};
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| (*a).to_owned()).collect()
@@ -293,14 +290,36 @@ mod tests {
             "4",
         ]))
         .expect("serve runs");
-        assert!(out.contains("\"accounting_holds\":true"), "{out}");
-        assert!(out.contains("\"p99\":"), "{out}");
-        assert!(out.contains("\"tenants\":["), "{out}");
-        assert_eq!(
-            out.matches('{').count(),
-            out.matches('}').count(),
-            "balanced JSON: {out}"
-        );
+        assert!(out.contains("\"accounting_holds\": true"), "{out}");
+        assert_eq!(find_number(&out, "offered"), Some(60.0), "{out}");
+        assert!(find_number(&out, "latency_p99_cycles").is_some(), "{out}");
+        assert!(find_number(&out, "latency_count").is_some(), "{out}");
+    }
+
+    /// `serve --json` is a `BENCH_serve.json` run object: the committed
+    /// artifact's run keys are a prefix of the CLI's, in the same order.
+    #[test]
+    fn json_keys_follow_the_bench_schema() {
+        let bench = include_str!("../../../BENCH_serve.json");
+        let run_keys = first_run_keys(bench);
+        assert!(run_keys.contains(&"latency_p99_cycles"), "{run_keys:?}");
+        let out = cmd_serve(&s(&["--json", "--requests", "40", "--seed", "3"])).unwrap();
+        let keys = object_keys(&out, 1);
+        assert!(keys.starts_with(&run_keys), "{keys:?} vs {run_keys:?}");
+    }
+
+    #[test]
+    fn gate_rejects_a_broken_run() {
+        let mut report = Supervisor::new(ServeConfig {
+            requests: 40,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+        .run();
+        assert_eq!(gate(&report, false), Ok(()));
+        assert!(gate(&report, true).unwrap_err().contains("never fired"));
+        report.served += 1;
+        assert!(gate(&report, false).unwrap_err().contains("accounting"));
     }
 
     #[test]

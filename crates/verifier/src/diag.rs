@@ -9,9 +9,9 @@
 //! per `(kind, fingerprint)`, and assigns each violation a stable
 //! fingerprint — a hash over `(kind, function, instruction, detail,
 //! occurrence index)` that deliberately excludes byte offsets, so unrelated
-//! code motion does not churn a committed baseline. The SARIF-style
-//! renderer ([`sarif_report`]) and the baseline ratchet
-//! ([`crate::baseline`]) build on those fingerprints.
+//! code motion does not churn a committed baseline. The baseline ratchet
+//! ([`crate::baseline`]) and the CLI's JSON/SARIF reports build on those
+//! fingerprints.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -325,127 +325,6 @@ impl Report {
         }
         out
     }
-
-    /// Renders the report as a single JSON object.
-    ///
-    /// Schema: `{"clean": bool, "functions": N, "instructions": N,
-    /// "crypto_ops": N, "errors": N, "warnings": N, "violations": [{"kind",
-    /// "severity", "function", "offset", "insn", "detail", "fingerprint"}],
-    /// "skipped_data": [..], "callgraph": {..}?}`.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"clean\":{},", self.is_clean()));
-        out.push_str(&format!("\"functions\":{},", self.stats.len()));
-        out.push_str(&format!("\"instructions\":{},", self.instructions()));
-        out.push_str(&format!("\"crypto_ops\":{},", self.crypto_ops()));
-        out.push_str(&format!(
-            "\"errors\":{},",
-            self.count_by_severity(Severity::Error)
-        ));
-        out.push_str(&format!(
-            "\"warnings\":{},",
-            self.count_by_severity(Severity::Warning)
-        ));
-        out.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"kind\":{},\"severity\":{},\"function\":{},\"offset\":{},\"insn\":{},\"detail\":{},\"fingerprint\":{}}}",
-                json_str(v.kind.id()),
-                json_str(v.severity().id()),
-                json_str(&v.function),
-                v.offset,
-                json_str(&v.insn),
-                json_str(&v.detail),
-                json_str(&v.fingerprint)
-            ));
-        }
-        out.push_str("],\"skipped_data\":[");
-        for (i, name) in self.skipped_data.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(name));
-        }
-        out.push(']');
-        if let Some(g) = self.graph {
-            out.push_str(&format!(
-                ",\"callgraph\":{{\"functions\":{},\"edges\":{},\"direct_calls\":{},\"resolved_indirect\":{},\"unresolved_indirect\":{},\"tail_calls\":{}}}",
-                g.functions, g.edges, g.direct_calls, g.resolved_indirect, g.unresolved_indirect, g.tail_calls
-            ));
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Renders one or more labeled reports as a SARIF 2.1.0-style document.
-///
-/// `runs` pairs an artifact label (e.g. `dhry2@full` or a file name) with
-/// its report; all results land in a single SARIF run so the document is one
-/// ratchetable unit. Fingerprints are emitted as the `regvault/v1` partial
-/// fingerprint, which is what the baseline matches on.
-#[must_use]
-pub fn sarif_report(runs: &[(String, &Report)]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"regvault-verifier\",\"version\":",
-    );
-    out.push_str(&json_str(env!("CARGO_PKG_VERSION")));
-    out.push_str(",\"rules\":[");
-    for (i, kind) in ViolationKind::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{},\"defaultConfiguration\":{{\"level\":{}}}}}",
-            json_str(kind.id()),
-            json_str(kind.severity().id())
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    let mut first = true;
-    for (label, report) in runs {
-        for v in &report.violations {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\"region\":{{\"byteOffset\":{}}}}},\"logicalLocations\":[{{\"name\":{}}}]}}],\"partialFingerprints\":{{\"regvault/v1\":{}}}}}",
-                json_str(v.kind.id()),
-                json_str(v.severity().id()),
-                json_str(&format!("{} — {}", v.insn, v.detail)),
-                json_str(label),
-                v.offset,
-                json_str(&v.function),
-                json_str(&v.fingerprint)
-            ));
-        }
-    }
-    out.push_str("]}]}");
-    out
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -478,7 +357,6 @@ mod tests {
         assert!(report.is_clean());
         assert!(!report.has_errors());
         assert!(report.render_human().starts_with("OK:"));
-        assert!(report.render_json().contains("\"clean\":true"));
     }
 
     #[test]
@@ -490,16 +368,7 @@ mod tests {
         assert!(human.starts_with("FAIL:"));
         assert!(human.contains("0x0040"));
         assert!(human.contains("plain-spill"));
-        let json = report.render_json();
-        assert!(json.contains("\"kind\":\"plain-spill\""));
-        assert!(json.contains("\"offset\":64"));
-        assert!(json.contains("\"severity\":\"error\""));
-        assert!(json.contains("\"fingerprint\":\""));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(report.violations[0].fingerprint.len(), 16);
     }
 
     #[test]
@@ -540,7 +409,7 @@ mod tests {
         b.violations.push(sample_violation());
         b.violations.push(sample_violation());
         b.finalize();
-        assert_eq!(a.render_json(), b.render_json());
+        assert_eq!(a.violations, b.violations);
     }
 
     #[test]
@@ -556,18 +425,5 @@ mod tests {
         b.violations.push(moved);
         b.finalize();
         assert_eq!(a.violations[0].fingerprint, b.violations[0].fingerprint);
-    }
-
-    #[test]
-    fn sarif_document_shape() {
-        let mut report = Report::default();
-        report.violations.push(sample_violation());
-        report.finalize();
-        let sarif = sarif_report(&[("img@full".to_owned(), &report)]);
-        assert!(sarif.contains("\"version\":\"2.1.0\""));
-        assert!(sarif.contains("\"ruleId\":\"plain-spill\""));
-        assert!(sarif.contains("\"uri\":\"img@full\""));
-        assert!(sarif.contains("\"regvault/v1\""));
-        assert!(sarif.contains("\"unprotected-spill-gadget\""));
     }
 }

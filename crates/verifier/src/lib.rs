@@ -74,7 +74,7 @@ use std::collections::BTreeMap;
 use regvault_isa::decode::decode;
 use regvault_isa::Insn;
 
-pub use diag::{sarif_report, FnStats, Report, Severity, Violation, ViolationKind};
+pub use diag::{FnStats, Report, Severity, Violation, ViolationKind};
 pub use manifest::{FnExpect, ProtectionManifest};
 pub use taint::TaintOptions;
 

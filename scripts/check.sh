@@ -156,9 +156,16 @@ echo "==> leakage gate (trimmed ciphertext-side-channel campaign, 10x reduction 
 target/release/regvault-cli leakage --smoke > /dev/null
 
 echo "==> leakage campaign (full corpus off vs on, rewrites BENCH_leakage.json)"
-target/release/leakage
+target/release/regvault-cli leakage --json > BENCH_leakage.json
 
+echo "==> figure 5 overheads (rewrites BENCH_fig5{a,b,c}_*.json)"
+for fig in fig5a_unixbench fig5b_lmbench fig5c_spec; do
+    "target/release/$fig" > /dev/null
+done
+
+# The markdown table is also kept in a file, for CI's job summary.
 echo "==> bench trajectory (fresh BENCH_*.json vs committed, 10% ratchet on gated metrics)"
-target/release/trajectory --baseline /tmp/regvault_bench_baseline
+target/release/trajectory --baseline /tmp/regvault_bench_baseline \
+    | tee /tmp/regvault_trajectory.md
 
 echo "OK (full tier)"
