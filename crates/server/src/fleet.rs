@@ -616,6 +616,34 @@ mod tests {
         assert!(s.served > 0, "head-of-line requests still make it");
     }
 
+    /// FNV-1a 64, the snapshot stream checksum.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn damaged_warm_image_fails_integrity_and_cold_boots() {
+        let warm = boot_instance(1).snapshot();
+        // Flip the last byte of the last page in the serialized image and
+        // re-checksum the stream: the recorded digest is kept, so the
+        // decoded snapshot claims the pristine image's digest.
+        let bytes = warm.to_bytes();
+        let mut payload = bytes[..bytes.len() - 8].to_vec();
+        *payload.last_mut().expect("page bytes") ^= 0x10;
+        let checksum = fnv1a(&payload);
+        payload.extend_from_slice(&checksum.to_le_bytes());
+        let damaged = Snapshot::from_bytes(&payload).expect("re-checksummed image decodes");
+        assert_eq!(damaged.digest(), warm.digest());
+
+        let r = run_instance(0, &small(4), &damaged);
+        assert!(r.kills > 0, "chaos schedule fired");
+        assert_eq!(r.restore_mismatches, r.kills);
+        assert_eq!(r.cold_boots, r.kills);
+        assert_eq!(r.micro_restores, 0);
+    }
+
     #[test]
     fn forked_instances_share_clean_pages_with_each_other() {
         let warm = boot_instance(1).snapshot();

@@ -1367,6 +1367,37 @@ mod tests {
     }
 
     #[test]
+    fn damaged_warm_image_fails_integrity_and_cold_restarts() {
+        let mut sup = Supervisor::new(ServeConfig {
+            requests: 50,
+            seed: 7,
+            ..ServeConfig::default()
+        })
+        .expect("boot");
+        // The start of a run: provision, then capture the restore point.
+        sup.provision(true).expect("provision");
+        sup.capture_warm_image();
+        let warm = sup
+            .warm
+            .as_mut()
+            .expect("micro-reboot captures a warm image");
+        // Damage one word of the image itself (copy-on-write keeps the
+        // live kernel's page intact).
+        let memory = warm.kernel.machine_mut().memory_mut();
+        let addr = regvault_kernel::layout::KERNEL_HEAP_BASE;
+        let word = memory.read_u64(addr).expect("kernel heap is mapped");
+        memory
+            .write_u64(addr, !word)
+            .expect("kernel heap is writable");
+
+        sup.restart_tenancy();
+        assert_eq!(sup.metrics.counter_value(sup.c_micro_mismatch), 1);
+        assert_eq!(sup.metrics.counter_value(sup.c_micro_reboots), 0);
+        assert_eq!(sup.metrics.counter_value(sup.c_cold_restarts), 1);
+        assert!(!sup.fatal, "the cold restart re-provisions");
+    }
+
+    #[test]
     fn stale_requests_are_shed_at_dequeue() {
         // Heavy overload with an aggressive deadline: once the p99
         // estimate exists, queue heads that out-waited the budget must be

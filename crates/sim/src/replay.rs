@@ -25,7 +25,11 @@ use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use crate::snapshot::{fnv64, put_fault_kind, Reader, Snapshot, SnapshotError};
 
 const MAGIC: [u8; 4] = *b"RVRB";
-const VERSION: u16 = 1;
+/// Version 2: `expected_digest` is an [`crate::Machine::arch_digest`] over
+/// lane-hashed pages (snapshot format version 3). A version-1 bundle is
+/// refused with [`SnapshotError::BadVersion`] rather than replayed into a
+/// false "diverged" against a digest of the old function.
+const VERSION: u16 = 2;
 
 /// One recorded nondeterministic input: a fault that fired at a specific
 /// retired-instruction count.
@@ -366,6 +370,30 @@ mod tests {
             ReproBundle::from_bytes(&bytes),
             Err(SnapshotError::BadChecksum { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_bundle_is_refused() {
+        let bundle = ReproBundle {
+            meta: vec![],
+            snapshot: None,
+            log: EventLog::new(1, None),
+            expected_digest: 0x0123_4567,
+            steps: 0,
+            outcome: "ok".into(),
+        };
+        let bytes = bundle.to_bytes();
+        // A version-1 writer produced this layout; only the label and the
+        // checksum differ.
+        let mut v1 = bytes[..bytes.len() - 8].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let checksum = fnv64(&v1);
+        v1.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            ReproBundle::from_bytes(&v1),
+            Err(SnapshotError::BadVersion(1))
+        );
+        assert_eq!(ReproBundle::from_bytes(&bytes), Ok(bundle));
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! cycle/retirement counters — and deliberately excludes microarchitectural
 //! bookkeeping (decode-cache hit counters, page write generations) so the
 //! optimized and reference datapaths digest identically when they agree.
+//! The on-disk checksum is byte-serial FNV-1a; the digest hashes page
+//! contents with a word-at-a-time lane hash (`page_hash`) and folds the
+//! fixed-size fields through the same FNV-1a chain.
 
 use crate::clb::ClbStats;
 use crate::cost::CostModel;
@@ -38,9 +41,17 @@ const MAGIC: [u8; 4] = *b"RVSP";
 /// the global nonce counter, and the `epoch_rekey` machine knob) after the
 /// key registers. Version-1 streams still decode: they predate the
 /// mitigation, so every epoch is 0 (the identity fold) and the knob is off.
-const VERSION: u16 = 2;
+///
+/// Version 3 changed what the recorded `digest` and `base_digest` mean:
+/// [`Machine::arch_digest`] hashes page contents with `page_hash`. The
+/// layout is unchanged. A legacy full snapshot gets its digest recomputed
+/// on decode; a legacy delta loses its base digest, so
+/// [`Snapshot::rebase`] refuses it rather than compare digests of two
+/// different functions.
+const VERSION: u16 = 3;
 
-/// FNV-1a 64-bit running hash — the checksum and digest primitive. Not
+/// FNV-1a 64-bit running hash — the snapshot and bundle checksum, and the
+/// chain [`Machine::arch_digest`] folds its fields through. Not
 /// cryptographic; it guards against corruption and drift, not adversaries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
@@ -61,6 +72,13 @@ impl Fnv {
         self.write(&value.to_le_bytes());
     }
 
+    /// One FNV-1a step over a whole word: xor, then multiply by the odd
+    /// prime. For a fixed state it is a bijection of the word, so two
+    /// different words always leave different states.
+    fn write_word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
+    }
+
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
@@ -70,6 +88,49 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
     h.finish()
+}
+
+/// Independent lanes of [`page_hash`]: four multiply chains in flight at
+/// once instead of one chain waiting on its own latency.
+const PAGE_LANES: usize = 4;
+/// Per-lane start states (distinct, so equal words in different lanes do
+/// not cancel).
+const LANE_SEEDS: [u64; PAGE_LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// Odd, so multiplying by it is a bijection modulo 2^64.
+const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Brings the well-mixed high product bits back down to the low ones.
+const LANE_ROT: u32 = 29;
+
+/// One lane step. For a fixed word it is a bijection of the state, and for
+/// a fixed state a bijection of the word: xor, odd multiply and rotate are
+/// each invertible.
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
+}
+
+/// Word-at-a-time hash of one page, over every byte: little-endian `u64`
+/// word `i` goes into lane `i % PAGE_LANES`, and the lanes are folded with
+/// the same step. Changing any single word changes the result with
+/// certainty: that word's lane step yields a different state, every later
+/// step and the fold are bijections of it, and the other lanes are
+/// untouched.
+fn page_hash(data: &PageData) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    for block in data.chunks_exact(8 * PAGE_LANES) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = lane_step(*lane, word);
+        }
+    }
+    lanes[1..]
+        .iter()
+        .fold(lanes[0], |acc, &lane| lane_step(acc, lane))
 }
 
 /// Why a snapshot failed to decode or apply.
@@ -421,6 +482,11 @@ impl Snapshot {
     /// Decodes a snapshot, verifying magic, version, and checksum before
     /// trusting any field.
     ///
+    /// Streams older than version 3 recorded digests of an earlier
+    /// [`Machine::arch_digest`]: a full one is re-digested from its own
+    /// contents, and a delta's base digest is dropped (so it cannot be
+    /// rebased; its own `digest` stays as recorded).
+    ///
     /// # Errors
     ///
     /// See [`SnapshotError`].
@@ -432,7 +498,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != 1 && version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(SnapshotError::BadVersion(version));
         }
         let (payload, tail) = bytes.split_at(bytes.len() - 8);
@@ -577,7 +643,7 @@ impl Snapshot {
         if !r.is_empty() {
             return Err(SnapshotError::BadEncoding("trailing bytes"));
         }
-        Ok(Snapshot {
+        let mut snapshot = Snapshot {
             kind,
             reference_datapath,
             seed,
@@ -602,7 +668,19 @@ impl Snapshot {
             digest,
             base_digest,
             pages,
-        })
+        };
+        if version < 3 {
+            // The recorded digests predate `page_hash`. A full image can
+            // be re-notarized from its own contents; a delta's base digest
+            // cannot, so it is dropped and `rebase` refuses the delta.
+            match snapshot.kind {
+                SnapshotKind::Full => {
+                    snapshot.digest = Machine::from_snapshot(&snapshot)?.arch_digest();
+                }
+                SnapshotKind::Delta => snapshot.base_digest = None,
+            }
+        }
+        Ok(snapshot)
     }
 }
 
@@ -821,6 +899,20 @@ impl Machine {
         if snapshot.kind != SnapshotKind::Full {
             return Err(SnapshotError::DeltaBase);
         }
+        self.icache = crate::icache::DecodeCache::new();
+        // The superblock tier is derived state too: drop its traces and
+        // profile. Page generations are restored below, so even a kept
+        // trace would be validated correctly — clearing is belt and braces
+        // plus counter hygiene.
+        self.sb = crate::superblock::SuperblockCache::default();
+        self.sb_boundary = true;
+        self.load_state(snapshot);
+        Ok(())
+    }
+
+    /// Loads every snapshotted field of a full `snapshot`, leaving the
+    /// derived state (decode cache, superblock tier) as it is.
+    fn load_state(&mut self, snapshot: &Snapshot) {
         self.seed = snapshot.seed;
         self.hart.restore(
             snapshot.regs,
@@ -832,13 +924,6 @@ impl Machine {
         for (no, gen, data) in &snapshot.pages {
             self.mem.restore_page(*no, *gen, Arc::clone(data));
         }
-        self.icache = crate::icache::DecodeCache::new();
-        // The superblock tier is derived state too: drop its traces and
-        // profile. Page generations are restored above, so even a kept
-        // trace would be validated correctly — clearing is belt and braces
-        // plus counter hygiene.
-        self.sb = crate::superblock::SuperblockCache::default();
-        self.sb_boundary = true;
         let rebuild = self.engine.is_reference() != snapshot.reference_datapath
             || self.engine.clb().capacity() != snapshot.clb_capacity;
         if rebuild {
@@ -872,15 +957,21 @@ impl Machine {
                 snapshot.fault_applied.clone(),
             ))
         };
-        Ok(())
     }
 
     /// Builds a fresh machine from a full snapshot.
+    ///
+    /// The decode cache and superblock profile are built once, by
+    /// [`Machine::new`]; unlike [`Machine::restore`] there is no old
+    /// derived state to throw away.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::DeltaBase`] for delta snapshots.
     pub fn from_snapshot(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
+        if snapshot.kind != SnapshotKind::Full {
+            return Err(SnapshotError::DeltaBase);
+        }
         let mut machine = Machine::new(crate::machine::MachineConfig {
             clb_entries: snapshot.clb_capacity,
             cost: snapshot.cost,
@@ -890,7 +981,7 @@ impl Machine {
             epoch_rekey: snapshot.epoch_rekey,
             ..crate::machine::MachineConfig::default()
         });
-        machine.restore(snapshot)?;
+        machine.load_state(snapshot);
         Ok(machine)
     }
 
@@ -945,6 +1036,11 @@ impl Machine {
     /// (harness state). Two machines that executed the same architectural
     /// history digest identically even when one runs the reference datapath
     /// — which is precisely what the lockstep executor checks.
+    ///
+    /// Fields go through an FNV-1a chain. Each page is read in full on every
+    /// call and enters the chain as its number plus a word-at-a-time lane
+    /// hash of its contents, absorbed in one bijective word step — so any
+    /// single changed memory word changes the digest with certainty.
     #[must_use]
     pub fn arch_digest(&self) -> u64 {
         let mut h = Fnv::new();
@@ -988,9 +1084,11 @@ impl Machine {
         ] {
             h.write_u64(value);
         }
+        // Every mapped byte is read on every call: no per-page hash is
+        // cached, and pages shared with a snapshot are not skipped.
         for (no, _gen, data) in self.mem.page_entries() {
             h.write_u64(no);
-            h.write(&data[..]);
+            h.write_word(page_hash(data));
         }
         h.write_u64(self.stats.cycles);
         h.write_u64(self.stats.instret);
@@ -1089,6 +1187,12 @@ mod tests {
             Snapshot::from_bytes(&bad_version),
             Err(SnapshotError::BadVersion(_))
         ));
+        for version in [0, VERSION + 1] {
+            assert_eq!(
+                Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], version)),
+                Err(SnapshotError::BadVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -1161,6 +1265,8 @@ mod tests {
         assert!(!decoded.epoch_rekey);
         assert_eq!(decoded.regs, snap.regs);
         assert_eq!(decoded.pages.len(), snap.pages.len());
+        // A legacy full image is re-digested with the current function.
+        assert_eq!(decoded.digest(), machine.arch_digest());
     }
 
     #[test]
@@ -1192,5 +1298,298 @@ mod tests {
         assert_eq!(machine.restore(&delta), Err(SnapshotError::DeltaBase));
         let other = Machine::new(MachineConfig::default()).snapshot();
         assert_eq!(delta.rebase(&other), Err(SnapshotError::DeltaBase));
+    }
+
+    /// `payload` (a stream minus its checksum) relabelled as format
+    /// `version` and re-checksummed: what a build writing that version
+    /// would have written (versions 2 and 3 share one layout).
+    fn relabel(payload: &[u8], version: u16) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out[4..6].copy_from_slice(&version.to_le_bytes());
+        let checksum = fnv64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn legacy_full_snapshot_is_re_digested_on_decode() {
+        let machine = busy_machine();
+        let snap = machine.snapshot();
+        let bytes = snap.to_bytes();
+        let mut payload = bytes[..bytes.len() - 8].to_vec();
+        // Layout tail of a full image: digest, `None` base digest (1 byte),
+        // page count, then (number, generation, contents) per page.
+        let digest_at = payload.len() - snap.page_count() * (16 + PAGE_BYTES) - 4 - 1 - 8;
+        assert_eq!(
+            payload[digest_at..digest_at + 8],
+            snap.digest().to_le_bytes()
+        );
+        // Stand in for the old digest function's value.
+        payload[digest_at..digest_at + 8].copy_from_slice(&0x0BAD_D16E_u64.to_le_bytes());
+        let decoded = Snapshot::from_bytes(&relabel(&payload, 2)).unwrap();
+        assert_eq!(decoded.digest(), machine.arch_digest());
+        assert_eq!(decoded, snap);
+    }
+
+    #[test]
+    fn legacy_delta_cannot_be_rebased() {
+        let mut machine = busy_machine();
+        let base = machine.snapshot();
+        machine.memory_mut().write_u64(0x9000, 0x1234).unwrap();
+        let bytes = machine.snapshot_delta(&base).to_bytes();
+        let legacy = Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], 2)).unwrap();
+        assert_eq!(legacy.kind(), SnapshotKind::Delta);
+        assert_eq!(legacy.base_digest, None);
+        assert_eq!(legacy.rebase(&base), Err(SnapshotError::DeltaBase));
+        // The same delta in the current format still rebases.
+        let current = Snapshot::from_bytes(&bytes).unwrap();
+        assert!(current.rebase(&base).is_ok());
+    }
+
+    #[test]
+    fn fork_of_a_damaged_image_fails_the_digest_gate() {
+        let snap = busy_machine().snapshot();
+        assert_eq!(
+            Machine::fork_from(&snap).unwrap().arch_digest(),
+            snap.digest()
+        );
+        let mut damaged = snap.clone();
+        Arc::make_mut(&mut damaged.pages[0].2)[17] ^= 0x04;
+        // The recorded digest is kept: only the gate can notice.
+        assert_eq!(damaged.digest(), snap.digest());
+        assert_ne!(
+            Machine::fork_from(&damaged).unwrap().arch_digest(),
+            snap.digest()
+        );
+        // The shared original is untouched by the damaged copy.
+        assert_eq!(
+            Machine::fork_from(&snap).unwrap().arch_digest(),
+            snap.digest()
+        );
+    }
+
+    #[test]
+    fn forks_of_one_snapshot_digest_equal() {
+        let snap = busy_machine().snapshot();
+        let a = Machine::fork_from(&snap).unwrap();
+        let b = Machine::fork_from(&snap).unwrap();
+        assert_eq!(a.arch_digest(), b.arch_digest());
+        assert_eq!(a.arch_digest(), snap.digest());
+    }
+
+    const PAGE_ADDR: u64 = 0x9000;
+
+    /// A machine holding one page of distinct, nonzero words.
+    fn one_page_machine() -> Machine {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine
+            .memory_mut()
+            .map_region(PAGE_ADDR, PAGE_BYTES as u64);
+        for i in 0..(PAGE_BYTES / 8) as u64 {
+            let word = (i + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1;
+            machine
+                .memory_mut()
+                .write_u64(PAGE_ADDR + 8 * i, word)
+                .unwrap();
+        }
+        machine
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_page_changes_the_digest() {
+        let mut machine = one_page_machine();
+        let base = machine.arch_digest();
+        for offset in 0..PAGE_BYTES as u64 {
+            let addr = PAGE_ADDR + offset;
+            let byte = machine.memory().read_u8(addr).unwrap();
+            for bit in 0..8 {
+                machine
+                    .memory_mut()
+                    .write_u8(addr, byte ^ (1 << bit))
+                    .unwrap();
+                assert_ne!(
+                    machine.arch_digest(),
+                    base,
+                    "flip of bit {bit} at +{offset:#x}"
+                );
+            }
+            machine.memory_mut().write_u8(addr, byte).unwrap();
+        }
+        assert_eq!(machine.arch_digest(), base);
+    }
+
+    #[test]
+    fn swapping_two_unequal_words_changes_the_digest() {
+        let mut machine = one_page_machine();
+        let base = machine.arch_digest();
+        // Same block, different lanes; same lane, adjacent blocks; far
+        // apart in the same lane and in different lanes.
+        for (i, j) in [
+            (0, 1),
+            (2, 3),
+            (0, 4),
+            (5, 9),
+            (0, 508),
+            (1, 511),
+            (255, 256),
+        ] {
+            let (a, b) = (PAGE_ADDR + 8 * i, PAGE_ADDR + 8 * j);
+            let (wa, wb) = (
+                machine.memory().read_u64(a).unwrap(),
+                machine.memory().read_u64(b).unwrap(),
+            );
+            assert_ne!(wa, wb);
+            machine.memory_mut().write_u64(a, wb).unwrap();
+            machine.memory_mut().write_u64(b, wa).unwrap();
+            assert_ne!(machine.arch_digest(), base, "swap of words {i} and {j}");
+            machine.memory_mut().write_u64(a, wa).unwrap();
+            machine.memory_mut().write_u64(b, wb).unwrap();
+        }
+        assert_eq!(machine.arch_digest(), base);
+    }
+
+    #[test]
+    fn moving_a_page_changes_the_digest() {
+        let snap = one_page_machine().snapshot();
+        let mut moved = snap.clone();
+        moved.pages[0].0 += 1;
+        let machine = Machine::from_snapshot(&moved).unwrap();
+        assert!(machine.memory().is_mapped(PAGE_ADDR + PAGE_BYTES as u64));
+        assert!(!machine.memory().is_mapped(PAGE_ADDR));
+        assert_ne!(machine.arch_digest(), snap.digest());
+    }
+
+    #[test]
+    fn every_architectural_field_changes_the_digest() {
+        let mut machine = busy_machine();
+        for (addr, value) in [(0x100, 7), (0x141, 0x8000_0000), (0x180, 3)] {
+            machine.hart_mut().set_csr(addr, value);
+        }
+        for ksel in 0..4u8 {
+            machine
+                .engine
+                .clb_mut()
+                .insert(ksel, 0x100 + u64::from(ksel), 0x200, 0x300);
+        }
+        let base = machine.arch_digest();
+        let check = |what: &str, mutate: &dyn Fn(&mut Machine)| {
+            let mut changed = machine.clone();
+            mutate(&mut changed);
+            assert_ne!(changed.arch_digest(), base, "{what} is not digested");
+        };
+        let set_hart = |m: &mut Machine, regs: [u64; 32], pc, privilege, csrs: &[(u16, u64)]| {
+            m.hart.restore(regs, pc, privilege, csrs);
+        };
+        let regs = machine.hart.regs();
+        let pc = machine.hart.pc();
+        let privilege = machine.hart.privilege();
+        let csrs: Vec<(u16, u64)> = machine.hart.csr_entries().collect();
+        assert_eq!(csrs.len(), 3);
+        for i in 1..32 {
+            check(&format!("x{i}"), &|m| {
+                let mut changed = regs;
+                changed[i] ^= 1;
+                set_hart(m, changed, pc, privilege, &csrs);
+            });
+        }
+        check("pc", &|m| set_hart(m, regs, pc + 4, privilege, &csrs));
+        check("privilege", &|m| {
+            let other = match privilege {
+                Privilege::User => Privilege::Kernel,
+                Privilege::Kernel => Privilege::User,
+            };
+            set_hart(m, regs, pc, other, &csrs);
+        });
+        for i in 0..csrs.len() {
+            check(&format!("csr value {i}"), &|m| {
+                let mut changed = csrs.clone();
+                changed[i].1 ^= 1;
+                set_hart(m, regs, pc, privilege, &changed);
+            });
+            check(&format!("csr address {i}"), &|m| {
+                let mut changed = csrs.clone();
+                changed[i].0 += 1;
+                set_hart(m, regs, pc, privilege, &changed);
+            });
+        }
+        let keys = machine.engine.key_file().raw_keys();
+        for i in 0..8 {
+            for half in 0..2 {
+                check(&format!("key {i} half {half}"), &|m| {
+                    let mut changed = keys;
+                    let (w0, k0) = (keys[i].w0(), keys[i].k0());
+                    changed[i] = if half == 0 {
+                        Key::new(w0 ^ 1, k0)
+                    } else {
+                        Key::new(w0, k0 ^ 1)
+                    };
+                    m.engine.key_file_mut().set_raw_keys(changed);
+                });
+            }
+        }
+        let (epochs, nonce_ctr) = machine.engine.epoch_state();
+        for i in 0..8 {
+            check(&format!("epoch {i}"), &|m| {
+                let mut changed = epochs;
+                changed[i] += 1;
+                m.engine.set_epoch_state(changed, nonce_ctr);
+            });
+        }
+        check("nonce counter", &|m| {
+            m.engine.set_epoch_state(epochs, nonce_ctr + 1);
+        });
+        let entries = machine.engine.clb().entries_lru_to_mru();
+        let clb_stats = machine.engine.clb().stats();
+        assert!(entries.len() >= 4);
+        for i in 0..entries.len() {
+            for field in 0..4 {
+                check(&format!("clb entry {i} field {field}"), &|m| {
+                    let mut changed = entries.clone();
+                    let e = &mut changed[i];
+                    match field {
+                        0 => e.0 ^= 1,
+                        1 => e.1 ^= 1,
+                        2 => e.2 ^= 1,
+                        _ => e.3 ^= 1,
+                    }
+                    m.engine.clb_mut().restore_entries(&changed, clb_stats);
+                });
+            }
+        }
+        for field in 0..4 {
+            check(&format!("clb stat {field}"), &|m| {
+                let mut changed = clb_stats;
+                match field {
+                    0 => changed.hits += 1,
+                    1 => changed.misses += 1,
+                    2 => changed.evictions += 1,
+                    _ => changed.invalidations += 1,
+                }
+                m.engine.clb_mut().restore_entries(&entries, changed);
+            });
+        }
+        let counts = machine.stats.class_counts();
+        for i in 0..counts.len() {
+            check(&format!("class count {i}"), &|m| {
+                let mut changed = counts;
+                changed[i] += 1;
+                m.stats.set_class_counts(changed);
+            });
+        }
+        for field in 0..7 {
+            check(&format!("stats counter {field}"), &|m| {
+                let s = &mut m.stats;
+                let counters = [
+                    &mut s.cycles,
+                    &mut s.instret,
+                    &mut s.encrypts,
+                    &mut s.decrypts,
+                    &mut s.integrity_failures,
+                    &mut s.exceptions,
+                    &mut s.timer_interrupts,
+                ];
+                *counters[field] += 1;
+            });
+        }
     }
 }

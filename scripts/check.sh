@@ -5,7 +5,8 @@
 #
 # Tiers:
 #   check.sh --quick   build + tests + clippy (the inner-loop gate)
-#   check.sh --full    everything: quick tier plus verifier corpus sweep,
+#   check.sh --full    everything: quick tier plus the repository
+#                      benchmark's tests, verifier corpus sweep,
 #                      fault-campaign determinism/quarantine gates,
 #                      record->replay smoke, and the perf-regression guard
 #   check.sh           same as --full
@@ -64,6 +65,9 @@ if [ "$tier" = "quick" ]; then
     echo "OK (quick tier)"
     exit 0
 fi
+
+echo "==> repository benchmark's own tests (every workload's --smoke round and its checks)"
+cargo test --manifest-path benchmark/Cargo.toml
 
 echo "==> protection verifier over the full benchmark corpus"
 target/release/regvault-cli verify --workloads
