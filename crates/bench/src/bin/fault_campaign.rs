@@ -54,6 +54,7 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use regvault_cli::args::{self, num, set, Flag};
 use regvault_kernel::cred::{CredField, EUID_OFFSET};
 use regvault_kernel::fs::{handlers, FileOp};
 use regvault_kernel::layout::KERNEL_TEXT_BASE;
@@ -917,74 +918,80 @@ fn shrink_mode(path: &str) -> Result<String, String> {
     ))
 }
 
+/// Command-line options.
+#[derive(Default)]
+struct Options {
+    seed: u64,
+    seed_count: u64,
+    trials: u64,
+    config: String,
+    jobs: usize,
+    noise: u64,
+    repro_dir: Option<String>,
+    checkpoint: Option<String>,
+    resume: bool,
+    replay: Option<String>,
+    shrink: Option<String>,
+    panic_seed: Option<u64>,
+    help: bool,
+}
+
+const ABOUT: &str = "usage: fault_campaign [FLAGS]
+       fault_campaign --replay BUNDLE
+       fault_campaign --shrink BUNDLE
+
+Runs seeded fault-injection trials per fault class and configuration and
+reports Detected/Garbled/Masked/SilentCorruption counts. Reports are
+identical for any --jobs value; a worker that panics quarantines its seed
+and the sweep continues. Exits nonzero when full protection shows silent
+corruption.";
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Options>] = &[
+    Flag::value("--seed", "N", "first seed", |o, v| set(&mut o.seed, num(v)?)),
+    Flag::value("--seeds", "N", "run N consecutive seeds", |o, v| set(&mut o.seed_count, num(v)?)),
+    Flag::value("--trials", "N", "trials per fault class", |o, v| set(&mut o.trials, num(v)?)),
+    Flag::value("--config", "full|off|both", "configurations to run",
+        |o, v| set(&mut o.config, v.to_owned())),
+    Flag::value("--jobs", "N", "worker threads (default: one per CPU)",
+        |o, v| set(&mut o.jobs, num(v)?)),
+    Flag::value("--noise", "N", "pad each trial with N harmless scratch-page faults",
+        |o, v| set(&mut o.noise, num(v)?)),
+    Flag::value("--repro-dir", "DIR", "write a repro bundle for every non-Masked outcome",
+        |o, v| set(&mut o.repro_dir, Some(v.to_owned()))),
+    Flag::value("--checkpoint", "FILE", "persist finished seeds (atomic rewrite)",
+        |o, v| set(&mut o.checkpoint, Some(v.to_owned()))),
+    Flag::switch("--resume", "skip the seeds already in the checkpoint",
+        |o, _| set(&mut o.resume, true)),
+    Flag::value("--replay", "BUNDLE", "re-run a recorded trial, check verdict + digest",
+        |o, v| set(&mut o.replay, Some(v.to_owned()))),
+    Flag::value("--shrink", "BUNDLE", "ddmin-minimize the event log, write BUNDLE.min",
+        |o, v| set(&mut o.shrink, Some(v.to_owned()))),
+    Flag::value("--panic-seed", "N", "test hook: panic in seed N's worker (quarantine path)",
+        |o, v| set(&mut o.panic_seed, Some(num(v)?))),
+    Flag::switch("--help", "print this text", |o, _| set(&mut o.help, true)),
+];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: fault_campaign [--seed N] [--seeds N] [--trials N]\n\
-                               [--config full|off|both] [--jobs N] [--noise N]\n\
-                               [--repro-dir DIR] [--checkpoint FILE] [--resume]\n\
-         \x20      fault_campaign --replay BUNDLE\n\
-         \x20      fault_campaign --shrink BUNDLE\n\
-         \n\
-         Runs seeded fault-injection trials per fault class and per\n\
-         configuration, and reports Detected/Garbled/Masked/SilentCorruption\n\
-         counts. --seeds runs the campaign for N consecutive seeds starting\n\
-         at --seed, in parallel on --jobs workers (default: one per CPU;\n\
-         --jobs 1 runs single-threaded); reports are merged in seed order\n\
-         and are identical for any --jobs value. A worker that panics\n\
-         quarantines its seed and the sweep continues. Exits nonzero when\n\
-         full protection shows silent corruption.\n\
-         \n\
-         --repro-dir DIR    write a self-contained repro bundle for every\n\
-                            non-Masked trial outcome\n\
-         --noise N          pad each trial with N harmless scratch-page\n\
-                            faults (gives --shrink something to remove)\n\
-         --checkpoint FILE  persist finished seeds (atomic rewrite); with\n\
-                            --resume, skip seeds already in FILE\n\
-         --replay BUNDLE    re-run a recorded trial, verify verdict and\n\
-                            final architectural digest bit-for-bit\n\
-         --shrink BUNDLE    ddmin-minimize BUNDLE's event log, write\n\
-                            BUNDLE.min"
-    );
+    eprintln!("{ABOUT}\n\nFLAGS:\n{}", args::usage(FLAGS));
     std::process::exit(2)
 }
 
 fn main() -> ExitCode {
-    let mut seed = 42u64;
-    let mut seed_count = 1u64;
-    let mut trials = 200u64;
-    let mut config = String::from("both");
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut noise = 0u64;
-    let mut repro_dir: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume = false;
-    let mut replay: Option<String> = None;
-    let mut shrink: Option<String> = None;
-    let mut panic_seed: Option<u64> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
-            "--seeds" => seed_count = value().parse().unwrap_or_else(|_| usage()),
-            "--trials" => trials = value().parse().unwrap_or_else(|_| usage()),
-            "--config" => config = value(),
-            "--jobs" => jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--noise" => noise = value().parse().unwrap_or_else(|_| usage()),
-            "--repro-dir" => repro_dir = Some(value()),
-            "--checkpoint" => checkpoint_path = Some(value()),
-            "--resume" => resume = true,
-            "--replay" => replay = Some(value()),
-            "--shrink" => shrink = Some(value()),
-            // Undocumented: panic inside this seed's worker, to exercise the
-            // quarantine path end-to-end.
-            "--panic-seed" => panic_seed = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
+    let mut o = Options {
+        seed: 42,
+        seed_count: 1,
+        trials: 200,
+        config: String::from("both"),
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..Options::default()
+    };
+    args::parse_env("fault_campaign", FLAGS, &mut o, 2);
+    if o.help {
+        usage();
     }
 
-    if let Some(path) = replay {
+    if let Some(path) = o.replay {
         return match replay_mode(&path) {
             Ok(report) => {
                 print!("{report}");
@@ -996,7 +1003,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    if let Some(path) = shrink {
+    if let Some(path) = o.shrink {
         return match shrink_mode(&path) {
             Ok(report) => {
                 print!("{report}");
@@ -1009,15 +1016,15 @@ fn main() -> ExitCode {
         };
     }
 
-    if !matches!(config.as_str(), "full" | "off" | "both") || seed_count == 0 || jobs == 0 {
+    if !matches!(o.config.as_str(), "full" | "off" | "both") || o.seed_count == 0 || o.jobs == 0 {
         usage();
     }
-    if resume && checkpoint_path.is_none() {
+    if o.resume && o.checkpoint.is_none() {
         eprintln!("--resume requires --checkpoint FILE");
         return ExitCode::from(2);
     }
 
-    let repro = repro_dir.map(|dir| {
+    let repro = o.repro_dir.map(|dir| {
         let dir = PathBuf::from(dir);
         if let Err(err) = std::fs::create_dir_all(&dir) {
             eprintln!("cannot create repro dir {}: {err}", dir.display());
@@ -1026,23 +1033,25 @@ fn main() -> ExitCode {
         ReproSink { dir }
     });
 
-    let seeds: Vec<u64> = (0..seed_count).map(|i| seed.wrapping_add(i)).collect();
+    let seeds: Vec<u64> = (0..o.seed_count).map(|i| o.seed.wrapping_add(i)).collect();
     let campaign = Campaign {
-        trials,
-        config: config.clone(),
-        noise,
+        trials: o.trials,
+        config: o.config.clone(),
+        noise: o.noise,
         banner: seeds.len() > 1,
         repro,
-        panic_seed,
+        panic_seed: o.panic_seed,
     };
 
-    let params =
-        format!("seed={seed} seeds={seed_count} trials={trials} config={config} noise={noise}");
-    let checkpoint = match checkpoint_path {
+    let params = format!(
+        "seed={} seeds={} trials={} config={} noise={}",
+        o.seed, o.seed_count, o.trials, o.config, o.noise
+    );
+    let checkpoint = match o.checkpoint {
         None => None,
         Some(path) => {
             let path = PathBuf::from(path);
-            let done = if resume && path.exists() {
+            let done = if o.resume && path.exists() {
                 match Checkpoint::load(&path, &params) {
                     Ok(done) => {
                         // Progress chatter goes to stderr: stdout is the
@@ -1065,15 +1074,16 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "RegVault fault-injection campaign (seeds={}..={}, trials={trials} per class)\n",
+        "RegVault fault-injection campaign (seeds={}..={}, trials={} per class)\n",
         seeds[0],
-        seeds[seeds.len() - 1]
+        seeds[seeds.len() - 1],
+        o.trials
     );
     // Quarantined panics are reported in the merged output; suppress the
     // default hook's interleaved stderr spew from worker threads.
     let default_hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
-    let reports = run_seeds(&seeds, &campaign, jobs, checkpoint.as_ref());
+    let reports = run_seeds(&seeds, &campaign, o.jobs, checkpoint.as_ref());
     panic::set_hook(default_hook);
 
     let mut silent_under_full = 0;
@@ -1091,7 +1101,7 @@ fn main() -> ExitCode {
         println!("FINDING: {silent_under_full} silent corruption(s) under full protection");
         ExitCode::from(1)
     } else {
-        if config != "off" {
+        if o.config != "off" {
             println!("no silent corruption under full protection");
         }
         ExitCode::SUCCESS

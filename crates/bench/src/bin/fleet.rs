@@ -21,6 +21,7 @@ use std::process::ExitCode;
 
 use regvault_bench::json::Value;
 use regvault_bench::write_figure_json;
+use regvault_cli::args::{parse_env, set, Flag};
 use regvault_cli::fleet::{gate, render_human, report_json};
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
 
@@ -52,8 +53,13 @@ fn compare(calm: &FleetReport, micro: &FleetReport, cold: &FleetReport) -> Resul
     Ok(())
 }
 
+#[rustfmt::skip]
+const FLAGS: &[Flag<bool>] =
+    &[Flag::switch("--quick", "small run, no BENCH_fleet.json rewrite", |q, _| set(q, true))];
+
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut quick = false;
+    parse_env("fleet", FLAGS, &mut quick, 1);
     let (instances, requests) = if quick { (16, 12) } else { (64, 48) };
     let seed = 0xF1EE_7C0DE;
     let chaos = 8; // mean requests between kills

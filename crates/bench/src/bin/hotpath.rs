@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, Criterion};
 use regvault_bench::json::{self, Value};
 use regvault_bench::repo_root;
+use regvault_cli::args::{parse_env, set, Flag};
 use regvault_isa::{ByteRange, KeyReg};
 use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
 use regvault_qarma::{reference::Reference, Key, Qarma64};
@@ -58,28 +59,18 @@ fn baseline(key: &str) -> f64 {
         .expect("known baseline key")
 }
 
+#[derive(Default)]
 struct Args {
     quick: bool,
     check: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        check: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--check" => args.check = true,
-            other => {
-                eprintln!("unknown argument: {other} (expected --quick and/or --check)");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const FLAGS: &[Flag<Args>] = &[
+    Flag::switch("--quick", "abbreviated measurement, no JSON rewrite", |a, _| set(&mut a.quick, true)),
+    Flag::switch("--check", "guard fresh numbers against BENCH_hotpath.json",
+        |a, _| set(&mut a.check, true)),
+];
 
 /// Wall-clock steps/sec for one workload+config: best of `runs` timed runs
 /// (best-of smooths scheduler noise without averaging in cold-cache runs).
@@ -217,7 +208,8 @@ fn tracing_rates(rounds: usize) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = Args::default();
+    parse_env("hotpath", FLAGS, &mut args, 2);
     if args.check {
         run_check();
         return;
@@ -527,6 +519,27 @@ fn main() {
     }
 }
 
+/// The two throughput floors of `--check`: the fresh syscall steps/s must
+/// hold half the committed value (machine-speed tolerance), and the
+/// committed dhry2 steps/s must hold the superblock tier's 2x over the
+/// pre-tier interpreter (the tier's acceptance criterion).
+fn check_floors(
+    fresh_syscall: f64,
+    committed_syscall: f64,
+    committed_dhry2: f64,
+) -> Result<(), String> {
+    if fresh_syscall < committed_syscall / 2.0 {
+        Err("end-to-end steps/sec fell below half the checked-in value".to_owned())
+    } else if committed_dhry2 < 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec") {
+        Err(
+            "committed dhry2 throughput lost the superblock tier's 2x-over-interpreter floor"
+                .to_owned(),
+        )
+    } else {
+        Ok(())
+    }
+}
+
 /// `--check`: fresh quick end-to-end measurement vs the checked-in JSON,
 /// 2x tolerance.
 fn run_check() {
@@ -537,38 +550,27 @@ fn run_check() {
         .expect("unixbench_syscall_off_steps_per_sec in BENCH_hotpath.json");
 
     let fresh = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), 3);
-    let floor = reference / 2.0;
+    let dhry_ref = json::find_number(&text, "unixbench_dhry2_off_steps_per_sec")
+        .expect("unixbench_dhry2_off_steps_per_sec in BENCH_hotpath.json");
     println!(
         "perf guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
         fresh / 1e6,
         reference / 1e6,
-        floor / 1e6
+        reference / 2e6
     );
-    if fresh < floor {
-        eprintln!("PERF REGRESSION: end-to-end steps/sec fell below half the checked-in value");
+    println!(
+        "dhry2 guard: checked-in {:.1}M steps/s vs tier floor {:.1}M",
+        dhry_ref / 1e6,
+        2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec") / 1e6
+    );
+    if let Err(e) = check_floors(fresh, reference, dhry_ref) {
+        eprintln!("PERF REGRESSION: {e}");
         std::process::exit(1);
     }
     println!("perf guard: OK");
 
-    // Superblock-tier floor: the committed dhry2 number must hold the 2x
-    // speedup over the pre-tier interpreter (the tier's acceptance
-    // criterion), and a fresh run must stay within the usual 2x
-    // machine-noise tolerance of the committed value.
-    let dhry_ref = json::find_number(&text, "unixbench_dhry2_off_steps_per_sec")
-        .expect("unixbench_dhry2_off_steps_per_sec in BENCH_hotpath.json");
-    let dhry_floor = 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec");
-    println!(
-        "dhry2 guard: checked-in {:.1}M steps/s vs tier floor {:.1}M",
-        dhry_ref / 1e6,
-        dhry_floor / 1e6
-    );
-    if dhry_ref < dhry_floor {
-        eprintln!(
-            "PERF REGRESSION: committed dhry2 throughput lost the superblock \
-             tier's 2x-over-interpreter floor"
-        );
-        std::process::exit(1);
-    }
+    // A fresh dhry2 run must stay within the usual 2x machine-noise
+    // tolerance of the committed value.
     let fresh_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), 3);
     println!(
         "dhry2 guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
@@ -654,5 +656,24 @@ fn run_check() {
         println!(
             "tracing guard: no tracing rows in BENCH_hotpath.json (regenerate with `hotpath`)"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--check` fails when either floor is missed and passes when both hold.
+    #[test]
+    fn check_floors_fail_on_either_regression() {
+        let tier_floor = 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec");
+        let committed = 1_000e6;
+        assert_eq!(check_floors(committed / 2.0, committed, tier_floor), Ok(()));
+        assert!(check_floors(committed / 2.0 - 1.0, committed, tier_floor)
+            .unwrap_err()
+            .contains("half the checked-in"));
+        assert!(check_floors(committed, committed, tier_floor - 1.0)
+            .unwrap_err()
+            .contains("2x-over-interpreter"));
     }
 }

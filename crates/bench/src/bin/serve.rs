@@ -17,11 +17,17 @@ use std::process::ExitCode;
 
 use regvault_bench::json::Value;
 use regvault_bench::write_figure_json;
+use regvault_cli::args::{parse_env, set, Flag};
 use regvault_cli::serve::{gate, render_human, report_json};
 use regvault_server::{ServeConfig, Supervisor};
 
+#[rustfmt::skip]
+const FLAGS: &[Flag<bool>] =
+    &[Flag::switch("--quick", "small run, no BENCH_serve.json rewrite", |q, _| set(q, true))];
+
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut quick = false;
+    parse_env("serve", FLAGS, &mut quick, 1);
     let (requests, fault_interval) = if quick {
         (200, 50_000)
     } else {

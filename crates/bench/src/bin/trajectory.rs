@@ -31,6 +31,7 @@ use std::time::SystemTime;
 
 use regvault_bench::json::find_number;
 use regvault_bench::repo_root;
+use regvault_cli::args::{self, set, Flag};
 
 /// Whether an increase in the metric is an improvement or a regression.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -128,37 +129,31 @@ fn load(dir: &Path, metric: &Metric) -> (Option<f64>, Option<SystemTime>) {
     (value, modified)
 }
 
+struct Dirs {
+    baseline: Option<PathBuf>,
+    fresh: PathBuf,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Dirs>] = &[
+    Flag::value("--baseline", "DIR", "the committed BENCH_*.json, copied aside (required)",
+        |d, v| set(&mut d.baseline, Some(PathBuf::from(v)))),
+    Flag::value("--fresh", "DIR", "the regenerated BENCH_*.json (default: the repo root)",
+        |d, v| set(&mut d.fresh, PathBuf::from(v))),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut fresh_dir = repo_root();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--baseline" => match it.next() {
-                Some(dir) => baseline_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("`--baseline` needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fresh" => match it.next() {
-                Some(dir) => fresh_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("`--fresh` needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown trajectory flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(baseline_dir) = baseline_dir else {
-        eprintln!("usage: trajectory --baseline <dir-with-committed-BENCH-json> [--fresh <dir>]");
+    let mut dirs = Dirs {
+        baseline: None,
+        fresh: repo_root(),
+    };
+    args::parse_env("trajectory", FLAGS, &mut dirs, 1);
+    let Some(baseline_dir) = dirs.baseline else {
+        let flags = args::usage(FLAGS);
+        eprintln!("trajectory: `--baseline` is required\n\ntrajectory flags:\n{flags}");
         return ExitCode::FAILURE;
     };
+    let fresh_dir = dirs.fresh;
 
     println!("## Bench trajectory\n");
     println!("| metric | committed | fresh | delta | status |");

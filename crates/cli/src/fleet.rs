@@ -6,11 +6,12 @@ use std::fmt::Write as _;
 
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
 
+use crate::args::{self, num, set, Flag};
 use crate::json::Value;
 use crate::CliError;
 
 /// Parsed `fleet` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetArgs {
     /// Scenario configuration.
     pub config: FleetConfig,
@@ -22,75 +23,48 @@ pub struct FleetArgs {
     pub smoke: bool,
 }
 
+/// The `fleet` flags.
+#[rustfmt::skip]
+pub(crate) const FLAGS: &[Flag<FleetArgs>] = &[
+    Flag::value("--instances", "N", "instances forked from the warm image",
+        |a, v| set(&mut a.config.instances, num(v)?)),
+    Flag::value("--requests", "N", "requests per instance",
+        |a, v| set(&mut a.config.requests_per_instance, num(v)?)),
+    Flag::value("--rate", "CYCLES", "mean arrival gap per instance",
+        |a, v| set(&mut a.config.mean_interarrival, num(v)?)),
+    Flag::value("--deadline", "CYCLES", "queueing-delay budget (0: no shedding)",
+        |a, v| set(&mut a.config.deadline, num(v)?)),
+    Flag::value("--seed", "S", "payload, arrival and chaos seed",
+        |a, v| set(&mut a.config.seed, num(v)?)),
+    Flag::value("--workers", "N", "worker threads (0: one per CPU)",
+        |a, v| set(&mut a.config.workers, num(v)?)),
+    Flag::value("--chaos", "K", "mean requests between kills (0: no chaos)",
+        |a, v| set(&mut a.config.chaos_kill_interval, num(v)?)),
+    Flag::switch("--cold", "recover kills by cold boot, not re-fork",
+        |a, _| set(&mut a.config.micro_restore, false)),
+    Flag::switch("--json", "machine-readable JSON", |a, _| set(&mut a.json, true)),
+    Flag::switch("--smoke", "short chaos run, gated on accounting and recovery",
+        |a, _| set(&mut a.smoke, true)),
+];
+
 /// Parses `fleet` flags.
 ///
 /// # Errors
 ///
 /// Describes the offending flag or value.
 pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
-    let mut config = FleetConfig::default();
-    let mut json = false;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--instances" => {
-                config.instances = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid instance count".to_string())?;
-            }
-            "--requests" => {
-                config.requests_per_instance = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid request count".to_string())?;
-            }
-            "--rate" => {
-                config.mean_interarrival = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid mean interarrival".to_string())?;
-            }
-            "--deadline" => {
-                config.deadline = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid deadline".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid seed".to_string())?;
-            }
-            "--workers" => {
-                config.workers = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid worker count".to_string())?;
-            }
-            "--chaos" => {
-                config.chaos_kill_interval = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid chaos kill interval".to_string())?;
-            }
-            "--cold" => config.micro_restore = false,
-            other => return Err(format!("unknown fleet flag `{other}`")),
-        }
-    }
-    if smoke {
+    let mut parsed = FleetArgs::default();
+    args::parse("fleet", FLAGS, args, &mut parsed, 0)?;
+    if parsed.smoke {
         // Short but adversarial: a small chaotic fleet.
+        let config = &mut parsed.config;
         config.instances = config.instances.min(8);
         config.requests_per_instance = config.requests_per_instance.min(16);
         if config.chaos_kill_interval == 0 {
             config.chaos_kill_interval = 6;
         }
     }
-    Ok(FleetArgs {
-        config,
-        json,
-        smoke,
-    })
+    Ok(parsed)
 }
 
 /// Builds the JSON object of one fleet run. The key order is the schema of

@@ -13,6 +13,7 @@ use regvault_attacks::oracle::{CollisionReport, MemOracle};
 use regvault_server::{ServeConfig, Supervisor};
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use crate::args::{self, num, set, Flag};
 use crate::json::Value;
 use crate::CliError;
 
@@ -31,6 +32,15 @@ pub struct LeakageArgs {
     pub smoke: bool,
 }
 
+/// The `leakage` flags.
+#[rustfmt::skip]
+pub(crate) const FLAGS: &[Flag<LeakageArgs>] = &[
+    Flag::value("--seed", "S", "campaign seed", |a, v| set(&mut a.seed, num(v)?)),
+    Flag::switch("--json", "machine-readable JSON", |a, _| set(&mut a.json, true)),
+    Flag::switch("--smoke", "trimmed corpus (the 10x gate applies either way)",
+        |a, _| set(&mut a.smoke, true)),
+];
+
 /// Parses `leakage` flags.
 ///
 /// # Errors
@@ -42,20 +52,7 @@ pub fn parse_leakage_args(args: &[String]) -> Result<LeakageArgs, CliError> {
         json: false,
         smoke: false,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" => parsed.smoke = true,
-            "--seed" => {
-                let value = it.next().ok_or("`--seed` needs a value")?;
-                parsed.seed = value
-                    .parse()
-                    .map_err(|_| format!("invalid seed `{value}`"))?;
-            }
-            other => return Err(format!("unknown leakage flag `{other}`")),
-        }
-    }
+    args::parse("leakage", FLAGS, args, &mut parsed, 0)?;
     Ok(parsed)
 }
 

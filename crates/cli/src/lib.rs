@@ -1,34 +1,15 @@
 //! Library backing the `regvault-cli` binary.
 //!
 //! Each subcommand is a function from parsed arguments to an output string,
-//! so the whole surface is unit-testable without spawning processes:
-//!
-//! * `asm <file.s>` — assemble to a hex word listing;
-//! * `disasm <file.s|->` — assemble then disassemble (round-trip view);
-//! * `run <file.s>` — execute a bare-metal guest program on the simulated
-//!   RegVault machine (keys `a`–`g` pre-loaded) and dump the registers;
-//! * `pentest [config]` — run the Table 4 suite against a configuration;
-//! * `hwcost [entries]` — print the Table 3 area model for a CLB size;
-//! * `verify <file.s>` / `verify --workloads` — run the binary-level
-//!   protection verifier over an assembled program or the whole benchmark
-//!   corpus (`--json` for machine-readable reports);
-//! * `record <file.s> <out.bundle>` — run a program while recording every
-//!   nondeterministic input into a self-contained repro bundle;
-//! * `replay <bundle>` — re-execute a bundle and check it reproduces
-//!   bit-for-bit (same architectural digest, same outcome);
-//! * `divergence <file.s>` — co-run the optimized and reference datapaths
-//!   in lockstep and localize the first divergent instruction, if any;
-//! * `serve` — run the supervised multi-tenant server scenario (open-loop
-//!   load over kernel IPC under live fault injection) and report
-//!   throughput, latency quantiles, and recovery/shed accounting;
-//! * `fleet` — fork a fleet of machines from one warm snapshot (CoW page
-//!   sharing), drive them across a work-stealing pool under an optional
-//!   chaos kill schedule, and report fork cost, serving throughput, and
-//!   micro-restore vs cold-boot recovery accounting.
+//! so the whole surface is unit-testable without spawning processes. The
+//! commands are listed by [`usage`]; their flags are parsed by [`args`] from
+//! per-command tables, and the flag lists in [`usage`] are generated from
+//! the same tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod fleet;
 pub mod json;
 pub mod leakage;
@@ -56,7 +37,9 @@ use regvault_verifier::{
 };
 use regvault_workloads::{lmbench::Lmbench, spec::Spec, unixbench::UnixBench, Workload};
 
+use args::{num, set, Flag};
 use json::Value;
+use observe::{cmd_observe, Observe};
 
 /// Error string type used by the CLI (messages go straight to stderr).
 pub type CliError = String;
@@ -435,9 +418,7 @@ pub fn cmd_pentest(label: &str) -> Result<String, CliError> {
 ///
 /// Rejects non-numeric entry counts.
 pub fn cmd_hwcost(entries: &str) -> Result<String, CliError> {
-    let entries: usize = entries
-        .parse()
-        .map_err(|_| format!("invalid CLB entry count `{entries}`"))?;
+    let entries: usize = num(entries)?;
     let report = hwcost::soc_report(entries);
     let mut out = String::new();
     let _ = writeln!(out, "SoC with a {entries}-entry CLB:");
@@ -468,13 +449,21 @@ pub fn cmd_hwcost(entries: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// What `verify` checks.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum VerifyInput {
+    /// The whole benchmark corpus (`--workloads`).
+    #[default]
+    Workloads,
+    /// One assembly file.
+    File(String),
+}
+
 /// Parsed arguments of the `verify` subcommand.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyArgs {
-    /// Verify the whole benchmark corpus instead of a single file.
-    pub workloads: bool,
-    /// Assembly file to verify (when not `--workloads`).
-    pub file: Option<String>,
+    /// What to verify.
+    pub input: VerifyInput,
     /// Emit the machine-readable JSON report.
     pub json: bool,
     /// Emit a SARIF 2.1.0-style document instead of human/JSON output.
@@ -493,6 +482,31 @@ pub struct VerifyArgs {
     pub key_symbols: Vec<String>,
 }
 
+/// `verify` flags before `--workloads` is resolved against the input file.
+#[derive(Default)]
+struct VerifyFlags {
+    workloads: bool,
+    args: VerifyArgs,
+}
+
+#[rustfmt::skip]
+const VERIFY_FLAGS: &[Flag<VerifyFlags>] = &[
+    Flag::switch("--workloads", "verify every benchmark image, not a file",
+        |f, _| set(&mut f.workloads, true)),
+    Flag::switch("--json", "machine-readable JSON report", |f, _| set(&mut f.args.json, true)),
+    Flag::switch("--sarif", "SARIF 2.1.0 document", |f, _| set(&mut f.args.sarif, true)),
+    Flag::switch("--interprocedural", "call-graph summaries + whole-program lints",
+        |f, _| set(&mut f.args.interprocedural, true)),
+    Flag::value("--baseline", "FILE", "fail on any finding not in FILE (ratchet)",
+        |f, v| set(&mut f.args.baseline, Some(v.to_owned()))),
+    Flag::value("--update-baseline", "FILE", "write the findings to FILE as the baseline",
+        |f, v| set(&mut f.args.update_baseline, Some(v.to_owned()))),
+    Flag::value("--key-symbol", "NAME", "key-storage data symbol (repeatable)", |f, v| {
+        f.args.key_symbols.push(v.to_owned());
+        Ok(())
+    }),
+];
+
 /// Parses `verify` subcommand arguments.
 ///
 /// # Errors
@@ -501,40 +515,14 @@ pub struct VerifyArgs {
 /// combinations (no input, both a file and `--workloads`, `--json` with
 /// `--sarif`).
 pub fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, CliError> {
-    let mut parsed = VerifyArgs::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workloads" => parsed.workloads = true,
-            "--json" => parsed.json = true,
-            "--sarif" => parsed.sarif = true,
-            "--interprocedural" => parsed.interprocedural = true,
-            "--baseline" => {
-                let value = it.next().ok_or("`--baseline` needs a path")?;
-                parsed.baseline = Some(value.clone());
-            }
-            "--update-baseline" => {
-                let value = it.next().ok_or("`--update-baseline` needs a path")?;
-                parsed.update_baseline = Some(value.clone());
-            }
-            "--key-symbol" => {
-                let value = it.next().ok_or("`--key-symbol` needs a symbol name")?;
-                parsed.key_symbols.push(value.clone());
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown verify flag `{other}`"));
-            }
-            file => {
-                if parsed.file.is_some() {
-                    return Err("verify takes at most one input file".to_owned());
-                }
-                parsed.file = Some(file.to_owned());
-            }
-        }
-    }
-    if parsed.workloads == parsed.file.is_some() {
-        return Err(usage().to_owned());
-    }
+    let mut flags = VerifyFlags::default();
+    let files = args::parse("verify", VERIFY_FLAGS, args, &mut flags, 1)?;
+    let mut parsed = flags.args;
+    parsed.input = match (flags.workloads, files.first()) {
+        (true, None) => VerifyInput::Workloads,
+        (false, Some(file)) => VerifyInput::File(file.clone()),
+        _ => return Err(usage()),
+    };
     if parsed.json && parsed.sarif {
         return Err("choose one of --json / --sarif".to_owned());
     }
@@ -946,10 +934,11 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
     }
 }
 
-/// Usage text.
+/// Usage text: one line per command, then each command's generated flag
+/// list.
 #[must_use]
-pub fn usage() -> &'static str {
-    "regvault-cli — the RegVault reproduction toolbox
+pub fn usage() -> String {
+    let mut out = "regvault-cli — the RegVault reproduction toolbox
 
 USAGE:
     regvault-cli asm     <file.s>          assemble, print words + symbols
@@ -957,17 +946,10 @@ USAGE:
     regvault-cli run     <file.s> [steps]  execute on the simulated machine
     regvault-cli pentest [config]          run Table 4 (default: full)
     regvault-cli hwcost  [entries]         Table 3 area model (default: 8)
-    regvault-cli verify  <file.s> [--json|--sarif] [--interprocedural]
-                         [--key-symbol NAME]...
+    regvault-cli verify  <file.s> | --workloads [flags]
                                            check RegVault invariants over a program
-                                           (--interprocedural adds call-graph
-                                           summaries + whole-program lints)
-    regvault-cli verify  --workloads [--json|--sarif] [--interprocedural]
-                         [--baseline FILE] [--update-baseline FILE]
-                                           verify every benchmark image; with
-                                           --baseline, fail on any finding not
-                                           in the committed baseline (ratchet)
-    regvault-cli record  <file.s> <out.bundle> [--steps N] [--flip I:ADDR:BIT]...
+                                           or every benchmark image
+    regvault-cli record  <file.s> <out.bundle> [flags]
                                            run + record a repro bundle
     regvault-cli replay  <bundle>          re-run a bundle, check bit-for-bit
     regvault-cli divergence <file.s> [steps] [interval]
@@ -975,37 +957,36 @@ USAGE:
     regvault-cli divergence --tiers [steps]
                                            lockstep superblock tier vs interpreter
                                            over every UnixBench/LMbench guest
-    regvault-cli trace   <file.s> [--json|--chrome] [--limit N]
-    regvault-cli trace   --workload <name> [--json|--chrome] [--limit N]
+    regvault-cli trace   <file.s> | --workload <name> [flags]
                                            structured event trace (--chrome loads
                                            in Perfetto / chrome://tracing)
-    regvault-cli metrics <file.s> [--json]
-    regvault-cli metrics --workload <name> [--json]
+    regvault-cli metrics <file.s> | --workload <name> [flags]
                                            counters + histograms of a run
-    regvault-cli profile <file.s> [--json]
-    regvault-cli profile --workload <name> [--json]
+    regvault-cli profile <file.s> | --workload <name> [flags]
                                            per-function steps + crypto profile
-    regvault-cli serve   [--tenants N] [--requests N] [--rate CYCLES]
-                         [--faults CYCLES] [--seed S] [--queue-cap N]
-                         [--config LABEL] [--json] [--smoke]
-                                           supervised multi-tenant server under
-                                           live fault injection (--smoke gates
-                                           on the accounting identity)
-    regvault-cli fleet   [--instances N] [--requests N] [--rate CYCLES]
-                         [--deadline CYCLES] [--chaos K] [--cold]
-                         [--workers N] [--seed S] [--json] [--smoke]
-                                           snapshot-forked machine fleet with
+    regvault-cli serve   [flags]           supervised multi-tenant server under
+                                           live fault injection
+    regvault-cli fleet   [flags]           snapshot-forked machine fleet with
                                            micro-reboot recovery under a chaos
-                                           kill schedule (--smoke gates on the
-                                           accounting identity and recovery)
-    regvault-cli leakage [--seed S] [--json] [--smoke]
-                                           ciphertext side-channel campaign:
+                                           kill schedule
+    regvault-cli leakage [flags]           ciphertext side-channel campaign:
                                            dictionary collisions over the
                                            workload corpus with the epoch-rekey
-                                           mitigation off vs on (--smoke trims
-                                           the corpus and gates on a 10x
-                                           collision reduction)
+                                           mitigation off vs on
 "
+    .to_owned();
+    for (cmd, flags) in [
+        ("verify", args::usage(VERIFY_FLAGS)),
+        ("record", args::usage(RECORD_FLAGS)),
+        ("divergence", args::usage(DIVERGENCE_FLAGS)),
+        ("trace/metrics/profile", args::usage(observe::FLAGS)),
+        ("serve", args::usage(serve::FLAGS)),
+        ("fleet", args::usage(fleet::FLAGS)),
+        ("leakage", args::usage(leakage::FLAGS)),
+    ] {
+        let _ = write!(out, "\n{cmd} flags:\n{flags}");
+    }
+    out
 }
 
 /// Reads an assembly source file with a friendly diagnostic.
@@ -1017,66 +998,53 @@ pub fn read_source(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
+/// Parsed `record` flags.
+struct RecordArgs {
+    steps: u64,
+    faults: Vec<(u64, FaultKind)>,
+}
+
+#[rustfmt::skip]
+const RECORD_FLAGS: &[Flag<RecordArgs>] = &[
+    Flag::value("--steps", "N", "instruction budget", |a, v| set(&mut a.steps, num(v)?)),
+    Flag::value("--flip", "I:ADDR:BIT", "flip a memory bit at instret I (repeatable)", |a, v| {
+        a.faults.push(parse_flip(v)?);
+        Ok(())
+    }),
+];
+
 /// `record <file.s> <out.bundle> [--steps N] [--flip I:ADDR:BIT]...`
 fn dispatch_record(args: &[String]) -> Result<String, CliError> {
-    let [file, out_path, flags @ ..] = args else {
-        return Err(usage().to_owned());
+    let mut parsed = RecordArgs {
+        steps: 10_000_000,
+        faults: Vec::new(),
     };
-    let mut steps = 10_000_000u64;
-    let mut faults = Vec::new();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
-        match flag.as_str() {
-            "--steps" => {
-                steps = value
-                    .parse()
-                    .map_err(|_| format!("invalid step budget `{value}`"))?;
-            }
-            "--flip" => faults.push(parse_flip(value)?),
-            other => return Err(format!("unknown record flag `{other}`")),
-        }
-    }
-    let (report, bytes) = cmd_record(&read_source(file)?, steps, &faults)?;
+    let paths = args::parse("record", RECORD_FLAGS, args, &mut parsed, 2)?;
+    let [file, out_path] = &paths[..] else {
+        return Err(usage());
+    };
+    let (report, bytes) = cmd_record(&read_source(file)?, parsed.steps, &parsed.faults)?;
     std::fs::write(out_path, bytes).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
     Ok(format!("{report}bundle written to {out_path}\n"))
 }
 
-/// `trace|metrics|profile` argument parsing: a file or `--workload <name>`,
-/// then output flags.
-fn dispatch_observe(cmd: &str, args: &[String]) -> Result<String, CliError> {
-    let (subject, flags) = match args {
-        [flag, name, rest @ ..] if flag == "--workload" => {
-            (TraceSubject::Workload(name.clone()), rest)
+#[rustfmt::skip]
+const DIVERGENCE_FLAGS: &[Flag<bool>] =
+    &[Flag::switch("--tiers", "superblock tier vs interpreter, every guest", |t, _| set(t, true))];
+
+/// `divergence <file.s> [steps] [interval]` or `divergence --tiers [steps]`.
+fn dispatch_divergence(args: &[String]) -> Result<String, CliError> {
+    let mut tiers = false;
+    let positionals = args::parse("divergence", DIVERGENCE_FLAGS, args, &mut tiers, 3)?;
+    match (tiers, &positionals[..]) {
+        (true, []) => cmd_divergence_tiers(500_000),
+        (true, [steps]) => cmd_divergence_tiers(num(steps)?),
+        (false, [file]) => cmd_divergence(&read_source(file)?, 1_000_000, 256),
+        (false, [file, steps]) => cmd_divergence(&read_source(file)?, num(steps)?, 256),
+        (false, [file, steps, interval]) => {
+            cmd_divergence(&read_source(file)?, num(steps)?, num(interval)?)
         }
-        [file, rest @ ..] => (TraceSubject::Bare(read_source(file)?), rest),
-        [] => return Err(usage().to_owned()),
-    };
-    let mut format = TraceFormat::Human;
-    let mut json = false;
-    let mut limit = 65_536usize;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => {
-                format = TraceFormat::Json;
-                json = true;
-            }
-            "--chrome" => format = TraceFormat::Chrome,
-            "--limit" => {
-                let value = it.next().ok_or("`--limit` needs a value")?;
-                limit = value
-                    .parse()
-                    .map_err(|_| format!("invalid trace limit `{value}`"))?;
-            }
-            other => return Err(format!("unknown {cmd} flag `{other}`")),
-        }
-    }
-    match cmd {
-        "trace" => cmd_trace(&subject, format, limit),
-        "metrics" => cmd_metrics(&subject, json),
-        "profile" => cmd_profile(&subject, json),
-        _ => unreachable!("dispatch_observe called for {cmd}"),
+        _ => Err(usage()),
     }
 }
 
@@ -1088,65 +1056,39 @@ fn dispatch_observe(cmd: &str, args: &[String]) -> Result<String, CliError> {
 /// Every subcommand's failure mode, plus the usage text for unknown
 /// commands or malformed argument lists.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    match args {
-        [cmd, file] if cmd == "asm" => cmd_asm(&read_source(file)?),
-        [cmd, file] if cmd == "disasm" => cmd_disasm(&read_source(file)?),
-        [cmd, file] if cmd == "run" => cmd_run(&read_source(file)?, 10_000_000),
-        [cmd, file, steps] if cmd == "run" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_run(&read_source(file)?, steps)
-        }
-        [cmd] if cmd == "pentest" => cmd_pentest("full"),
-        [cmd, config] if cmd == "pentest" => cmd_pentest(config),
-        [cmd] if cmd == "hwcost" => cmd_hwcost("8"),
-        [cmd, entries] if cmd == "hwcost" => cmd_hwcost(entries),
-        [cmd, rest @ ..] if cmd == "verify" => {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(usage());
+    };
+    match (cmd.as_str(), rest) {
+        ("asm", [file]) => cmd_asm(&read_source(file)?),
+        ("disasm", [file]) => cmd_disasm(&read_source(file)?),
+        ("run", [file]) => cmd_run(&read_source(file)?, 10_000_000),
+        ("run", [file, steps]) => cmd_run(&read_source(file)?, num(steps)?),
+        ("pentest", []) => cmd_pentest("full"),
+        ("pentest", [config]) => cmd_pentest(config),
+        ("hwcost", []) => cmd_hwcost("8"),
+        ("hwcost", [entries]) => cmd_hwcost(entries),
+        ("verify", rest) => {
             let parsed = parse_verify_args(rest)?;
-            if parsed.workloads {
-                cmd_verify_workloads(&parsed)
-            } else {
-                let file = parsed.file.clone().expect("parse enforces an input");
-                cmd_verify_source(&read_source(&file)?, &parsed)
+            match &parsed.input {
+                VerifyInput::Workloads => cmd_verify_workloads(&parsed),
+                VerifyInput::File(file) => cmd_verify_source(&read_source(file)?, &parsed),
             }
         }
-        [cmd, rest @ ..] if cmd == "record" => dispatch_record(rest),
-        [cmd, bundle] if cmd == "replay" => {
+        ("record", rest) => dispatch_record(rest),
+        ("replay", [bundle]) => {
             let bytes =
                 std::fs::read(bundle).map_err(|e| format!("cannot read `{bundle}`: {e}"))?;
             cmd_replay(&bytes)
         }
-        [cmd, flag] if cmd == "divergence" && flag == "--tiers" => cmd_divergence_tiers(500_000),
-        [cmd, flag, steps] if cmd == "divergence" && flag == "--tiers" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_divergence_tiers(steps)
-        }
-        [cmd, file] if cmd == "divergence" => cmd_divergence(&read_source(file)?, 1_000_000, 256),
-        [cmd, file, steps] if cmd == "divergence" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            cmd_divergence(&read_source(file)?, steps, 256)
-        }
-        [cmd, file, steps, interval] if cmd == "divergence" => {
-            let steps = steps
-                .parse()
-                .map_err(|_| format!("invalid step budget `{steps}`"))?;
-            let interval = interval
-                .parse()
-                .map_err(|_| format!("invalid check interval `{interval}`"))?;
-            cmd_divergence(&read_source(file)?, steps, interval)
-        }
-        [cmd, rest @ ..] if cmd == "trace" || cmd == "metrics" || cmd == "profile" => {
-            dispatch_observe(cmd, rest)
-        }
-        [cmd, rest @ ..] if cmd == "serve" => cmd_serve(rest),
-        [cmd, rest @ ..] if cmd == "fleet" => cmd_fleet(rest),
-        [cmd, rest @ ..] if cmd == "leakage" => leakage::cmd_leakage(rest),
-        _ => Err(usage().to_owned()),
+        ("divergence", rest) => dispatch_divergence(rest),
+        ("trace", rest) => cmd_observe(Observe::Trace, rest),
+        ("metrics", rest) => cmd_observe(Observe::Metrics, rest),
+        ("profile", rest) => cmd_observe(Observe::Profile, rest),
+        ("serve", rest) => cmd_serve(rest),
+        ("fleet", rest) => cmd_fleet(rest),
+        ("leakage", rest) => leakage::cmd_leakage(rest),
+        _ => Err(usage()),
     }
 }
 
@@ -1284,10 +1226,11 @@ mod tests {
             "b.txt",
         ]))
         .unwrap();
-        assert!(parsed.workloads && parsed.interprocedural && parsed.sarif);
+        assert_eq!(parsed.input, VerifyInput::Workloads);
+        assert!(parsed.interprocedural && parsed.sarif);
         assert_eq!(parsed.baseline.as_deref(), Some("b.txt"));
         let parsed = parse_verify_args(&to_vec(&["prog.s", "--key-symbol", "keyblob"])).unwrap();
-        assert_eq!(parsed.file.as_deref(), Some("prog.s"));
+        assert_eq!(parsed.input, VerifyInput::File("prog.s".to_owned()));
         assert_eq!(parsed.key_symbols, vec!["keyblob".to_owned()]);
         assert!(parse_verify_args(&to_vec(&[])).is_err());
         assert!(parse_verify_args(&to_vec(&["a.s", "--workloads"])).is_err());
@@ -1399,7 +1342,7 @@ mod tests {
     #[test]
     fn verify_workloads_corpus_is_clean() {
         let out = cmd_verify_workloads(&VerifyArgs {
-            workloads: true,
+            input: VerifyInput::Workloads,
             ..VerifyArgs::default()
         })
         .unwrap();

@@ -26,8 +26,9 @@ use regvault_workloads::{
     lmbench::Lmbench, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
 };
 
+use crate::args::{self, num, set, Flag};
 use crate::json::Value;
-use crate::{boot_bare_machine, CliError};
+use crate::{boot_bare_machine, read_source, usage, CliError};
 
 /// Base address bare programs load at ([`crate::boot_bare_machine`]).
 const BARE_CODE_BASE: u64 = 0x8000_0000;
@@ -42,14 +43,76 @@ pub enum TraceSubject {
 }
 
 /// Output flavor for `trace`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceFormat {
     /// One rendered line per record.
+    #[default]
     Human,
     /// A JSON object with a `records` array.
     Json,
     /// Chrome `trace_event` JSON for Perfetto.
     Chrome,
+}
+
+/// The three observation commands, which share one flag table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Observe {
+    /// `trace`: the structured event stream.
+    Trace,
+    /// `metrics`: counters and histograms.
+    Metrics,
+    /// `profile`: the per-function flat profile.
+    Profile,
+}
+
+/// Parsed `trace`/`metrics`/`profile` flags.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ObserveArgs {
+    workload: Option<String>,
+    format: TraceFormat,
+    json: bool,
+    limit: Option<usize>,
+}
+
+/// The flags of `trace`, `metrics` and `profile`.
+#[rustfmt::skip]
+pub(crate) const FLAGS: &[Flag<ObserveArgs>] = &[
+    Flag::value("--workload", "NAME", "run a UnixBench/LMbench workload, not a file",
+        |a, v| set(&mut a.workload, Some(v.to_owned()))),
+    Flag::switch("--json", "JSON output", |a, _| {
+        a.json = true;
+        set(&mut a.format, TraceFormat::Json)
+    }),
+    Flag::switch("--chrome", "trace: Chrome trace_event JSON (Perfetto)",
+        |a, _| set(&mut a.format, TraceFormat::Chrome)),
+    Flag::value("--limit", "N", "trace: ring capacity in records",
+        |a, v| set(&mut a.limit, Some(num(v)?))),
+];
+
+/// `trace|metrics|profile <file.s> | --workload <name> [flags]`.
+///
+/// # Errors
+///
+/// Flag errors, the usage text when the subject is missing or given
+/// twice, and the command's own failures.
+pub(crate) fn cmd_observe(cmd: Observe, args: &[String]) -> Result<String, CliError> {
+    let name = match cmd {
+        Observe::Trace => "trace",
+        Observe::Metrics => "metrics",
+        Observe::Profile => "profile",
+    };
+    let mut parsed = ObserveArgs::default();
+    let files = args::parse(name, FLAGS, args, &mut parsed, 1)?;
+    let subject = match (parsed.workload, files.first()) {
+        (Some(workload), None) => TraceSubject::Workload(workload),
+        (None, Some(file)) => TraceSubject::Bare(read_source(file)?),
+        _ => return Err(usage()),
+    };
+    match cmd {
+        Observe::Trace => cmd_trace(&subject, parsed.format, parsed.limit.unwrap_or(65_536)),
+        Observe::Metrics => cmd_metrics(&subject, parsed.json),
+        Observe::Profile => cmd_profile(&subject, parsed.json),
+    }
 }
 
 /// Everything observable that a run produced.

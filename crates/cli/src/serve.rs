@@ -6,11 +6,12 @@ use std::fmt::Write as _;
 
 use regvault_server::{ServeConfig, ServeReport, Supervisor};
 
+use crate::args::{self, num, set, Flag};
 use crate::json::Value;
 use crate::{parse_config, CliError};
 
 /// Parsed `serve` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeArgs {
     /// Scenario configuration.
     pub config: ServeConfig,
@@ -21,77 +22,46 @@ pub struct ServeArgs {
     pub smoke: bool,
 }
 
+/// The `serve` flags.
+#[rustfmt::skip]
+pub(crate) const FLAGS: &[Flag<ServeArgs>] = &[
+    Flag::value("--tenants", "N", "tenant slots", |a, v| set(&mut a.config.tenants, num(v)?)),
+    Flag::value("--requests", "N", "requests to offer",
+        |a, v| set(&mut a.config.requests, num(v)?)),
+    Flag::value("--rate", "CYCLES", "mean arrival gap",
+        |a, v| set(&mut a.config.mean_interarrival, num(v)?)),
+    Flag::value("--faults", "INSNS", "mean gap between injected faults (0: none)",
+        |a, v| set(&mut a.config.fault_interval, num(v)?)),
+    Flag::value("--seed", "S", "arrival and fault seed", |a, v| set(&mut a.config.seed, num(v)?)),
+    Flag::value("--queue-cap", "N", "per-tenant queue bound",
+        |a, v| set(&mut a.config.queue_cap, num(v)?)),
+    Flag::switch("--no-micro-reboot", "recover escalations by cold reboot only",
+        |a, _| set(&mut a.config.micro_reboot, false)),
+    Flag::value("--deadline-factor", "K", "shed requests queued past K x p99 latency (0: off)",
+        |a, v| set(&mut a.config.deadline_factor, num(v)?)),
+    Flag::value("--config", "LABEL", "protection: base|ra|fp|non-control|full",
+        |a, v| set(&mut a.config.protection, parse_config(v)?)),
+    Flag::switch("--json", "machine-readable JSON", |a, _| set(&mut a.json, true)),
+    Flag::switch("--smoke", "short faulted run, gated on the accounting identity",
+        |a, _| set(&mut a.smoke, true)),
+];
+
 /// Parses `serve` flags.
 ///
 /// # Errors
 ///
 /// Describes the offending flag or value.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut config = ServeConfig::default();
-    let mut json = false;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--tenants" => {
-                config.tenants = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid tenant count".to_string())?;
-            }
-            "--requests" => {
-                config.requests = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid request count".to_string())?;
-            }
-            "--rate" => {
-                config.mean_interarrival = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid mean interarrival".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid seed".to_string())?;
-            }
-            "--faults" => {
-                config.fault_interval = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid fault interval".to_string())?;
-            }
-            "--queue-cap" => {
-                config.queue_cap = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid queue cap".to_string())?;
-            }
-            "--no-micro-reboot" => config.micro_reboot = false,
-            "--deadline-factor" => {
-                config.deadline_factor = value_of(flag)?
-                    .parse()
-                    .map_err(|_| "invalid deadline factor".to_string())?;
-            }
-            "--config" => {
-                config.protection = parse_config(value_of(flag)?)?;
-            }
-            other => return Err(format!("unknown serve flag `{other}`")),
-        }
-    }
-    if smoke {
+    let mut parsed = ServeArgs::default();
+    args::parse("serve", FLAGS, args, &mut parsed, 0)?;
+    if parsed.smoke {
         // Short but adversarial: live faults on, small request budget.
-        config.requests = config.requests.min(150);
-        if config.fault_interval == 0 {
-            config.fault_interval = 50_000;
+        parsed.config.requests = parsed.config.requests.min(150);
+        if parsed.config.fault_interval == 0 {
+            parsed.config.fault_interval = 50_000;
         }
     }
-    Ok(ServeArgs {
-        config,
-        json,
-        smoke,
-    })
+    Ok(parsed)
 }
 
 /// Builds the JSON object of one serve run. The key order is the schema of

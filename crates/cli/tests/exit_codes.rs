@@ -259,3 +259,56 @@ fn verify_rejects_contradictory_flag_combinations() {
     let out = cli(&["verify", clean.to_str().unwrap(), "--json", "--sarif"]);
     assert!(!out.status.success(), "{out:?}");
 }
+
+/// Every flag-taking subcommand rejects an unknown flag before doing any
+/// work: nonzero exit, nothing on stdout, and the error names the command
+/// and the flag, followed by the command's generated flag list.
+#[test]
+fn unknown_flags_are_rejected_before_any_work() {
+    let program = scratch("bogus_flag.s", CRYPTO_PROGRAM);
+    let file = program.to_str().unwrap();
+    let bundle = std::env::temp_dir().join(format!(
+        "regvault_cli_exit_codes_{}_bogus.bundle",
+        std::process::id()
+    ));
+    let bundle_path = bundle.to_str().unwrap();
+    let cases: [(&str, Vec<&str>); 9] = [
+        ("serve", vec!["--bogus"]),
+        ("fleet", vec!["--bogus"]),
+        ("leakage", vec!["--bogus"]),
+        ("verify", vec![file, "--bogus"]),
+        ("record", vec![file, bundle_path, "--bogus"]),
+        ("trace", vec![file, "--bogus"]),
+        ("metrics", vec![file, "--bogus"]),
+        ("profile", vec![file, "--bogus"]),
+        ("divergence", vec![file, "--bogus"]),
+    ];
+    for (cmd, rest) in cases {
+        let mut args = vec![cmd];
+        args.extend(rest);
+        let out = cli(&args);
+        assert!(!out.status.success(), "{cmd}: {out:?}");
+        assert!(out.stdout.is_empty(), "{cmd} did work: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("{cmd}: unknown flag `--bogus`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains(" flags:\n    --"), "{stderr}");
+    }
+    assert!(!bundle.exists(), "record wrote a bundle despite a bad flag");
+}
+
+/// The serve usage lists every flag `serve` accepts, including the two the
+/// hand-kept usage text once left out.
+#[test]
+fn serve_usage_lists_every_serve_flag() {
+    let out = cli(&["serve", "--bogus"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let full = cli(&[]);
+    let usage = String::from_utf8_lossy(&full.stderr);
+    for flag in ["--no-micro-reboot", "--deadline-factor"] {
+        assert!(stderr.contains(flag), "{flag} in {stderr}");
+        assert!(usage.contains(flag), "{flag} in {usage}");
+    }
+}
