@@ -5,6 +5,7 @@ use regvault_isa::{ByteRange, KeyReg};
 use regvault_qarma::{fold_tweak, reference::Reference, Key, Qarma64};
 
 use crate::clb::Clb;
+use crate::memo;
 
 /// The eight 128-bit hardware key registers.
 ///
@@ -333,30 +334,39 @@ impl CryptoEngine {
         let current = self.keys.key(key);
         let slot = &mut self.ciphers[key.ksel() as usize];
         if slot.as_ref().map(Qarma64::key) != Some(current) {
-            *slot = Some(Qarma64::new(current));
+            *slot = None;
         }
-        slot.as_ref().expect("cipher just cached")
+        slot.get_or_insert_with(|| Qarma64::new(current))
     }
 
-    /// One cipher computation through the configured datapath. The
-    /// reference path rebuilds the cell-level cipher from the live register
-    /// on every call — deliberately no schedule caching, so stale-schedule
-    /// bugs in the fast path cannot be masked by an equivalent cache here.
+    /// One cipher computation through the configured datapath: the CLB
+    /// missed. The SWAR path consults the host thread's QARMA memo first
+    /// ([`crate::memo`]), keyed on the live register's value. The reference
+    /// path bypasses the memo and rebuilds the cell-level cipher from the
+    /// live register on every call — deliberately no caching of any kind,
+    /// so stale-schedule or stale-memo bugs in the fast path cannot be
+    /// masked by an equivalent cache here.
+    ///
+    /// Kept out of line: the CLB-hit path that calls it stays small.
+    #[inline(never)]
     fn compute(&mut self, key: KeyReg, tweak: u64, input: u64, decrypt: bool) -> u64 {
+        let live = self.keys.key(key);
         if self.reference {
-            let cipher = Reference::new(self.keys.key(key));
+            let cipher = Reference::new(live);
             return if decrypt {
                 cipher.decrypt(input, tweak)
             } else {
                 cipher.encrypt(input, tweak)
             };
         }
-        let cipher = self.cipher(key);
-        if decrypt {
-            cipher.decrypt(input, tweak)
-        } else {
-            cipher.encrypt(input, tweak)
-        }
+        memo::get_or_compute(live, tweak, input, decrypt, || {
+            let cipher = self.cipher(key);
+            if decrypt {
+                cipher.decrypt(input, tweak)
+            } else {
+                cipher.encrypt(input, tweak)
+            }
+        })
     }
 
     /// Executes the `cre` datapath: mask `value` to `range` (bytes outside

@@ -71,6 +71,7 @@ mod icache;
 mod lockstep;
 mod machine;
 mod mem;
+mod memo;
 mod replay;
 mod snapshot;
 mod stats;
@@ -88,6 +89,7 @@ pub use lockstep::{
 };
 pub use machine::{Event, Machine, MachineConfig};
 pub use mem::Memory;
+pub use memo::memo_counts;
 pub use replay::{shrink_events, EventLog, LoggedEvent, ReproBundle};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotKind};
 pub use stats::{InsnClass, Stats};
