@@ -1,661 +1,185 @@
-//! Hot-path perf-trajectory harness.
+//! Host-speed ratio guard for the simulator's hot paths.
 //!
-//! Measures the three datapaths this repository optimizes — the QARMA-64
-//! block cipher, the CLB, and the simulator's fetch/execute loop — and
-//! writes the results to `BENCH_hotpath.json` at the repository root, next
-//! to the hard-coded pre-optimization baselines captured on the seed tree.
-//! This file *is* the perf trajectory: each PR that touches a hot path
-//! regenerates it, and `scripts/check.sh` compares fresh numbers against the
-//! checked-in ones to catch silent regressions.
+//! Running it is the check: it takes no flags, writes no file, prints four
+//! ratios next to their floors, and exits 1 when any ratio falls below its
+//! floor. Each ratio compares two configurations of this build measured in
+//! the same process, interleaved round by round and taken between the best
+//! of [`ROUNDS`] runs of each side, so host speed and slow load drift cancel
+//! and no number recorded on another machine is involved. Absolute host
+//! costs per layer, with their spread, are the repository benchmark's job
+//! (`benchmark/`).
 //!
-//! Modes:
-//!
-//! * default — full measurement, rewrites `BENCH_hotpath.json`;
-//! * `--quick` — abbreviated measurement, prints but does not write;
-//! * `--check` — abbreviated end-to-end measurement compared against the
-//!   checked-in JSON with a generous 2x tolerance; exits non-zero on
-//!   regression (machine-speed differences stay inside the tolerance, a
-//!   broken hot path does not).
+//! ```text
+//! cargo run --release -p regvault-bench --bin hotpath
+//! ```
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::process::ExitCode;
+use std::time::Instant;
 
-use criterion::{black_box, Criterion};
-use regvault_bench::json::{self, Value};
-use regvault_bench::repo_root;
-use regvault_cli::args::{parse_env, set, Flag};
-use regvault_isa::{ByteRange, KeyReg};
-use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
+use regvault_cli::args::parse_env;
+use regvault_kernel::ProtectionConfig;
 use regvault_qarma::{reference::Reference, Key, Qarma64};
-use regvault_sim::{Clb, CryptoEngine, MachineConfig, NullTracer, RingTracer, Tracer};
-use regvault_workloads::{
-    lmbench::Lmbench, measure, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
-};
+use regvault_sim::MachineConfig;
+use regvault_workloads::{measure_with, unixbench::UnixBench, Workload};
 
-/// Published QARMA test-vector inputs; any fixed block works for timing.
+/// Interleaved rounds; every side of every ratio runs once per round.
+const ROUNDS: usize = 16;
+
+/// Blocks per timed QARMA batch (about a millisecond of reference work).
+const QARMA_BLOCKS: u64 = 1024;
+
+/// Published QARMA test-vector inputs; any fixed key and tweak work.
 const W0: u64 = 0x84be85ce9804e94b;
 const K0: u64 = 0xec2802d4e0a488e9;
 const TWEAK: u64 = 0x477d469dec0b8762;
-const PLAINTEXT: u64 = 0xfb623599da6e8127;
 
-/// Pre-optimization numbers measured on the seed tree (same harness shape,
-/// same host class). These are the "before" column of the perf trajectory.
-const BASELINE: [(&str, f64); 7] = [
-    ("seed_qarma_encrypt_ns", 626.0),
-    ("seed_qarma_decrypt_ns", 629.0),
-    ("seed_engine_encrypt_miss_ns", 616.0),
-    ("seed_clb_hit_lookup_ns", 4.0),
-    ("seed_unixbench_syscall_off_steps_per_sec", 142.748e6),
-    ("seed_unixbench_syscall_full_steps_per_sec", 137.604e6),
-    // dhry2 on the single-step interpreter, measured immediately before the
-    // superblock tier landed; the tier's acceptance floor is 2x this.
-    ("pre_superblock_dhry2_off_steps_per_sec", 73.679e6),
+/// A guarded ratio and the floor it must reach.
+struct Guard {
+    name: &'static str,
+    floor: f64,
+}
+
+/// The four guards, in the order of [`Ratios`]. The range in each comment
+/// was measured on a 2-vCPU VM (best of 16–32 rounds); its low end is at
+/// least 1.3x the floor, so host noise does not trip it.
+const GUARDS: [Guard; 4] = [
+    // 3.5–6.5x. The SWAR core transforms the whole 64-bit state with table
+    // lookups where the reference walks 16 cells one at a time; a datapath
+    // that fell back to cell-level code would land near 1x.
+    Guard {
+        name: "QARMA reference/SWAR ns per block",
+        floor: 2.0,
+    },
+    // 2.6–3.4x. dhry2 is a register-compute loop the superblock tier
+    // covers almost entirely (~98% of its instructions), so dispatching
+    // fused traces instead of single steps keeps the 2x the tier was
+    // accepted on; a tier that stops entering or churns its traces falls
+    // to about 1x.
+    Guard {
+        name: "dhry2 tier-on/tier-off steps/s",
+        floor: 2.0,
+    },
+    // 0.67–0.93. A FULL syscall run issues ~7.8k `cre`/`crd`, ~99% of them
+    // CLB hits and the misses mostly memo hits, so protection costs the
+    // host little beyond the unprotected run. With neither the CLB nor the
+    // memo answering, every operation pays a full QARMA block and the ratio
+    // falls to ~0.2.
+    Guard {
+        name: "syscall FULL/off steps/s",
+        floor: 0.5,
+    },
+    // 0.97–1.4. The epoch-rekey mitigation adds one nonce and one 8-byte
+    // store per context save and one load per restore, which are a small
+    // part of a syscall run, so the ratio sits near 1. The floor is a
+    // coarse one: it trips once the mitigation costs the host as much as
+    // the whole protected run.
+    Guard {
+        name: "syscall FULL+rekey/FULL steps/s",
+        floor: 0.5,
+    },
 ];
 
-fn baseline(key: &str) -> f64 {
-    BASELINE
+/// One value per entry of [`GUARDS`].
+type Ratios = [f64; 4];
+
+/// `Ok` when every ratio reaches its floor; otherwise the failing guards,
+/// by name. A NaN ratio fails.
+fn check(ratios: &Ratios) -> Result<(), String> {
+    let failed: Vec<String> = GUARDS
         .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .expect("known baseline key")
-}
-
-#[derive(Default)]
-struct Args {
-    quick: bool,
-    check: bool,
-}
-
-#[rustfmt::skip]
-const FLAGS: &[Flag<Args>] = &[
-    Flag::switch("--quick", "abbreviated measurement, no JSON rewrite", |a, _| set(&mut a.quick, true)),
-    Flag::switch("--check", "guard fresh numbers against BENCH_hotpath.json",
-        |a, _| set(&mut a.check, true)),
-];
-
-/// Wall-clock steps/sec for one workload+config: best of `runs` timed runs
-/// (best-of smooths scheduler noise without averaging in cold-cache runs).
-fn steps_per_sec(workload: &dyn Workload, config: ProtectionConfig, runs: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let m = measure(workload, config, 8).expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = m.instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e9
-}
-
-/// One instrumented dhry2 run: superblock tier counters after the guest
-/// completes (hit rate and tier coverage are properties of the trace shape,
-/// not of wall-clock, so a single run suffices).
-fn superblock_profile(workload: &dyn Workload) -> (regvault_sim::SuperblockStats, u64) {
-    let mut kernel = Kernel::boot(KernelConfig {
-        protection: ProtectionConfig::off(),
-        machine: MachineConfig {
-            clb_entries: 8,
-            ..MachineConfig::default()
-        },
-        timer_interval: Some(TIMER_INTERVAL),
-    })
-    .expect("kernel boots");
-    let (image, entry) = workload.program();
-    kernel
-        .run_user(&image, entry, STEP_BUDGET)
-        .expect("workload runs");
-    (
-        kernel.machine().superblock_stats(),
-        kernel.machine().stats().instret,
-    )
-}
-
-/// Like [`steps_per_sec`] but with a tracer installed on the machine before
-/// the run (`make` returning `None` is the tracing-off control, measured
-/// with the identical harness so the off/on delta isolates the hook cost).
-fn steps_per_sec_tracer(
-    workload: &dyn Workload,
-    config: ProtectionConfig,
-    runs: usize,
-    make: &dyn Fn() -> Option<Box<dyn Tracer>>,
-) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut kernel = Kernel::boot(KernelConfig {
-            protection: config,
-            machine: MachineConfig {
-                clb_entries: 8,
-                ..MachineConfig::default()
-            },
-            timer_interval: Some(TIMER_INTERVAL),
-        })
-        .expect("kernel boots");
-        let (image, entry) = workload.program();
-        kernel.machine_mut().reset_stats();
-        if let Some(tracer) = make() {
-            kernel.machine_mut().install_tracer(tracer);
-        }
-        kernel
-            .run_user(&image, entry, STEP_BUDGET)
-            .expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = kernel.machine().stats().instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
-    }
-    best
-}
-
-/// Like [`steps_per_sec`] under full protection but with the epoch-rekey
-/// mitigation on ([`MachineConfig::epoch_rekey`]): each context save
-/// issues a fresh nonce and an extra 8-byte store, each restore an extra
-/// load — the ciphertext side-channel fix's end-to-end cost.
-fn steps_per_sec_rekey(workload: &dyn Workload, runs: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let mut kernel = Kernel::boot(KernelConfig {
-            protection: ProtectionConfig::full(),
-            machine: MachineConfig {
-                clb_entries: 8,
-                epoch_rekey: true,
-                ..MachineConfig::default()
-            },
-            timer_interval: Some(TIMER_INTERVAL),
-        })
-        .expect("kernel boots");
-        let (image, entry) = workload.program();
-        kernel.machine_mut().reset_stats();
-        kernel
-            .run_user(&image, entry, STEP_BUDGET)
-            .expect("workload runs");
-        let elapsed = start.elapsed().as_secs_f64();
-        let rate = kernel.machine().stats().instret as f64 / elapsed;
-        if rate > best {
-            best = rate;
-        }
-    }
-    best
-}
-
-/// Interleaved best-of measurement for the tracing section: every round
-/// measures the untraced control and the three tracer variants back-to-back,
-/// so slow host-load drift (the dominant noise on shared machines) hits all
-/// variants equally instead of biasing whichever block ran in a quiet
-/// window. Returns best-of rates `(base, off, null_sink, ring)`.
-fn tracing_rates(rounds: usize) -> (f64, f64, f64, f64) {
-    let wl = &UnixBench::Syscall;
-    let cfg = ProtectionConfig::off();
-    let (mut base, mut off, mut null, mut ring) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for _ in 0..rounds {
-        base = base.max(steps_per_sec(wl, cfg, 1));
-        off = off.max(steps_per_sec_tracer(wl, cfg, 1, &|| None));
-        null = null.max(steps_per_sec_tracer(wl, cfg, 1, &|| {
-            Some(Box::new(NullTracer))
-        }));
-        ring = ring.max(steps_per_sec_tracer(wl, cfg, 1, &|| {
-            Some(Box::new(RingTracer::new(65_536)))
-        }));
-    }
-    (base, off, null, ring)
-}
-
-fn main() {
-    let mut args = Args::default();
-    parse_env("hotpath", FLAGS, &mut args, 2);
-    if args.check {
-        run_check();
-        return;
-    }
-
-    let (sample_time, runs) = if args.quick {
-        (Duration::from_millis(60), 2)
-    } else {
-        // Long windows: the published JSON is only as good as its noise
-        // floor, and on a shared host the reference/optimized ratio needs
-        // multi-second samples to settle.
-        (Duration::from_secs(2), 4)
-    };
-    let mut criterion = Criterion::default()
-        .sample_size(if args.quick { 4 } else { 20 })
-        .measurement_time(sample_time)
-        .warm_up_time(Duration::from_millis(if args.quick { 20 } else { 500 }));
-
-    let key = Key::new(W0, K0);
-
-    // --- QARMA single-block: reference vs optimized ---------------------
-    // Throughput shape (independent blocks per iteration): successive
-    // blocks overlap in the pipeline, which is exactly what blocks/sec
-    // means in steady state. The latency-chained shape lives in
-    // `benches/qarma.rs` alongside this one.
-    let reference = Reference::new(key);
-    let ref_enc = criterion.bench_timed("qarma/reference_encrypt", |b| {
-        b.iter(|| reference.encrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let cipher = Qarma64::new(key);
-    let opt_enc = criterion.bench_timed("qarma/optimized_encrypt", |b| {
-        b.iter(|| cipher.encrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let opt_dec = criterion.bench_timed("qarma/optimized_decrypt", |b| {
-        b.iter(|| cipher.decrypt(black_box(PLAINTEXT), black_box(TWEAK)))
-    });
-    let schedule = criterion.bench_timed("qarma/key_schedule_construction", |b| {
-        b.iter(|| Qarma64::new(black_box(key)))
-    });
-
-    // --- CLB lookup latency ---------------------------------------------
-    let mut clb = Clb::new(64);
-    for i in 0..64u64 {
-        clb.insert(1, i, i.wrapping_mul(0x9E37), i ^ 0xAAAA);
-    }
-    let mut probe = 0u64;
-    let clb_hit = criterion.bench_timed("clb/hit_lookup", |b| {
-        b.iter(|| {
-            probe = (probe + 1) & 63;
-            clb.lookup_encrypt(1, probe, probe.wrapping_mul(0x9E37))
-        })
-    });
-    let mut miss_tweak = 1u64 << 32;
-    let clb_miss = criterion.bench_timed("clb/miss_plus_insert", |b| {
-        b.iter(|| {
-            miss_tweak += 1;
-            if clb.lookup_encrypt(1, miss_tweak, 7).is_none() {
-                clb.insert(1, miss_tweak, 7, miss_tweak ^ 0x5555);
-            }
-        })
-    });
-
-    // --- Crypto-engine full datapath (CLB disabled => always QARMA) -----
-    let mut engine = CryptoEngine::new(0, 42);
-    engine.key_file_mut().set_key(KeyReg::A, key);
-    let mut etweak = 0u64;
-    let engine_miss = criterion.bench_timed("engine/encrypt_clb_off", |b| {
-        b.iter(|| {
-            etweak += 8;
-            engine.encrypt(KeyReg::A, etweak, black_box(PLAINTEXT), ByteRange::FULL)
-        })
-    });
-
-    // --- End-to-end simulation ------------------------------------------
-    println!("running end-to-end workloads ({runs} runs each)...");
-    let ub_off = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), runs);
-    let ub_full = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::full(), runs);
-    let ub_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), runs);
-    let ub_dhry_full = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::full(), runs);
-    let lm_off = steps_per_sec(&Lmbench::Null, ProtectionConfig::off(), runs);
-    let lm_full = steps_per_sec(&Lmbench::Null, ProtectionConfig::full(), runs);
-    // Epoch-rekey mitigation A/B, interleaved with a fresh full-protection
-    // control so host-load drift hits both sides equally.
-    let (mut full_ctl, mut full_rekey) = (0.0f64, 0.0f64);
-    for _ in 0..runs.max(4) {
-        full_ctl = full_ctl.max(steps_per_sec(
-            &UnixBench::Syscall,
-            ProtectionConfig::full(),
-            1,
-        ));
-        full_rekey = full_rekey.max(steps_per_sec_rekey(&UnixBench::Syscall, 1));
-    }
-    let rekey_overhead_pct = (1.0 - full_rekey / full_ctl) * 100.0;
-    let (sb, sb_instret) = superblock_profile(&UnixBench::Dhry2);
-    // Fraction of all retired instructions that went through a superblock.
-    let sb_coverage = sb.insns as f64 / sb_instret.max(1) as f64;
-
-    // --- Tracing overhead (DESIGN.md §11) -------------------------------
-    // Same harness, three sinks: no tracer (the zero-cost-off claim), a
-    // NullTracer (pays hook + record construction + virtual call, discards
-    // the event), and a RingTracer (the full retained-trace cost).
-    println!("measuring tracing overhead...");
-    // Rounds are cheap (sub-millisecond guest runs), so take plenty: best-of
-    // converges to the machine's peak and the identical-code off/control
-    // pair lands within the noise floor of each other.
-    let (trace_base, trace_off, trace_null, trace_ring) = tracing_rates(runs.max(16));
-    // Off-path overhead versus an interleaved untraced control: both measure
-    // the identical datapath (no tracer installed), so this is the claim
-    // "tracing off costs nothing" made empirical; it must stay under 2%.
-    let mut tracing_off_overhead_pct = (1.0 - trace_off / trace_base) * 100.0;
-    let tracing_null_overhead_pct = (1.0 - trace_null / trace_base) * 100.0;
-    let tracing_ring_overhead_pct = (1.0 - trace_ring / trace_base) * 100.0;
-    // The off/control pair runs identical code, so a reading at or above the
-    // 2% gate is measurement drift; re-measure before committing it to the
-    // JSON the `--check` gate reads (a real regression survives the retries).
-    for _ in 0..2 {
-        if tracing_off_overhead_pct < 2.0 {
-            break;
-        }
-        let (base2, off2, _, _) = tracing_rates(8);
-        tracing_off_overhead_pct = tracing_off_overhead_pct.min((1.0 - off2 / base2) * 100.0);
-    }
-
-    let qarma_speedup_vs_reference = ns(ref_enc) / ns(opt_enc);
-    let qarma_speedup_vs_seed = baseline("seed_qarma_encrypt_ns") / ns(opt_enc);
-    let e2e_off_speedup = ub_off / baseline("seed_unixbench_syscall_off_steps_per_sec");
-    let e2e_full_speedup = ub_full / baseline("seed_unixbench_syscall_full_steps_per_sec");
-    let dhry_speedup = ub_dhry / baseline("pre_superblock_dhry2_off_steps_per_sec");
-
-    println!();
-    println!(
-        "QARMA encrypt: reference {:.0} ns, optimized {:.1} ns ({qarma_speedup_vs_reference:.1}x vs reference, {qarma_speedup_vs_seed:.1}x vs seed)",
-        ns(ref_enc),
-        ns(opt_enc)
-    );
-    println!(
-        "unixbench syscall: off {:.1}M steps/s ({e2e_off_speedup:.1}x vs seed), full {:.1}M steps/s ({e2e_full_speedup:.1}x vs seed)",
-        ub_off / 1e6,
-        ub_full / 1e6
-    );
-    println!(
-        "unixbench dhry2: off {:.1}M steps/s ({dhry_speedup:.2}x vs pre-superblock interpreter), full {:.1}M steps/s",
-        ub_dhry / 1e6,
-        ub_dhry_full / 1e6
-    );
-    println!(
-        "superblock tier on dhry2: {} entries, {} insns ({:.1}% coverage), {} side exits, {} built",
-        sb.hits,
-        sb.insns,
-        sb_coverage * 100.0,
-        sb.side_exits,
-        sb.built
-    );
-    println!(
-        "tracing: off {tracing_off_overhead_pct:+.2}%, null sink {tracing_null_overhead_pct:+.2}%, ring {tracing_ring_overhead_pct:+.2}% overhead vs untraced"
-    );
-    println!(
-        "epoch-rekey mitigation: {:.1}M steps/s vs {:.1}M full control ({rekey_overhead_pct:+.2}% overhead)",
-        full_rekey / 1e6,
-        full_ctl / 1e6
-    );
-
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::Str("regvault-hotpath/v1".into())),
-        (
-            "description".into(),
-            Value::Str(
-                "Hot-path perf trajectory: QARMA datapath, CLB, fetch/execute loop. \
-                 Baselines are the pre-optimization seed tree."
-                    .into(),
-            ),
-        ),
-        (
-            "baseline".into(),
-            Value::Obj(
-                BASELINE
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Value::Num(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "current".into(),
-            Value::Obj(vec![
-                ("qarma_reference_encrypt_ns".into(), Value::Num(ns(ref_enc))),
-                ("qarma_optimized_encrypt_ns".into(), Value::Num(ns(opt_enc))),
-                ("qarma_optimized_decrypt_ns".into(), Value::Num(ns(opt_dec))),
-                (
-                    "qarma_reference_blocks_per_sec".into(),
-                    Value::Num(1e9 / ns(ref_enc)),
-                ),
-                (
-                    "qarma_optimized_blocks_per_sec".into(),
-                    Value::Num(1e9 / ns(opt_enc)),
-                ),
-                ("qarma_key_schedule_ns".into(), Value::Num(ns(schedule))),
-                ("clb_hit_lookup_ns".into(), Value::Num(ns(clb_hit))),
-                ("clb_miss_insert_ns".into(), Value::Num(ns(clb_miss))),
-                ("engine_encrypt_miss_ns".into(), Value::Num(ns(engine_miss))),
-                (
-                    "unixbench_syscall_off_steps_per_sec".into(),
-                    Value::Num(ub_off),
-                ),
-                (
-                    "unixbench_syscall_full_steps_per_sec".into(),
-                    Value::Num(ub_full),
-                ),
-                (
-                    "unixbench_dhry2_off_steps_per_sec".into(),
-                    Value::Num(ub_dhry),
-                ),
-                (
-                    "unixbench_dhry2_full_steps_per_sec".into(),
-                    Value::Num(ub_dhry_full),
-                ),
-                ("lmbench_null_off_steps_per_sec".into(), Value::Num(lm_off)),
-                (
-                    "lmbench_null_full_steps_per_sec".into(),
-                    Value::Num(lm_full),
-                ),
-            ]),
-        ),
-        (
-            "mitigation".into(),
-            Value::Obj(vec![
-                ("full_control_steps_per_sec".into(), Value::Num(full_ctl)),
-                (
-                    "unixbench_syscall_full_rekey_steps_per_sec".into(),
-                    Value::Num(full_rekey),
-                ),
-                (
-                    "epoch_rekey_overhead_pct".into(),
-                    Value::Num(rekey_overhead_pct),
-                ),
-            ]),
-        ),
-        (
-            "superblock".into(),
-            Value::Obj(vec![
-                ("superblock_hits".into(), Value::Num(sb.hits as f64)),
-                ("superblock_insns".into(), Value::Num(sb.insns as f64)),
-                (
-                    "superblock_side_exits".into(),
-                    Value::Num(sb.side_exits as f64),
-                ),
-                ("superblock_built".into(), Value::Num(sb.built as f64)),
-                (
-                    "superblock_invalidations".into(),
-                    Value::Num(sb.invalidations as f64),
-                ),
-                ("superblock_coverage".into(), Value::Num(sb_coverage)),
-            ]),
-        ),
-        (
-            "tracing".into(),
-            Value::Obj(vec![
-                ("tracing_off_steps_per_sec".into(), Value::Num(trace_off)),
-                ("tracing_null_steps_per_sec".into(), Value::Num(trace_null)),
-                ("tracing_ring_steps_per_sec".into(), Value::Num(trace_ring)),
-                (
-                    "tracing_off_overhead_pct".into(),
-                    Value::Num(tracing_off_overhead_pct),
-                ),
-                (
-                    "tracing_null_overhead_pct".into(),
-                    Value::Num(tracing_null_overhead_pct),
-                ),
-                (
-                    "tracing_ring_overhead_pct".into(),
-                    Value::Num(tracing_ring_overhead_pct),
-                ),
-            ]),
-        ),
-        (
-            "speedup".into(),
-            Value::Obj(vec![
-                (
-                    "qarma_encrypt_vs_reference".into(),
-                    Value::Num(qarma_speedup_vs_reference),
-                ),
-                (
-                    "qarma_encrypt_vs_seed".into(),
-                    Value::Num(qarma_speedup_vs_seed),
-                ),
-                (
-                    "unixbench_syscall_off_vs_seed".into(),
-                    Value::Num(e2e_off_speedup),
-                ),
-                (
-                    "unixbench_syscall_full_vs_seed".into(),
-                    Value::Num(e2e_full_speedup),
-                ),
-                (
-                    "unixbench_dhry2_off_vs_pre_superblock".into(),
-                    Value::Num(dhry_speedup),
-                ),
-            ]),
-        ),
-    ]);
-
-    if args.quick {
-        println!("\n--quick: skipping BENCH_hotpath.json rewrite");
-    } else {
-        let path = repo_root().join("BENCH_hotpath.json");
-        std::fs::write(&path, doc.render()).expect("write BENCH_hotpath.json");
-        println!("wrote {}", path.display());
-    }
-}
-
-/// The two throughput floors of `--check`: the fresh syscall steps/s must
-/// hold half the committed value (machine-speed tolerance), and the
-/// committed dhry2 steps/s must hold the superblock tier's 2x over the
-/// pre-tier interpreter (the tier's acceptance criterion).
-fn check_floors(
-    fresh_syscall: f64,
-    committed_syscall: f64,
-    committed_dhry2: f64,
-) -> Result<(), String> {
-    if fresh_syscall < committed_syscall / 2.0 {
-        Err("end-to-end steps/sec fell below half the checked-in value".to_owned())
-    } else if committed_dhry2 < 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec") {
-        Err(
-            "committed dhry2 throughput lost the superblock tier's 2x-over-interpreter floor"
-                .to_owned(),
-        )
-    } else {
+        .zip(ratios)
+        .filter(|(guard, ratio)| ratio.is_nan() || **ratio < guard.floor)
+        .map(|(guard, ratio)| format!("{} {ratio:.3} < floor {:.1}", guard.name, guard.floor))
+        .collect();
+    if failed.is_empty() {
         Ok(())
+    } else {
+        Err(failed.join("; "))
     }
 }
 
-/// `--check`: fresh quick end-to-end measurement vs the checked-in JSON,
-/// 2x tolerance.
-fn run_check() {
-    let path = repo_root().join("BENCH_hotpath.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|err| panic!("read {}: {err}", path.display()));
-    let reference = json::find_number(&text, "unixbench_syscall_off_steps_per_sec")
-        .expect("unixbench_syscall_off_steps_per_sec in BENCH_hotpath.json");
-
-    let fresh = steps_per_sec(&UnixBench::Syscall, ProtectionConfig::off(), 3);
-    let dhry_ref = json::find_number(&text, "unixbench_dhry2_off_steps_per_sec")
-        .expect("unixbench_dhry2_off_steps_per_sec in BENCH_hotpath.json");
-    println!(
-        "perf guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-        fresh / 1e6,
-        reference / 1e6,
-        reference / 2e6
-    );
-    println!(
-        "dhry2 guard: checked-in {:.1}M steps/s vs tier floor {:.1}M",
-        dhry_ref / 1e6,
-        2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec") / 1e6
-    );
-    if let Err(e) = check_floors(fresh, reference, dhry_ref) {
-        eprintln!("PERF REGRESSION: {e}");
-        std::process::exit(1);
+/// Blocks per second of one batch of `encrypt` over distinct inputs.
+fn blocks_per_sec(encrypt: impl Fn(u64) -> u64) -> f64 {
+    let start = Instant::now();
+    let mut acc = 0u64;
+    for block in 0..QARMA_BLOCKS {
+        acc ^= encrypt(black_box(block));
     }
-    println!("perf guard: OK");
+    black_box(acc);
+    QARMA_BLOCKS as f64 / start.elapsed().as_secs_f64()
+}
 
-    // A fresh dhry2 run must stay within the usual 2x machine-noise
-    // tolerance of the committed value.
-    let fresh_dhry = steps_per_sec(&UnixBench::Dhry2, ProtectionConfig::off(), 3);
-    println!(
-        "dhry2 guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-        fresh_dhry / 1e6,
-        dhry_ref / 1e6,
-        dhry_ref / 2e6
-    );
-    if fresh_dhry < dhry_ref / 2.0 {
-        eprintln!("PERF REGRESSION: fresh dhry2 steps/sec fell below half the checked-in value");
-        std::process::exit(1);
+/// Guest steps per second of one run, boot included; the run fails the
+/// guard when the guest does not compute its expected result.
+fn steps_per_sec(
+    workload: &dyn Workload,
+    protection: ProtectionConfig,
+    machine: MachineConfig,
+) -> f64 {
+    let start = Instant::now();
+    let run = measure_with(workload, protection, machine)
+        .unwrap_or_else(|err| panic!("{} ({}): {err}", workload.name(), protection.label()));
+    run.instret as f64 / start.elapsed().as_secs_f64()
+}
+
+/// The ratios in [`GUARDS`] order, each between the best runs of its two
+/// sides; every side runs once per round.
+fn measure_ratios() -> Ratios {
+    let key = Key::new(W0, K0);
+    let (reference, swar) = (Reference::new(key), Qarma64::new(key));
+    let (off, full) = (ProtectionConfig::off(), ProtectionConfig::full());
+    let machine = MachineConfig::default();
+    let tier_off = MachineConfig {
+        superblock_tier: false,
+        ..machine
+    };
+    let rekey = MachineConfig {
+        epoch_rekey: true,
+        ..machine
+    };
+    let mut best = [0.0f64; 7];
+    for _ in 0..ROUNDS {
+        let round = [
+            blocks_per_sec(|block| reference.encrypt(block, TWEAK)),
+            blocks_per_sec(|block| swar.encrypt(block, TWEAK)),
+            steps_per_sec(&UnixBench::Dhry2, off, machine),
+            steps_per_sec(&UnixBench::Dhry2, off, tier_off),
+            steps_per_sec(&UnixBench::Syscall, off, machine),
+            steps_per_sec(&UnixBench::Syscall, full, machine),
+            steps_per_sec(&UnixBench::Syscall, full, rekey),
+        ];
+        for (best, rate) in best.iter_mut().zip(round) {
+            *best = best.max(rate);
+        }
     }
-    println!("dhry2 guard: OK");
+    let [reference, swar, tier_on, tier_off, off, full, rekey] = best;
+    [
+        swar / reference,
+        tier_on / tier_off,
+        full / off,
+        rekey / full,
+    ]
+}
 
-    // Mitigation floor: with the epoch-rekey mitigation enabled, the
-    // syscall path must hold the usual 2x machine-noise tolerance of the
-    // committed mitigated number — i.e. the side-channel fix cannot quietly
-    // lose the hot-path work.
-    if let Some(rekey_ref) = json::find_number(&text, "unixbench_syscall_full_rekey_steps_per_sec")
-    {
-        let fresh_rekey = steps_per_sec_rekey(&UnixBench::Syscall, 3);
+fn main() -> ExitCode {
+    parse_env::<()>("hotpath", &[], &mut (), 2);
+    let ratios = measure_ratios();
+    for (guard, ratio) in GUARDS.iter().zip(ratios) {
         println!(
-            "rekey guard: fresh {:.1}M steps/s vs checked-in {:.1}M (floor {:.1}M)",
-            fresh_rekey / 1e6,
-            rekey_ref / 1e6,
-            rekey_ref / 2e6
-        );
-        if fresh_rekey < rekey_ref / 2.0 {
-            eprintln!(
-                "PERF REGRESSION: mitigated syscall steps/sec fell below half the \
-                 checked-in value"
-            );
-            std::process::exit(1);
-        }
-        println!("rekey guard: OK");
-    } else {
-        println!(
-            "rekey guard: no mitigation rows in BENCH_hotpath.json (regenerate with `hotpath`)"
+            "{:<36} {ratio:>6.2}  (floor {:.1})",
+            guard.name, guard.floor
         );
     }
-
-    // Tracing-off must stay free. Two layers: the committed JSON's recorded
-    // overhead row (stable, regenerated by every full bench run) must be
-    // under 2%, and a fresh in-process A/B of the identical untraced
-    // datapath must agree within the same band.
-    if let Some(recorded) = json::find_number(&text, "tracing_off_overhead_pct") {
-        println!("tracing guard: recorded off-overhead {recorded:+.2}%");
-        if recorded >= 2.0 {
-            eprintln!("TRACING REGRESSION: recorded tracing-off overhead >= 2%");
-            std::process::exit(1);
+    match check(&ratios) {
+        Ok(()) => {
+            println!("hotpath: OK");
+            ExitCode::SUCCESS
         }
-        // Fresh A/B of the identical untraced datapath: interleaved rounds
-        // (control and off variant back-to-back) so host-load drift cancels,
-        // and up to three attempts — a true zero-cost path clears the 2%
-        // band on some attempt, while a real regression fails all three.
-        let mut fresh_overhead = f64::INFINITY;
-        for _ in 0..3 {
-            let (mut control, mut off) = (0.0f64, 0.0f64);
-            for _ in 0..8 {
-                control = control.max(steps_per_sec(
-                    &UnixBench::Syscall,
-                    ProtectionConfig::off(),
-                    1,
-                ));
-                off = off.max(steps_per_sec_tracer(
-                    &UnixBench::Syscall,
-                    ProtectionConfig::off(),
-                    1,
-                    &|| None,
-                ));
-            }
-            fresh_overhead = fresh_overhead.min((1.0 - off / control.max(off)) * 100.0);
-            if fresh_overhead < 2.0 {
-                break;
-            }
+        Err(failed) => {
+            eprintln!("PERF REGRESSION: {failed}");
+            ExitCode::FAILURE
         }
-        println!("tracing guard: fresh off-overhead {fresh_overhead:+.2}%");
-        if fresh_overhead >= 2.0 {
-            eprintln!("TRACING REGRESSION: fresh tracing-off overhead >= 2%");
-            std::process::exit(1);
-        }
-        println!("tracing guard: OK");
-    } else {
-        println!(
-            "tracing guard: no tracing rows in BENCH_hotpath.json (regenerate with `hotpath`)"
-        );
     }
 }
 
@@ -663,17 +187,20 @@ fn run_check() {
 mod tests {
     use super::*;
 
-    /// `--check` fails when either floor is missed and passes when both hold.
+    /// Every floor passes at its value and fails, naming only itself, just
+    /// below it; a NaN fails too.
     #[test]
-    fn check_floors_fail_on_either_regression() {
-        let tier_floor = 2.0 * baseline("pre_superblock_dhry2_off_steps_per_sec");
-        let committed = 1_000e6;
-        assert_eq!(check_floors(committed / 2.0, committed, tier_floor), Ok(()));
-        assert!(check_floors(committed / 2.0 - 1.0, committed, tier_floor)
-            .unwrap_err()
-            .contains("half the checked-in"));
-        assert!(check_floors(committed, committed, tier_floor - 1.0)
-            .unwrap_err()
-            .contains("2x-over-interpreter"));
+    fn check_fails_just_below_each_floor() {
+        let floors: Ratios = GUARDS.map(|guard| guard.floor);
+        assert_eq!(check(&floors), Ok(()));
+        for (i, guard) in GUARDS.iter().enumerate() {
+            for bad in [guard.floor * (1.0 - 1e-9), f64::NAN] {
+                let mut ratios = floors;
+                ratios[i] = bad;
+                let err = check(&ratios).unwrap_err();
+                assert!(err.starts_with(guard.name), "{err}");
+                assert!(!err.contains(';'), "only {} fails: {err}", guard.name);
+            }
+        }
     }
 }

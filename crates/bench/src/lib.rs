@@ -12,6 +12,7 @@
 //! | `fig5b_lmbench` | Figure 5b: LMbench overheads |
 //! | `fig5c_spec` | Figure 5c: SPEC intspeed overheads |
 //! | `ablations` | design-choice ablations called out in DESIGN.md |
+//! | `hotpath` | none: the host-speed ratio guard of DESIGN.md §8 |
 //!
 //! The `serve` and `fleet` binaries compare three configurations of the
 //! scenario `regvault-cli serve`/`fleet` runs once, reusing its report

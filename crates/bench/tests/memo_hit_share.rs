@@ -9,11 +9,9 @@
 
 use std::thread;
 
-use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
+use regvault_kernel::ProtectionConfig;
 use regvault_sim::{memo_counts, MachineConfig};
-use regvault_workloads::{
-    lmbench::Lmbench, unixbench::UnixBench, Workload, STEP_BUDGET, TIMER_INTERVAL,
-};
+use regvault_workloads::{lmbench::Lmbench, measure_with, unixbench::UnixBench, Workload};
 
 const FLOOR: f64 = 0.70;
 
@@ -21,22 +19,15 @@ const FLOOR: f64 = 0.70;
 /// freshly booted kernel with the 8-entry CLB.
 fn suite_counts<W: Workload>(items: &[W], rekey: bool) -> (u64, u64) {
     let (hits, lookups) = memo_counts();
+    let machine = MachineConfig {
+        clb_entries: 8,
+        epoch_rekey: rekey,
+        ..MachineConfig::default()
+    };
     for item in items {
-        let mut kernel = Kernel::boot(KernelConfig {
-            protection: ProtectionConfig::full(),
-            machine: MachineConfig {
-                clb_entries: 8,
-                epoch_rekey: rekey,
-                ..MachineConfig::default()
-            },
-            timer_interval: Some(TIMER_INTERVAL),
-        })
-        .expect("kernel boots");
-        let (image, entry) = item.program();
-        let result = kernel
-            .run_user(&image, entry, STEP_BUDGET)
-            .expect("guest runs");
-        assert_eq!(Some(result), item.expected(), "{} result", item.name());
+        // Fails on a wrong result as well as on a kernel error.
+        measure_with(item, ProtectionConfig::full(), machine)
+            .unwrap_or_else(|err| panic!("{}: {err}", item.name()));
     }
     let (end_hits, end_lookups) = memo_counts();
     (end_hits - hits, end_lookups - lookups)

@@ -9,15 +9,16 @@
 //! Tracing is off by default and *zero-cost when off*: the machine stores
 //! `Option<Box<dyn Tracer>>`, every emission site first checks the option,
 //! and the event value is only constructed inside the taken branch — the
-//! off path is a single predictable-not-taken branch per site (the hotpath
-//! bench's tracing guard measures and enforces this; see DESIGN.md §11).
+//! off path is a single predictable-not-taken branch per site (DESIGN.md
+//! §11; the repository benchmark's `bench.trace_overhead_pct` prices the
+//! on path).
 //!
 //! Two sinks ship with the simulator:
 //!
 //! * [`RingTracer`] — a bounded ring buffer of the most recent records,
 //!   the default behind [`crate::Machine::enable_trace`];
-//! * [`NullTracer`] — discards everything; used by the bench harness to
-//!   price the emission hooks themselves.
+//! * [`NullTracer`] — discards everything; keeps a run on the traced
+//!   datapath without retaining events (`regvault-cli metrics`).
 //!
 //! Embedders can implement [`Tracer`] for their own sinks (the CLI's
 //! per-function profiler does exactly that) and install them with

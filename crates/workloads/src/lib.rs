@@ -84,20 +84,38 @@ pub struct Measurement {
 ///
 /// # Errors
 ///
-/// Propagates kernel errors (a correctly configured benchmark never trips
-/// integrity checks) and reports result mismatches as
-/// [`KernelError::InvalidArgument`].
+/// As [`measure_with`].
 pub fn measure(
     workload: &dyn Workload,
     protection: ProtectionConfig,
     clb_entries: usize,
 ) -> Result<Measurement, KernelError> {
-    let mut kernel = Kernel::boot(KernelConfig {
+    measure_with(
+        workload,
         protection,
-        machine: MachineConfig {
+        MachineConfig {
             clb_entries,
             ..MachineConfig::default()
         },
+    )
+}
+
+/// Runs `workload` under `protection` on a machine built from `machine`
+/// (the benchmark timer is always armed) and returns the measurement.
+///
+/// # Errors
+///
+/// Propagates kernel errors (a correctly configured benchmark never trips
+/// integrity checks) and reports result mismatches as
+/// [`KernelError::InvalidArgument`].
+pub fn measure_with(
+    workload: &dyn Workload,
+    protection: ProtectionConfig,
+    machine: MachineConfig,
+) -> Result<Measurement, KernelError> {
+    let mut kernel = Kernel::boot(KernelConfig {
+        protection,
+        machine,
         timer_interval: Some(TIMER_INTERVAL),
     })?;
     let (image, entry) = workload.program();

@@ -8,7 +8,8 @@
 #   check.sh --full    everything: quick tier plus the repository
 #                      benchmark's tests, verifier corpus sweep,
 #                      fault-campaign determinism/quarantine gates,
-#                      record->replay smoke, and the perf-regression guard
+#                      record->replay smoke, the hotpath ratio guard, and
+#                      the regenerated BENCH_*.json trajectory diff
 #   check.sh           same as --full
 #
 # Clippy is best-effort locally (minimal toolchains may lack clippy-driver)
@@ -140,11 +141,8 @@ grep -q '"traceEvents"' /tmp/regvault_trace.json
 target/release/regvault-cli metrics /tmp/regvault_replay_smoke.s --json \
     | grep -q '"clb_hits"'
 
-echo "==> bench smoke (hotpath --quick: abbreviated, no JSON rewrite)"
-target/release/hotpath --quick
-
-echo "==> perf-regression guard (fresh steps/sec vs BENCH_hotpath.json, 2x tolerance)"
-target/release/hotpath --check
+echo "==> hotpath ratio guard (SWAR/reference QARMA, tier on/off, FULL/off, rekey/FULL)"
+target/release/hotpath
 
 echo "==> snapshot committed bench artifacts for the trajectory diff"
 rm -rf /tmp/regvault_bench_baseline && mkdir -p /tmp/regvault_bench_baseline
