@@ -25,32 +25,17 @@
 //! and `--shrink` ddmin-minimizes a bundle's event log to the faults that
 //! actually matter (writing `BUNDLE.min`).
 //!
-//! With `--seeds N` the campaign repeats for `N` consecutive seeds; the
-//! per-seed campaigns run on a scoped-thread pool (`--jobs`, default one
-//! worker per CPU) but each seed's report is computed exactly as it would
-//! be alone and the reports are merged in seed order, so the output is
-//! identical for any `--jobs` value — `--jobs 1` is the plain
-//! single-threaded path. A worker that panics is *quarantined*: the seed
-//! is reported as such and the sweep continues instead of aborting.
-//! `--checkpoint FILE` persists every finished seed (atomic tmp+rename),
-//! and `--resume` picks an interrupted sweep back up, re-running only the
-//! seeds the checkpoint is missing.
+//! One run covers one campaign seed; sweeping seeds means one run each.
 //!
 //! ```text
 //! cargo run --release --bin fault_campaign -- --seed 42 --trials 200
-//! cargo run --release --bin fault_campaign -- --seeds 8 --trials 50 --jobs 4
 //! cargo run --release --bin fault_campaign -- --trials 5 --noise 20 --repro-dir repro/
 //! cargo run --release --bin fault_campaign -- --replay repro/full-ra-corrupt-seed42-trial3.bundle
 //! cargo run --release --bin fault_campaign -- --shrink repro/full-ra-corrupt-seed42-trial3.bundle
 //! ```
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -533,20 +518,12 @@ fn run_class(
     tally
 }
 
-fn run_config(
-    out: &mut String,
-    label: &str,
-    protection: ProtectionConfig,
-    seed: u64,
-    opts: &TrialOpts<'_>,
-) -> u64 {
-    writeln!(out, "configuration: {label}").unwrap();
-    writeln!(
-        out,
+fn run_config(label: &str, protection: ProtectionConfig, seed: u64, opts: &TrialOpts<'_>) -> u64 {
+    println!("configuration: {label}");
+    println!(
         "{:<22} {:>9} {:>9} {:>9} {:>9}",
         "fault class", "detected", "garbled", "masked", "silent"
-    )
-    .unwrap();
+    );
     let mut silent_total = 0;
     for (i, class) in Class::ALL.iter().enumerate() {
         // One independent sub-stream per (config, class) row, so adding a
@@ -554,267 +531,31 @@ fn run_config(
         let stream = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
         let stream = stream ^ u64::from(label == "full");
         let tally = run_class(*class, stream, protection, label, seed, opts);
-        writeln!(
-            out,
+        println!(
             "{:<22} {:>9} {:>9} {:>9} {:>9}",
             class.name(),
             tally.detected,
             tally.garbled,
             tally.masked,
             tally.silent
-        )
-        .unwrap();
+        );
         silent_total += tally.silent;
     }
-    writeln!(out).unwrap();
+    println!();
     silent_total
 }
 
-/// One seed's full campaign, rendered to a string so parallel workers can
-/// compute reports out of order while the merge stays in seed order.
-#[derive(Clone)]
-struct SeedReport {
-    text: String,
-    silent_under_full: u64,
-    quarantined: bool,
-}
-
-/// Campaign-wide parameters shared by every worker.
-struct Campaign {
-    trials: u64,
-    config: String,
-    noise: u64,
-    banner: bool,
-    repro: Option<ReproSink>,
-    panic_seed: Option<u64>,
-}
-
-fn run_seed(seed: u64, c: &Campaign) -> SeedReport {
-    if c.panic_seed == Some(seed) {
-        panic!("injected worker panic for seed {seed} (--panic-seed)");
-    }
-    let opts = TrialOpts {
-        trials: c.trials,
-        noise: c.noise,
-        repro: c.repro.as_ref(),
-    };
-    let mut text = String::new();
-    if c.banner {
-        writeln!(text, "=== seed {seed} ===\n").unwrap();
-    }
+/// Runs every configuration `config` names for one campaign seed and
+/// returns the silent corruptions seen under full protection.
+fn run_seed(seed: u64, config: &str, opts: &TrialOpts<'_>) -> u64 {
     let mut silent_under_full = 0;
-    if c.config == "full" || c.config == "both" {
-        silent_under_full = run_config(&mut text, "full", ProtectionConfig::full(), seed, &opts);
+    if config == "full" || config == "both" {
+        silent_under_full = run_config("full", ProtectionConfig::full(), seed, opts);
     }
-    if c.config == "off" || c.config == "both" {
-        run_config(&mut text, "off", ProtectionConfig::off(), seed, &opts);
+    if config == "off" || config == "both" {
+        run_config("off", ProtectionConfig::off(), seed, opts);
     }
-    SeedReport {
-        text,
-        silent_under_full,
-        quarantined: false,
-    }
-}
-
-/// [`run_seed`] behind a panic guard: a seed whose worker panics is
-/// *quarantined* — its report records the panic and the sweep continues —
-/// instead of unwinding across the thread boundary and aborting the whole
-/// campaign when the scope joins.
-fn run_seed_guarded(seed: u64, c: &Campaign) -> SeedReport {
-    match panic::catch_unwind(AssertUnwindSafe(|| run_seed(seed, c))) {
-        Ok(report) => report,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            let mut text = String::new();
-            if c.banner {
-                writeln!(text, "=== seed {seed} ===\n").unwrap();
-            }
-            writeln!(
-                text,
-                "seed {seed} QUARANTINED: worker panicked ({msg}); sweep continues\n"
-            )
-            .unwrap();
-            SeedReport {
-                text,
-                silent_under_full: 0,
-                quarantined: true,
-            }
-        }
-    }
-}
-
-/// Persistent sweep state: every finished seed's report, rewritten
-/// atomically (tmp + rename) each time a seed completes so an interrupted
-/// sweep loses at most the seeds still in flight.
-struct Checkpoint {
-    path: PathBuf,
-    params: String,
-    done: Mutex<BTreeMap<u64, SeedReport>>,
-}
-
-impl Checkpoint {
-    const MAGIC: &'static str = "fault-campaign-checkpoint v1";
-
-    fn new(path: PathBuf, params: String, done: BTreeMap<u64, SeedReport>) -> Self {
-        Self {
-            path,
-            params,
-            done: Mutex::new(done),
-        }
-    }
-
-    fn record(&self, seed: u64, report: &SeedReport) {
-        let mut done = self.done.lock().unwrap();
-        done.insert(seed, report.clone());
-        let mut out = String::new();
-        out.push_str(Self::MAGIC);
-        out.push('\n');
-        writeln!(out, "params {}", self.params).unwrap();
-        for (seed, r) in done.iter() {
-            writeln!(
-                out,
-                "seed {seed} silent={} quarantined={} len={}",
-                r.silent_under_full,
-                u8::from(r.quarantined),
-                r.text.len()
-            )
-            .unwrap();
-            out.push_str(&r.text);
-        }
-        drop(done);
-        let tmp = self.path.with_extension("tmp");
-        let write = std::fs::write(&tmp, &out).and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(err) = write {
-            eprintln!(
-                "warning: cannot write checkpoint {}: {err}",
-                self.path.display()
-            );
-        }
-    }
-
-    /// Loads a checkpoint, verifying its parameter line matches this sweep.
-    fn load(path: &PathBuf, params: &str) -> Result<BTreeMap<u64, SeedReport>, String> {
-        let data = std::fs::read_to_string(path)
-            .map_err(|err| format!("cannot read checkpoint {}: {err}", path.display()))?;
-        let mut rest = data.as_str();
-        let take_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            match rest.find('\n') {
-                Some(i) => {
-                    let line = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(line)
-                }
-                None => {
-                    let line = (*rest).to_string();
-                    *rest = "";
-                    Some(line)
-                }
-            }
-        };
-        if take_line(&mut rest).as_deref() != Some(Self::MAGIC) {
-            return Err(format!("{}: not a campaign checkpoint", path.display()));
-        }
-        let found_params = take_line(&mut rest).unwrap_or_default();
-        let expected = format!("params {params}");
-        if found_params != expected {
-            return Err(format!(
-                "{}: checkpoint was written by a different sweep\n  \
-                 checkpoint: {found_params}\n  this run:   {expected}",
-                path.display()
-            ));
-        }
-        let mut done = BTreeMap::new();
-        while let Some(header) = take_line(&mut rest) {
-            if header.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = header.split_whitespace().collect();
-            let field = |field: &str, prefix: &str| -> Option<u64> {
-                field.strip_prefix(prefix)?.parse().ok()
-            };
-            let parsed = match fields.as_slice() {
-                ["seed", seed, silent, quarantined, len] => seed.parse::<u64>().ok().zip(
-                    field(silent, "silent=")
-                        .zip(field(quarantined, "quarantined=").zip(field(len, "len="))),
-                ),
-                _ => None,
-            };
-            let Some((seed, (silent, (quarantined, len)))) = parsed else {
-                return Err(format!("{}: malformed seed record", path.display()));
-            };
-            let len = len as usize;
-            if rest.len() < len {
-                return Err(format!("{}: truncated seed record", path.display()));
-            }
-            let text = rest[..len].to_string();
-            rest = &rest[len..];
-            done.insert(
-                seed,
-                SeedReport {
-                    text,
-                    silent_under_full: silent,
-                    quarantined: quarantined != 0,
-                },
-            );
-        }
-        Ok(done)
-    }
-}
-
-/// Runs every seed's campaign and returns the reports in seed order.
-///
-/// Each worker pulls the next unclaimed seed index from a shared counter
-/// and writes the finished report into that seed's slot, so the schedule
-/// is dynamic but the merge is positional: the output is bit-for-bit the
-/// same for any worker count, including `--jobs 1` (which doesn't spawn
-/// at all). Seeds already present in the checkpoint are served from it
-/// without re-running.
-fn run_seeds(
-    seeds: &[u64],
-    c: &Campaign,
-    jobs: usize,
-    checkpoint: Option<&Checkpoint>,
-) -> Vec<SeedReport> {
-    let finish = |seed: u64| -> SeedReport {
-        if let Some(cp) = checkpoint {
-            if let Some(report) = cp.done.lock().unwrap().get(&seed) {
-                return report.clone();
-            }
-        }
-        let report = run_seed_guarded(seed, c);
-        if let Some(cp) = checkpoint {
-            cp.record(seed, &report);
-        }
-        report
-    };
-
-    if jobs <= 1 || seeds.len() <= 1 {
-        return seeds.iter().map(|&seed| finish(seed)).collect();
-    }
-
-    let slots: Vec<Mutex<Option<SeedReport>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(seeds.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let report = finish(seed);
-                *slots[i].lock().unwrap() = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every seed slot filled"))
-        .collect()
+    silent_under_full
 }
 
 /// Decodes the campaign-specific metadata a bundle needs for replay.
@@ -922,17 +663,12 @@ fn shrink_mode(path: &str) -> Result<String, String> {
 #[derive(Default)]
 struct Options {
     seed: u64,
-    seed_count: u64,
     trials: u64,
     config: String,
-    jobs: usize,
     noise: u64,
     repro_dir: Option<String>,
-    checkpoint: Option<String>,
-    resume: bool,
     replay: Option<String>,
     shrink: Option<String>,
-    panic_seed: Option<u64>,
     help: bool,
 }
 
@@ -941,34 +677,23 @@ const ABOUT: &str = "usage: fault_campaign [FLAGS]
        fault_campaign --shrink BUNDLE
 
 Runs seeded fault-injection trials per fault class and configuration and
-reports Detected/Garbled/Masked/SilentCorruption counts. Reports are
-identical for any --jobs value; a worker that panics quarantines its seed
-and the sweep continues. Exits nonzero when full protection shows silent
-corruption.";
+reports Detected/Garbled/Masked/SilentCorruption counts. Exits nonzero
+when full protection shows silent corruption.";
 
 #[rustfmt::skip]
 const FLAGS: &[Flag<Options>] = &[
-    Flag::value("--seed", "N", "first seed", |o, v| set(&mut o.seed, num(v)?)),
-    Flag::value("--seeds", "N", "run N consecutive seeds", |o, v| set(&mut o.seed_count, num(v)?)),
+    Flag::value("--seed", "N", "campaign seed", |o, v| set(&mut o.seed, num(v)?)),
     Flag::value("--trials", "N", "trials per fault class", |o, v| set(&mut o.trials, num(v)?)),
     Flag::value("--config", "full|off|both", "configurations to run",
         |o, v| set(&mut o.config, v.to_owned())),
-    Flag::value("--jobs", "N", "worker threads (default: one per CPU)",
-        |o, v| set(&mut o.jobs, num(v)?)),
     Flag::value("--noise", "N", "pad each trial with N harmless scratch-page faults",
         |o, v| set(&mut o.noise, num(v)?)),
     Flag::value("--repro-dir", "DIR", "write a repro bundle for every non-Masked outcome",
         |o, v| set(&mut o.repro_dir, Some(v.to_owned()))),
-    Flag::value("--checkpoint", "FILE", "persist finished seeds (atomic rewrite)",
-        |o, v| set(&mut o.checkpoint, Some(v.to_owned()))),
-    Flag::switch("--resume", "skip the seeds already in the checkpoint",
-        |o, _| set(&mut o.resume, true)),
     Flag::value("--replay", "BUNDLE", "re-run a recorded trial, check verdict + digest",
         |o, v| set(&mut o.replay, Some(v.to_owned()))),
     Flag::value("--shrink", "BUNDLE", "ddmin-minimize the event log, write BUNDLE.min",
         |o, v| set(&mut o.shrink, Some(v.to_owned()))),
-    Flag::value("--panic-seed", "N", "test hook: panic in seed N's worker (quarantine path)",
-        |o, v| set(&mut o.panic_seed, Some(num(v)?))),
     Flag::switch("--help", "print this text", |o, _| set(&mut o.help, true)),
 ];
 
@@ -980,10 +705,8 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut o = Options {
         seed: 42,
-        seed_count: 1,
         trials: 200,
         config: String::from("both"),
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         ..Options::default()
     };
     args::parse_env("fault_campaign", FLAGS, &mut o, 2);
@@ -1016,12 +739,8 @@ fn main() -> ExitCode {
         };
     }
 
-    if !matches!(o.config.as_str(), "full" | "off" | "both") || o.seed_count == 0 || o.jobs == 0 {
+    if !matches!(o.config.as_str(), "full" | "off" | "both") {
         usage();
-    }
-    if o.resume && o.checkpoint.is_none() {
-        eprintln!("--resume requires --checkpoint FILE");
-        return ExitCode::from(2);
     }
 
     let repro = o.repro_dir.map(|dir| {
@@ -1033,70 +752,17 @@ fn main() -> ExitCode {
         ReproSink { dir }
     });
 
-    let seeds: Vec<u64> = (0..o.seed_count).map(|i| o.seed.wrapping_add(i)).collect();
-    let campaign = Campaign {
-        trials: o.trials,
-        config: o.config.clone(),
-        noise: o.noise,
-        banner: seeds.len() > 1,
-        repro,
-        panic_seed: o.panic_seed,
-    };
-
-    let params = format!(
-        "seed={} seeds={} trials={} config={} noise={}",
-        o.seed, o.seed_count, o.trials, o.config, o.noise
-    );
-    let checkpoint = match o.checkpoint {
-        None => None,
-        Some(path) => {
-            let path = PathBuf::from(path);
-            let done = if o.resume && path.exists() {
-                match Checkpoint::load(&path, &params) {
-                    Ok(done) => {
-                        // Progress chatter goes to stderr: stdout is the
-                        // campaign report, diffed by the determinism gate
-                        // in scripts/check.sh, and a resumed run must
-                        // produce byte-identical output to a cold one.
-                        eprintln!("resuming: {} seed(s) restored from checkpoint", done.len());
-                        done
-                    }
-                    Err(err) => {
-                        eprintln!("{err}");
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                BTreeMap::new()
-            };
-            Some(Checkpoint::new(path, params, done))
-        }
-    };
-
     println!(
-        "RegVault fault-injection campaign (seeds={}..={}, trials={} per class)\n",
-        seeds[0],
-        seeds[seeds.len() - 1],
-        o.trials
+        "RegVault fault-injection campaign (seed={}, trials={} per class)\n",
+        o.seed, o.trials
     );
-    // Quarantined panics are reported in the merged output; suppress the
-    // default hook's interleaved stderr spew from worker threads.
-    let default_hook = panic::take_hook();
-    panic::set_hook(Box::new(|_| {}));
-    let reports = run_seeds(&seeds, &campaign, o.jobs, checkpoint.as_ref());
-    panic::set_hook(default_hook);
+    let opts = TrialOpts {
+        trials: o.trials,
+        noise: o.noise,
+        repro: repro.as_ref(),
+    };
+    let silent_under_full = run_seed(o.seed, &o.config, &opts);
 
-    let mut silent_under_full = 0;
-    let mut quarantined = 0u64;
-    for report in &reports {
-        print!("{}", report.text);
-        silent_under_full += report.silent_under_full;
-        quarantined += u64::from(report.quarantined);
-    }
-
-    if quarantined > 0 {
-        println!("{quarantined} seed(s) quarantined after worker panics (see report)");
-    }
     if silent_under_full > 0 {
         println!("FINDING: {silent_under_full} silent corruption(s) under full protection");
         ExitCode::from(1)

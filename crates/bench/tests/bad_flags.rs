@@ -36,6 +36,17 @@ fn campaign_hotpath_and_trajectory_reject_unknown_flags() {
     for (name, bin, code) in bins {
         assert_rejected(name, &run(bin, &["--bogus"]), code, "--bogus");
     }
+    // The retired multi-seed sweep's flags are unknown flags like any other.
+    let campaign = env!("CARGO_BIN_EXE_fault_campaign");
+    for args in [
+        &["--seeds", "2"][..],
+        &["--jobs", "2"],
+        &["--checkpoint", "f"],
+        &["--resume"],
+        &["--panic-seed", "1"],
+    ] {
+        assert_rejected("fault_campaign", &run(campaign, args), 2, args[0]);
+    }
     // A stray positional is as fatal as an unknown flag.
     let out = run(env!("CARGO_BIN_EXE_fault_campaign"), &["42"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
@@ -69,13 +80,23 @@ fn campaign_usage_documents_every_flag() {
     let out = run(env!("CARGO_BIN_EXE_fault_campaign"), &["--help"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for flag in [
-        "--seeds",
-        "--resume",
-        "--replay",
-        "--shrink",
-        "--panic-seed",
-    ] {
-        assert!(stderr.contains(flag), "{flag} in {stderr}");
-    }
+    let listed: Vec<&str> = stderr
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("--"))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "seed",
+            "trials",
+            "config",
+            "noise",
+            "repro-dir",
+            "replay",
+            "shrink",
+            "help"
+        ],
+        "{stderr}"
+    );
 }

@@ -242,7 +242,7 @@ pub fn cmd_replay(bundle_bytes: &[u8]) -> Result<String, CliError> {
          (fault_campaign --replay)"
             .to_owned()
     })?;
-    let mut machine = Machine::from_snapshot(snapshot).map_err(|e| e.to_string())?;
+    let mut machine = Machine::fork_from(snapshot).map_err(|e| e.to_string())?;
     if !bundle.log.is_empty() {
         machine.set_fault_plan(bundle.log.to_plan());
     }

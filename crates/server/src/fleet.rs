@@ -22,12 +22,11 @@
 //!   architectural digest against the warm image before trusting it.
 //!
 //! Instances are driven across a work-stealing thread pool with
-//! positional merge (the `fault_campaign` idiom): workers race for
-//! instance indices but results land in index-ordered slots, so the
-//! merged [`FleetScenario`] is bit-for-bit identical for any worker
-//! count. Host wall-clock measurements (boot vs fork nanos, aggregate
-//! steps/s) live in a separate [`FleetHostStats`] so the deterministic
-//! part can be asserted byte-stable across runs.
+//! positional merge: workers race for instance indices but results land
+//! in index-ordered slots, so the merged [`FleetScenario`] is bit-for-bit
+//! identical for any worker count. Host wall-clock measurements (boot vs
+//! fork nanos, aggregate steps/s) live in a separate [`FleetHostStats`] so
+//! the deterministic part can be asserted byte-stable across runs.
 //!
 //! The accounting identity from the serve scenario carries over fleet
 //! wide: offered = served + failed + shed, unconditionally.
@@ -58,6 +57,7 @@ use regvault_metrics::HistogramData;
 use regvault_sim::{Machine, MachineConfig, Snapshot};
 
 use crate::loadgen::exponential_gap;
+use crate::COLD_RESTART_PENALTY;
 
 /// Guest text base (same convention as the kernel image).
 const TEXT_BASE: u64 = 0x8000_0000;
@@ -80,9 +80,6 @@ const MICRO_RESTORE_BASE: u64 = 10_000;
 /// Virtual-cycle cost per dirty page discarded by a micro-restore: the
 /// O(dirty-pages) term the CoW store buys us.
 const MICRO_RESTORE_PER_PAGE: u64 = 200;
-/// Virtual-cycle cost of a cold boot (mirrors the supervisor's
-/// `COLD_RESTART_PENALTY`: full image load, key programming, warm-up).
-const COLD_BOOT_CYCLES: u64 = 2_000_000;
 
 /// The request handler every instance runs, once per request.
 ///
@@ -399,12 +396,12 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
                     r.restore_mismatches += 1;
                     machine = boot_instance(cfg.seed);
                     r.cold_boots += 1;
-                    COLD_BOOT_CYCLES
+                    COLD_RESTART_PENALTY
                 }
             } else {
                 machine = boot_instance(cfg.seed);
                 r.cold_boots += 1;
-                COLD_BOOT_CYCLES
+                COLD_RESTART_PENALTY
             };
             r.recovery_latency.record(penalty);
             r.clock = start + penalty;

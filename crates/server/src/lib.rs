@@ -53,3 +53,8 @@ pub use loadgen::{Arrival, LoadGen, LoadGenConfig};
 pub use protocol::{OpCode, Request, Response, Status};
 pub use supervisor::{ServeConfig, ServeReport, Supervisor, TenantSummary};
 pub use tenant::{SupervisionPolicy, Tenant, TenantState};
+
+/// Simulated-cycle penalty of a full reboot from scratch (image load, key
+/// programming, warm-up): the supervisor's cold restart and the fleet's
+/// cold boot both charge it.
+pub(crate) const COLD_RESTART_PENALTY: u64 = 2_000_000;

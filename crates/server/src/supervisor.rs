@@ -44,6 +44,7 @@ use regvault_sim::{FaultKind, FaultPlan, InsnClass};
 use crate::loadgen::{Arrival, LoadGen, LoadGenConfig};
 use crate::protocol::{OpCode, Request, Response, Status, FRAME_LEN};
 use crate::tenant::{SupervisionPolicy, Tenant, TenantState};
+use crate::COLD_RESTART_PENALTY;
 
 /// Base of the DMA scratch window the host uses to stage frames in guest
 /// memory (between user text and the user stacks; see
@@ -55,8 +56,6 @@ const SCRATCH_LEN: u64 = 0x1_0000;
 const SLOT_STRIDE: u64 = 0x100;
 /// Frontend staging area (requests out, responses in, provisioning data).
 const FRONT_SCRATCH: u64 = SCRATCH_BASE + 0xF000;
-/// Simulated-cycle penalty a full kernel reboot costs.
-const COLD_RESTART_PENALTY: u64 = 2_000_000;
 /// Simulated-cycle penalty of a micro-reboot: swapping in the warm
 /// post-boot kernel image. Copy-on-write page sharing makes the clone
 /// O(mapped pages) pointer work instead of a boot + provisioning pass,
@@ -422,12 +421,6 @@ impl Supervisor {
     /// Monotone virtual clock: survives cold restarts via `cycle_base`.
     fn now(&self) -> u64 {
         self.cycle_base + self.kernel.machine().stats().cycles
-    }
-
-    /// The supervisor's metrics registry (counters + latency histogram).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Mutable access to the supervised kernel — the pre-run

@@ -91,7 +91,7 @@ pub use machine::{Event, Machine, MachineConfig};
 pub use mem::Memory;
 pub use memo::memo_counts;
 pub use replay::{shrink_events, EventLog, LoggedEvent, ReproBundle};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotKind};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{InsnClass, Stats};
 pub use superblock::SuperblockStats;
 pub use trace::{NullTracer, RingTracer, TraceEvent, TraceRecord, Tracer, TrapCause};

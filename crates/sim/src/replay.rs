@@ -26,7 +26,7 @@ use crate::snapshot::{fnv64, put_fault_kind, Reader, Snapshot, SnapshotError};
 
 const MAGIC: [u8; 4] = *b"RVRB";
 /// Version 2: `expected_digest` is an [`crate::Machine::arch_digest`] over
-/// lane-hashed pages (snapshot format version 3). A version-1 bundle is
+/// lane-hashed pages (snapshot format version 3 onward). A version-1 bundle is
 /// refused with [`SnapshotError::BadVersion`] rather than replayed into a
 /// false "diverged" against a digest of the old function.
 const VERSION: u16 = 2;
@@ -392,6 +392,32 @@ mod tests {
         assert_eq!(
             ReproBundle::from_bytes(&v1),
             Err(SnapshotError::BadVersion(1))
+        );
+        assert_eq!(ReproBundle::from_bytes(&bytes), Ok(bundle));
+    }
+
+    #[test]
+    fn bundle_embedding_a_previous_format_snapshot_is_refused() {
+        let snapshot = crate::Machine::new(crate::MachineConfig::default()).snapshot();
+        let snapshot_len = snapshot.to_bytes().len();
+        let bundle = ReproBundle {
+            meta: vec![],
+            snapshot: Some(snapshot),
+            log: EventLog::new(1, None),
+            expected_digest: 0,
+            steps: 0,
+            outcome: "ok".into(),
+        };
+        let bytes = bundle.to_bytes();
+        // The embedded snapshot ends right before the bundle checksum.
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        let version_at = old.len() - snapshot_len + 4;
+        old[version_at..version_at + 2].copy_from_slice(&3u16.to_le_bytes());
+        let checksum = fnv64(&old);
+        old.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            ReproBundle::from_bytes(&old),
+            Err(SnapshotError::BadVersion(3))
         );
         assert_eq!(ReproBundle::from_bytes(&bytes), Ok(bundle));
     }

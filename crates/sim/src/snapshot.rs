@@ -8,13 +8,8 @@
 //! binary format with a magic/version header and a trailing FNV-1a-64
 //! checksum; [`Snapshot::from_bytes`] rejects truncation, wrong magic,
 //! unknown versions, and checksum mismatches before any field is trusted.
-//!
-//! Two capture flavours exist:
-//!
-//! * [`Machine::snapshot`] — a full image;
-//! * [`Machine::snapshot_delta`] — only the pages that differ from a base
-//!   snapshot (checkpoint streams during long campaigns). A delta must be
-//!   [`Snapshot::rebase`]d onto its base before it can restore a machine.
+//! Every snapshot is a full image: [`Machine::restore`] and
+//! [`Machine::fork_from`] need nothing else.
 //!
 //! The companion [`Machine::arch_digest`] hashes the *architectural*
 //! subset of that state — registers, CSRs, keys, CLB, memory contents,
@@ -37,18 +32,10 @@ use regvault_qarma::Key;
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"RVSP";
-/// Version 2 added the crypto-engine rekey-epoch state (per-`ksel` epochs,
-/// the global nonce counter, and the `epoch_rekey` machine knob) after the
-/// key registers. Version-1 streams still decode: they predate the
-/// mitigation, so every epoch is 0 (the identity fold) and the knob is off.
-///
-/// Version 3 changed what the recorded `digest` and `base_digest` mean:
-/// [`Machine::arch_digest`] hashes page contents with `page_hash`. The
-/// layout is unchanged. A legacy full snapshot gets its digest recomputed
-/// on decode; a legacy delta loses its base digest, so
-/// [`Snapshot::rebase`] refuses it rather than compare digests of two
-/// different functions.
-const VERSION: u16 = 3;
+/// Version 4 dropped the full/delta kind byte and the base-digest slot.
+/// Only the current version decodes: any other is
+/// [`SnapshotError::BadVersion`].
+const VERSION: u16 = 4;
 
 /// FNV-1a 64-bit running hash — the snapshot and bundle checksum, and the
 /// chain [`Machine::arch_digest`] folds its fields through. Not
@@ -152,9 +139,6 @@ pub enum SnapshotError {
     /// A field held a value outside its domain (bad enum tag, oversized
     /// count).
     BadEncoding(&'static str),
-    /// A delta snapshot was used where a full one is required, or its base
-    /// digest did not match the supplied base.
-    DeltaBase,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -168,24 +152,11 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot checksum mismatch (expected {expected:#018x}, found {found:#018x})"
             ),
             Self::BadEncoding(what) => write!(f, "malformed snapshot field: {what}"),
-            Self::DeltaBase => write!(
-                f,
-                "delta snapshot requires its base (rebase before restoring)"
-            ),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// Whether a snapshot carries every page or only those changed from a base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// Self-contained: restores on its own.
-    Full,
-    /// Dirty pages only; must be rebased onto the base it was taken against.
-    Delta,
-}
 
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct StatsImage {
@@ -234,7 +205,6 @@ impl StatsImage {
 /// A captured machine state (see the module docs for the format).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    pub(crate) kind: SnapshotKind,
     pub(crate) reference_datapath: bool,
     pub(crate) seed: u64,
     pub(crate) regs: [u64; 32],
@@ -256,7 +226,6 @@ pub struct Snapshot {
     pub(crate) fault_pending: Vec<FaultSpec>,
     pub(crate) fault_applied: Vec<AppliedFault>,
     pub(crate) digest: u64,
-    pub(crate) base_digest: Option<u64>,
     /// `(page_number, write_generation, contents)`, sorted by page number.
     ///
     /// Contents are reference-counted: capturing a snapshot shares the
@@ -267,12 +236,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Full or delta?
-    #[must_use]
-    pub fn kind(&self) -> SnapshotKind {
-        self.kind
-    }
-
     /// The architectural digest of the machine at capture time.
     #[must_use]
     pub fn digest(&self) -> u64 {
@@ -334,46 +297,12 @@ impl Snapshot {
         out
     }
 
-    /// Merges a delta snapshot onto the full base it was captured against,
-    /// yielding a self-contained full snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] if `self` is not a delta, `base` is not
-    /// full, or the base's digest does not match the one recorded when the
-    /// delta was taken.
-    pub fn rebase(&self, base: &Snapshot) -> Result<Snapshot, SnapshotError> {
-        if self.kind != SnapshotKind::Delta
-            || base.kind != SnapshotKind::Full
-            || self.base_digest != Some(base.digest)
-        {
-            return Err(SnapshotError::DeltaBase);
-        }
-        let mut merged = self.clone();
-        merged.kind = SnapshotKind::Full;
-        merged.base_digest = None;
-        // Base pages not shadowed by a dirty page carry over unchanged.
-        let mut pages = base.pages.clone();
-        for dirty in &self.pages {
-            match pages.binary_search_by_key(&dirty.0, |p| p.0) {
-                Ok(i) => pages[i] = dirty.clone(),
-                Err(i) => pages.insert(i, dirty.clone()),
-            }
-        }
-        merged.pages = pages;
-        Ok(merged)
-    }
-
     /// Serializes to the versioned, checksummed binary format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024 + self.pages.len() * (PAGE_BYTES + 16));
         out.extend_from_slice(&MAGIC);
         put_u16(&mut out, VERSION);
-        out.push(match self.kind {
-            SnapshotKind::Full => 0,
-            SnapshotKind::Delta => 1,
-        });
         out.push(u8::from(self.reference_datapath));
         put_u64(&mut out, self.seed);
         for reg in self.regs {
@@ -467,7 +396,6 @@ impl Snapshot {
             });
         }
         put_u64(&mut out, self.digest);
-        put_opt_u64(&mut out, self.base_digest);
         put_u32(&mut out, self.pages.len() as u32);
         for (no, gen, data) in &self.pages {
             put_u64(&mut out, *no);
@@ -482,11 +410,6 @@ impl Snapshot {
     /// Decodes a snapshot, verifying magic, version, and checksum before
     /// trusting any field.
     ///
-    /// Streams older than version 3 recorded digests of an earlier
-    /// [`Machine::arch_digest`]: a full one is re-digested from its own
-    /// contents, and a delta's base digest is dropped (so it cannot be
-    /// rebased; its own `digest` stays as recorded).
-    ///
     /// # Errors
     ///
     /// See [`SnapshotError`].
@@ -498,7 +421,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if !(1..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
         let (payload, tail) = bytes.split_at(bytes.len() - 8);
@@ -508,11 +431,6 @@ impl Snapshot {
             return Err(SnapshotError::BadChecksum { expected, found });
         }
         let mut r = Reader::new(&payload[6..]);
-        let kind = match r.u8()? {
-            0 => SnapshotKind::Full,
-            1 => SnapshotKind::Delta,
-            _ => return Err(SnapshotError::BadEncoding("snapshot kind")),
-        };
         let reference_datapath = match r.u8()? {
             0 => false,
             1 => true,
@@ -539,19 +457,15 @@ impl Snapshot {
             *key = (r.u64()?, r.u64()?);
         }
         let mut epochs = [0u64; 8];
-        let mut nonce_ctr = 0u64;
-        let mut epoch_rekey = false;
-        if version >= 2 {
-            for epoch in &mut epochs {
-                *epoch = r.u64()?;
-            }
-            nonce_ctr = r.u64()?;
-            epoch_rekey = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::BadEncoding("epoch-rekey flag")),
-            };
+        for epoch in &mut epochs {
+            *epoch = r.u64()?;
         }
+        let nonce_ctr = r.u64()?;
+        let epoch_rekey = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(SnapshotError::BadEncoding("epoch-rekey flag")),
+        };
         let clb_capacity = r.u32()? as usize;
         let clb_stats = ClbStats {
             hits: r.u64()?,
@@ -628,7 +542,6 @@ impl Snapshot {
             });
         }
         let digest = r.u64()?;
-        let base_digest = r.opt_u64()?;
         let page_count = r.u32()? as usize;
         let mut pages = Vec::with_capacity(page_count.min(65536));
         for _ in 0..page_count {
@@ -643,8 +556,7 @@ impl Snapshot {
         if !r.is_empty() {
             return Err(SnapshotError::BadEncoding("trailing bytes"));
         }
-        let mut snapshot = Snapshot {
-            kind,
+        Ok(Snapshot {
             reference_datapath,
             seed,
             regs,
@@ -666,21 +578,8 @@ impl Snapshot {
             fault_pending,
             fault_applied,
             digest,
-            base_digest,
             pages,
-        };
-        if version < 3 {
-            // The recorded digests predate `page_hash`. A full image can
-            // be re-notarized from its own contents; a delta's base digest
-            // cannot, so it is dropped and `rebase` refuses the delta.
-            match snapshot.kind {
-                SnapshotKind::Full => {
-                    snapshot.digest = Machine::from_snapshot(&snapshot)?.arch_digest();
-                }
-                SnapshotKind::Delta => snapshot.base_digest = None,
-            }
-        }
-        Ok(snapshot)
+        })
     }
 }
 
@@ -801,56 +700,13 @@ impl<'a> Reader<'a> {
 }
 
 impl Machine {
-    /// Captures a full snapshot of the machine's state.
+    /// Captures a snapshot of the machine's state.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_inner(None)
-    }
-
-    /// Captures a delta snapshot against `base`: only pages whose write
-    /// generation or contents differ from the base are stored. Rebase onto
-    /// the same base before restoring.
-    #[must_use]
-    pub fn snapshot_delta(&self, base: &Snapshot) -> Snapshot {
-        self.snapshot_inner(Some(base))
-    }
-
-    fn snapshot_inner(&self, base: Option<&Snapshot>) -> Snapshot {
         let keys = self.engine.key_file().raw_keys();
         let (epochs, nonce_ctr) = self.engine.epoch_state();
         let clb = self.engine.clb();
-        let pages = self.mem.page_entries();
-        // Capture shares the machine's pages (Arc clone, no copy); the
-        // machine's next write to any page copies it out from under us.
-        let stored_pages: Vec<(u64, u64, Arc<PageData>)> = match base {
-            None => pages
-                .iter()
-                .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
-                .collect(),
-            Some(base) => pages
-                .iter()
-                .filter(|&&(no, gen, data)| {
-                    match base.pages.binary_search_by_key(&no, |p| p.0) {
-                        // Pointer equality proves unchanged contents without
-                        // touching the 4 KiB; fall back to the byte compare
-                        // for pages rewritten with identical bytes.
-                        Ok(i) => {
-                            base.pages[i].1 != gen
-                                || (!Arc::ptr_eq(&base.pages[i].2, data)
-                                    && base.pages[i].2[..] != data[..])
-                        }
-                        Err(_) => true,
-                    }
-                })
-                .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
-                .collect(),
-        };
         Snapshot {
-            kind: if base.is_some() {
-                SnapshotKind::Delta
-            } else {
-                SnapshotKind::Full
-            },
             reference_datapath: self.engine.is_reference(),
             seed: self.seed,
             regs: self.hart.regs(),
@@ -880,8 +736,14 @@ impl Machine {
                 .map(|plan| plan.applied().to_vec())
                 .unwrap_or_default(),
             digest: self.arch_digest(),
-            base_digest: base.map(|b| b.digest),
-            pages: stored_pages,
+            // Capture shares the machine's pages (Arc clone, no copy); the
+            // machine's next write to any page copies it out from under us.
+            pages: self
+                .mem
+                .page_entries()
+                .iter()
+                .map(|&(no, gen, data)| (no, gen, Arc::clone(data)))
+                .collect(),
         }
     }
 
@@ -890,15 +752,7 @@ impl Machine {
     /// flavour), statistics, timer, watchdog, and fault plan. The decode
     /// cache is cleared (it is derived state; page write generations are
     /// restored so its lazy invalidation stays sound).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] if `snapshot` is a delta — rebase it
-    /// first.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        if snapshot.kind != SnapshotKind::Full {
-            return Err(SnapshotError::DeltaBase);
-        }
+    pub fn restore(&mut self, snapshot: &Snapshot) {
         self.icache = crate::icache::DecodeCache::new();
         // The superblock tier is derived state too: drop its traces and
         // profile. Page generations are restored below, so even a kept
@@ -907,10 +761,9 @@ impl Machine {
         self.sb = crate::superblock::SuperblockCache::default();
         self.sb_boundary = true;
         self.load_state(snapshot);
-        Ok(())
     }
 
-    /// Loads every snapshotted field of a full `snapshot`, leaving the
+    /// Loads every snapshotted field of `snapshot`, leaving the
     /// derived state (decode cache, superblock tier) as it is.
     fn load_state(&mut self, snapshot: &Snapshot) {
         self.seed = snapshot.seed;
@@ -959,7 +812,15 @@ impl Machine {
         };
     }
 
-    /// Builds a fresh machine from a full snapshot.
+    /// Forks a machine from a warm snapshot, SnapStart-style.
+    ///
+    /// The fork *shares* every memory page with the snapshot (and with
+    /// every other fork of it): materialization cost is O(mapped pages)
+    /// pointer clones plus the fixed-size architectural state — no page
+    /// contents are copied. The first write a fork makes to any page
+    /// copies exactly that page (copy-on-write), so a fleet of N forks
+    /// pays only for the pages it actually dirties. `Machine` is `Send`,
+    /// so forks can be handed straight to worker threads.
     ///
     /// The decode cache and superblock profile are built once, by
     /// [`Machine::new`]; unlike [`Machine::restore`] there is no old
@@ -967,11 +828,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::DeltaBase`] for delta snapshots.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
-        if snapshot.kind != SnapshotKind::Full {
-            return Err(SnapshotError::DeltaBase);
-        }
+    /// None today: every snapshot is self-contained. The `Result` leaves
+    /// room for a snapshot that cannot be materialized without changing
+    /// callers.
+    pub fn fork_from(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
         let mut machine = Machine::new(crate::machine::MachineConfig {
             clb_entries: snapshot.clb_capacity,
             cost: snapshot.cost,
@@ -983,27 +843,6 @@ impl Machine {
         });
         machine.load_state(snapshot);
         Ok(machine)
-    }
-
-    /// Forks a machine from a warm snapshot, SnapStart-style.
-    ///
-    /// The fork *shares* every memory page with the snapshot (and with
-    /// every other fork of it): materialization cost is O(mapped pages)
-    /// pointer clones plus the fixed-size architectural state — no page
-    /// contents are copied. The first write a fork makes to any page
-    /// copies exactly that page (copy-on-write), so a fleet of N forks
-    /// pays only for the pages it actually dirties. `Machine` is `Send`,
-    /// so forks can be handed straight to worker threads.
-    ///
-    /// Semantically identical to [`Machine::from_snapshot`] (which shares
-    /// pages the same way since the CoW store landed); this entry point
-    /// exists to name the fleet idiom and anchor its cost contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::DeltaBase`] for delta snapshots — rebase first.
-    pub fn fork_from(snapshot: &Snapshot) -> Result<Machine, SnapshotError> {
-        Machine::from_snapshot(snapshot)
     }
 
     /// Number of this machine's pages whose contents have diverged from
@@ -1146,7 +985,7 @@ mod tests {
     fn restore_reproduces_arch_digest() {
         let machine = busy_machine();
         let snap = machine.snapshot();
-        let restored = Machine::from_snapshot(&snap).unwrap();
+        let restored = Machine::fork_from(&snap).unwrap();
         assert_eq!(machine.arch_digest(), restored.arch_digest());
         assert_eq!(machine.stats(), restored.stats());
     }
@@ -1187,30 +1026,12 @@ mod tests {
             Snapshot::from_bytes(&bad_version),
             Err(SnapshotError::BadVersion(_))
         ));
-        for version in [0, VERSION + 1] {
+        for version in [0, VERSION - 1, VERSION + 1] {
             assert_eq!(
                 Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], version)),
                 Err(SnapshotError::BadVersion(version))
             );
         }
-    }
-
-    #[test]
-    fn delta_rebase_matches_full() {
-        let mut machine = busy_machine();
-        let base = machine.snapshot();
-        // Touch one page; the delta should carry only what changed.
-        machine.memory_mut().write_u64(0x9000, 0x1234).unwrap();
-        machine.memory_mut().write_u64(0xA000, 0x5678).unwrap();
-        let full = machine.snapshot();
-        let delta = machine.snapshot_delta(&base);
-        assert!(delta.page_count() < full.page_count() || full.page_count() <= 2);
-        let rebased = delta.rebase(&base).unwrap();
-        assert_eq!(rebased, full);
-        assert_eq!(
-            Machine::from_snapshot(&rebased).unwrap().arch_digest(),
-            machine.arch_digest()
-        );
     }
 
     #[test]
@@ -1226,7 +1047,7 @@ mod tests {
         let snap = machine.snapshot();
         let decoded = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(snap, decoded);
-        let restored = Machine::from_snapshot(&decoded).unwrap();
+        let restored = Machine::fork_from(&decoded).unwrap();
         assert!(restored.epoch_rekey());
         assert_eq!(
             restored.engine().epoch(KeyReg::C),
@@ -1237,36 +1058,6 @@ mod tests {
         let before = machine.arch_digest();
         machine.issue_key_epoch(KeyReg::C);
         assert_ne!(machine.arch_digest(), before);
-    }
-
-    #[test]
-    fn version_1_streams_decode_with_zero_epochs() {
-        let machine = busy_machine();
-        let snap = machine.snapshot();
-        let bytes = snap.to_bytes();
-        // Splice the epoch block (8 epochs + nonce counter + knob byte =
-        // 73 bytes, located right after the 128-byte key block) out of the
-        // v2 stream, patch the version to 1, and re-checksum — yielding
-        // exactly what a v1 build would have written.
-        let csr_count_at = 6 + 1 + 1 + 8 + 32 * 8 + 8 + 1;
-        let csr_count =
-            u32::from_le_bytes(bytes[csr_count_at..csr_count_at + 4].try_into().unwrap()) as usize;
-        let epochs_at = csr_count_at + 4 + csr_count * 10 + 128;
-        let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(&bytes[..epochs_at]);
-        v1.extend_from_slice(&bytes[epochs_at + 73..bytes.len() - 8]);
-        v1[4] = 1;
-        v1[5] = 0;
-        let checksum = fnv64(&v1);
-        v1.extend_from_slice(&checksum.to_le_bytes());
-        let decoded = Snapshot::from_bytes(&v1).unwrap();
-        assert_eq!(decoded.epochs, [0; 8]);
-        assert_eq!(decoded.nonce_ctr, 0);
-        assert!(!decoded.epoch_rekey);
-        assert_eq!(decoded.regs, snap.regs);
-        assert_eq!(decoded.pages.len(), snap.pages.len());
-        // A legacy full image is re-digested with the current function.
-        assert_eq!(decoded.digest(), machine.arch_digest());
     }
 
     #[test]
@@ -1289,61 +1080,15 @@ mod tests {
         assert!(after.changed_words(&after).is_empty());
     }
 
-    #[test]
-    fn delta_restore_without_rebase_is_refused() {
-        let mut machine = busy_machine();
-        let base = machine.snapshot();
-        machine.memory_mut().write_u64(0x9000, 1).unwrap();
-        let delta = machine.snapshot_delta(&base);
-        assert_eq!(machine.restore(&delta), Err(SnapshotError::DeltaBase));
-        let other = Machine::new(MachineConfig::default()).snapshot();
-        assert_eq!(delta.rebase(&other), Err(SnapshotError::DeltaBase));
-    }
-
     /// `payload` (a stream minus its checksum) relabelled as format
-    /// `version` and re-checksummed: what a build writing that version
-    /// would have written (versions 2 and 3 share one layout).
+    /// `version` and re-checksummed, so only the version check can refuse
+    /// it.
     fn relabel(payload: &[u8], version: u16) -> Vec<u8> {
         let mut out = payload.to_vec();
         out[4..6].copy_from_slice(&version.to_le_bytes());
         let checksum = fnv64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
-    }
-
-    #[test]
-    fn legacy_full_snapshot_is_re_digested_on_decode() {
-        let machine = busy_machine();
-        let snap = machine.snapshot();
-        let bytes = snap.to_bytes();
-        let mut payload = bytes[..bytes.len() - 8].to_vec();
-        // Layout tail of a full image: digest, `None` base digest (1 byte),
-        // page count, then (number, generation, contents) per page.
-        let digest_at = payload.len() - snap.page_count() * (16 + PAGE_BYTES) - 4 - 1 - 8;
-        assert_eq!(
-            payload[digest_at..digest_at + 8],
-            snap.digest().to_le_bytes()
-        );
-        // Stand in for the old digest function's value.
-        payload[digest_at..digest_at + 8].copy_from_slice(&0x0BAD_D16E_u64.to_le_bytes());
-        let decoded = Snapshot::from_bytes(&relabel(&payload, 2)).unwrap();
-        assert_eq!(decoded.digest(), machine.arch_digest());
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn legacy_delta_cannot_be_rebased() {
-        let mut machine = busy_machine();
-        let base = machine.snapshot();
-        machine.memory_mut().write_u64(0x9000, 0x1234).unwrap();
-        let bytes = machine.snapshot_delta(&base).to_bytes();
-        let legacy = Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], 2)).unwrap();
-        assert_eq!(legacy.kind(), SnapshotKind::Delta);
-        assert_eq!(legacy.base_digest, None);
-        assert_eq!(legacy.rebase(&base), Err(SnapshotError::DeltaBase));
-        // The same delta in the current format still rebases.
-        let current = Snapshot::from_bytes(&bytes).unwrap();
-        assert!(current.rebase(&base).is_ok());
     }
 
     #[test]
@@ -1453,7 +1198,7 @@ mod tests {
         let snap = one_page_machine().snapshot();
         let mut moved = snap.clone();
         moved.pages[0].0 += 1;
-        let machine = Machine::from_snapshot(&moved).unwrap();
+        let machine = Machine::fork_from(&moved).unwrap();
         assert!(machine.memory().is_mapped(PAGE_ADDR + PAGE_BYTES as u64));
         assert!(!machine.memory().is_mapped(PAGE_ADDR));
         assert_ne!(machine.arch_digest(), snap.digest());

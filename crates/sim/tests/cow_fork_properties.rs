@@ -153,7 +153,7 @@ fn micro_reboot_is_bit_for_bit_equivalent_to_fresh_restore() {
     assert_eq!(sb.hits, 0, "superblock tier resets across restore");
 
     // The reference: a fresh boot-to-snapshot machine.
-    let mut fresh = Machine::from_snapshot(&warm).expect("fresh restore");
+    let mut fresh = Machine::fork_from(&warm).expect("fresh restore");
 
     let mut steps = 0u64;
     while steps < 10_000 {

@@ -163,7 +163,7 @@ proptest! {
         let decoded = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
         prop_assert_eq!(decoded.digest(), snap.digest());
 
-        let mut restored = Machine::from_snapshot(&decoded).expect("snapshot restores");
+        let mut restored = Machine::fork_from(&decoded).expect("snapshot restores");
         prop_assert_eq!(restored.arch_digest(), original.arch_digest());
 
         if !terminal {

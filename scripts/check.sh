@@ -7,7 +7,7 @@
 #   check.sh --quick   build + tests + clippy (the inner-loop gate)
 #   check.sh --full    everything: quick tier plus the repository
 #                      benchmark's tests, verifier corpus sweep,
-#                      fault-campaign determinism/quarantine gates,
+#                      fault-campaign determinism and repro-bundle gates,
 #                      record->replay smoke, the hotpath ratio guard, and
 #                      the regenerated BENCH_*.json trajectory diff
 #   check.sh           same as --full
@@ -82,16 +82,6 @@ campaign=(target/release/fault_campaign --seed 42 --trials 50)
 "${campaign[@]}" > /tmp/fault_campaign_run1.txt
 "${campaign[@]}" > /tmp/fault_campaign_run2.txt
 diff /tmp/fault_campaign_run1.txt /tmp/fault_campaign_run2.txt
-
-echo "==> fault campaign --jobs independence (parallel == serial)"
-target/release/fault_campaign --seeds 4 --trials 10 --jobs 4 > /tmp/fault_campaign_par.txt
-target/release/fault_campaign --seeds 4 --trials 10 --jobs 1 > /tmp/fault_campaign_ser.txt
-diff /tmp/fault_campaign_par.txt /tmp/fault_campaign_ser.txt
-
-echo "==> panicking worker is quarantined, sweep continues"
-target/release/fault_campaign --seeds 2 --trials 2 --jobs 2 --panic-seed 43 \
-    > /tmp/fault_campaign_quar.txt
-grep -q "seed 43 QUARANTINED" /tmp/fault_campaign_quar.txt
 
 echo "==> record -> replay smoke (bit-for-bit bundle round trip)"
 cat > /tmp/regvault_replay_smoke.s <<'ASM'
