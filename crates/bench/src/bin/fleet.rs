@@ -5,24 +5,24 @@
 //! chaos), a chaotic fleet recovering by re-forking the warm snapshot
 //! (micro-restore), and the same chaotic fleet recovering by full cold
 //! boots — and writes `BENCH_fleet.json` at the repository root. Each run
-//! object is the CLI's `fleet --json` report and passes the CLI's per-run
-//! gate. On top of that the comparison fails loudly if:
+//! object is the deterministic part of the CLI's `fleet --json` report
+//! (the host wall-clock numbers are printed, not written) and passes the
+//! CLI's per-run gate. On top of that the comparison fails loudly if:
 //!
 //! * a fork is not at least 10x cheaper than a cold boot (wall clock);
 //! * under chaos, micro-restore does not beat cold boot on both recovery
 //!   latency (p99 vs p50) and requests served.
 //!
 //! ```text
-//! cargo run --release --bin fleet            # full run, rewrites the JSON
-//! cargo run --release --bin fleet -- --quick # small run, no JSON rewrite
+//! cargo run --release --bin fleet
 //! ```
 
 use std::process::ExitCode;
 
 use regvault_bench::json::Value;
 use regvault_bench::write_figure_json;
-use regvault_cli::args::{parse_env, set, Flag};
-use regvault_cli::fleet::{gate, render_human, report_json};
+use regvault_cli::args::parse_env;
+use regvault_cli::fleet::{gate, render_human, scenario_json};
 use regvault_server::fleet::{run_fleet, FleetConfig, FleetReport};
 
 /// The cross-run gates the single-run CLI cannot check.
@@ -53,14 +53,9 @@ fn compare(calm: &FleetReport, micro: &FleetReport, cold: &FleetReport) -> Resul
     Ok(())
 }
 
-#[rustfmt::skip]
-const FLAGS: &[Flag<bool>] =
-    &[Flag::switch("--quick", "small run, no BENCH_fleet.json rewrite", |q, _| set(q, true))];
-
 fn main() -> ExitCode {
-    let mut quick = false;
-    parse_env("fleet", FLAGS, &mut quick, 1);
-    let (instances, requests) = if quick { (16, 12) } else { (64, 48) };
+    parse_env::<()>("fleet", &[], &mut (), 1);
+    let (instances, requests) = (64, 48);
     let seed = 0xF1EE_7C0DE;
     let chaos = 8; // mean requests between kills
     let runs = [
@@ -92,7 +87,7 @@ fn main() -> ExitCode {
             eprintln!("FAIL: {label}: {e}");
             ok = false;
         }
-        doc.push((label, report_json(&report)));
+        doc.push((label, scenario_json(&report)));
         reports.push(report);
     }
     if let Err(e) = compare(&reports[0], &reports[1], &reports[2]) {
@@ -100,11 +95,7 @@ fn main() -> ExitCode {
         ok = false;
     }
 
-    if quick {
-        println!("--quick: skipping BENCH_fleet.json rewrite");
-    } else {
-        write_figure_json("fleet", &Value::obj(doc));
-    }
+    write_figure_json("fleet", &Value::obj(doc));
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -9,30 +9,20 @@
 //! `serve --json` report and passes the CLI's per-run gate.
 //!
 //! ```text
-//! cargo run --release --bin serve            # full run, rewrites the JSON
-//! cargo run --release --bin serve -- --quick # small run, no JSON rewrite
+//! cargo run --release --bin serve
 //! ```
 
 use std::process::ExitCode;
 
 use regvault_bench::json::Value;
 use regvault_bench::write_figure_json;
-use regvault_cli::args::{parse_env, set, Flag};
+use regvault_cli::args::parse_env;
 use regvault_cli::serve::{gate, render_human, report_json};
 use regvault_server::{ServeConfig, Supervisor};
 
-#[rustfmt::skip]
-const FLAGS: &[Flag<bool>] =
-    &[Flag::switch("--quick", "small run, no BENCH_serve.json rewrite", |q, _| set(q, true))];
-
 fn main() -> ExitCode {
-    let mut quick = false;
-    parse_env("serve", FLAGS, &mut quick, 1);
-    let (requests, fault_interval) = if quick {
-        (200, 50_000)
-    } else {
-        (2_000, 30_000)
-    };
+    parse_env::<()>("serve", &[], &mut (), 1);
+    let (requests, fault_interval) = (2_000, 30_000);
     let seed = 0xC0FF_EE00;
     let runs = [
         ("baseline", 0, true),
@@ -66,11 +56,7 @@ fn main() -> ExitCode {
         doc.push((label, report_json(&report)));
     }
 
-    if quick {
-        println!("--quick: skipping BENCH_serve.json rewrite");
-    } else {
-        write_figure_json("serve", &Value::obj(doc));
-    }
+    write_figure_json("serve", &Value::obj(doc));
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -1,6 +1,7 @@
-//! Every flag-taking bench binary rejects an unknown flag before doing any
-//! work: it keeps its exit status for a bad argument, prints nothing on
-//! stdout, and leaves the committed `BENCH_*.json` untouched.
+//! The bench binaries, flagless ones included, reject an unknown flag
+//! before doing any work: each keeps its exit status for a bad argument,
+//! prints nothing on stdout, and leaves the committed `BENCH_*.json`
+//! untouched.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -27,11 +28,10 @@ fn assert_rejected(name: &str, out: &Output, code: i32, flag: &str) {
 }
 
 #[test]
-fn campaign_hotpath_and_trajectory_reject_unknown_flags() {
+fn campaign_and_hotpath_reject_unknown_flags() {
     let bins = [
         ("fault_campaign", env!("CARGO_BIN_EXE_fault_campaign"), 2),
         ("hotpath", env!("CARGO_BIN_EXE_hotpath"), 2),
-        ("trajectory", env!("CARGO_BIN_EXE_trajectory"), 1),
     ];
     for (name, bin, code) in bins {
         assert_rejected(name, &run(bin, &["--bogus"]), code, "--bogus");

@@ -67,17 +67,14 @@ pub fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, CliError> {
     Ok(parsed)
 }
 
-/// Builds the JSON object of one fleet run. The key order is the schema of
-/// a run object in `BENCH_fleet.json`. Every value is deterministic per
-/// seed except the host wall-clock keys (`boot_nanos`, `fork_nanos_mean`,
-/// `fork_speedup`, `steps_per_sec`, `workers`, `run_nanos`).
-#[must_use]
-pub fn report_json(r: &FleetReport) -> Value {
+/// The deterministic keys of one fleet run, in the order of a run object
+/// in `BENCH_fleet.json`: every value is a function of the configuration
+/// and seed.
+fn scenario_pairs(r: &FleetReport) -> Vec<(&'static str, Value)> {
     let s = &r.scenario;
-    let h = &r.host;
     let q = |x: f64| Value::from(s.latency.quantile(x).unwrap_or(0));
     let rq = |x: f64| Value::from(s.recovery_latency.quantile(x).unwrap_or(0));
-    Value::obj([
+    vec![
         ("instances", s.instances.into()),
         ("offered", s.offered.into()),
         ("served", s.served.into()),
@@ -96,15 +93,32 @@ pub fn report_json(r: &FleetReport) -> Value {
         ("warm_pages", s.warm_pages.into()),
         ("dirty_pages_mean", s.dirty_pages_mean().into()),
         ("dirty_pages_max", s.dirty_pages_max.into()),
+        ("busy_cycles", s.busy_cycles.into()),
+        ("latency_count", s.latency.count().into()),
+    ]
+}
+
+/// The run object of `BENCH_fleet.json`: the deterministic keys only.
+#[must_use]
+pub fn scenario_json(r: &FleetReport) -> Value {
+    Value::obj(scenario_pairs(r))
+}
+
+/// The `fleet --json` object of one run: [`scenario_json`]'s keys followed
+/// by the host wall-clock keys, which vary from run to run.
+#[must_use]
+pub fn report_json(r: &FleetReport) -> Value {
+    let h = &r.host;
+    let mut pairs = scenario_pairs(r);
+    pairs.extend([
         ("boot_nanos", h.boot_nanos.into()),
         ("fork_nanos_mean", h.fork_nanos_mean().into()),
         ("fork_speedup", h.fork_speedup().into()),
         ("steps_per_sec", r.steps_per_sec().into()),
         ("workers", h.workers.into()),
-        ("busy_cycles", s.busy_cycles.into()),
-        ("latency_count", s.latency.count().into()),
         ("run_nanos", h.run_nanos.into()),
-    ])
+    ]);
+    Value::obj(pairs)
 }
 
 /// The per-run gate of a fleet run: the accounting identity holds, every
@@ -296,26 +310,12 @@ mod tests {
         assert!(cmd_fleet(&s(&["--instances", "lots"])).is_err());
     }
 
-    /// Seed stability: the deterministic keys of a run are byte-identical
+    /// Seed stability: the scenario object of a run is byte-identical
     /// across runs with the same seed — including across different worker
-    /// counts — and change with the seed.
+    /// counts — and changes with the seed.
     #[test]
     fn same_seed_renders_identical_scenario_json() {
-        const HOST_KEYS: [&str; 6] = [
-            "boot_nanos",
-            "fork_nanos_mean",
-            "fork_speedup",
-            "steps_per_sec",
-            "workers",
-            "run_nanos",
-        ];
-        let scenario = |cfg: &FleetConfig| {
-            let Value::Obj(mut pairs) = report_json(&run_fleet(cfg)) else {
-                unreachable!("a run is an object")
-            };
-            pairs.retain(|(key, _)| !HOST_KEYS.contains(&key.as_str()));
-            Value::Obj(pairs).render()
-        };
+        let scenario = |cfg: &FleetConfig| scenario_json(&run_fleet(cfg)).render();
         let cfg = FleetConfig {
             instances: 5,
             requests_per_instance: 10,

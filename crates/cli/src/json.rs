@@ -2,12 +2,12 @@
 //!
 //! The container has no `serde`, and every JSON report (the CLI's `--json`
 //! and `--sarif` outputs, the observability exports, and the `BENCH_*.json`
-//! artifacts) only needs a writer plus a tiny probe for the `trajectory`
-//! gate, so this module hand-rolls both: [`Value`] renders pretty-printed
-//! JSON with stable key order (objects are ordered pairs, not maps), and
-//! [`find_number`] extracts a numeric field by key from JSON text without a
-//! full parser — adequate because every `BENCH_*.json` we emit uses unique
-//! leaf keys for the numbers the gate compares.
+//! artifacts) only needs a writer plus a tiny probe for tests, so this
+//! module hand-rolls both: [`Value`] renders pretty-printed JSON with
+//! stable key order (objects are ordered pairs, not maps), so a
+//! regenerated artifact is byte-identical to the committed one unless a
+//! value changed; and [`find_number`] extracts a numeric field by key from
+//! JSON text without a full parser.
 
 /// A JSON value. Objects preserve insertion order so emitted artifacts diff
 /// cleanly between runs.

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use regvault_kernel::cred::{EGID_OFFSET, EUID_OFFSET, GID_OFFSET, UID_OFFSET};
 use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
-use regvault_metrics::{Counter, Histogram, HistogramData, MetricsRegistry};
+use regvault_metrics::HistogramData;
 use regvault_sim::{FaultKind, FaultPlan, InsnClass};
 
 use crate::loadgen::{Arrival, LoadGen, LoadGenConfig};
@@ -283,6 +283,24 @@ fn is_fatal(err: &KernelError) -> bool {
     )
 }
 
+/// The [`ServeReport`] counts the supervisor accumulates as it runs.
+#[derive(Debug, Default)]
+struct Counts {
+    served: u64,
+    failed: u64,
+    shed: u64,
+    shed_deadline: u64,
+    faults_injected: u64,
+    recoveries: u64,
+    respawns: u64,
+    respawns_denied: u64,
+    frontend_respawns: u64,
+    cold_restarts: u64,
+    micro_reboots: u64,
+    micro_reboot_mismatches: u64,
+    latency: HistogramData,
+}
+
 /// The supervisor: owns the kernel, the load stream, the fault injector,
 /// and all tenant lifecycle state.
 pub struct Supervisor {
@@ -299,23 +317,8 @@ pub struct Supervisor {
     cycle_base: u64,
     /// Measured cycles per charged ALU op (cost model dependent).
     alu_cost: u64,
-    // Supervisor-owned metrics: they survive kernel cold restarts.
-    metrics: MetricsRegistry,
-    c_served: Counter,
-    c_failed: Counter,
-    c_shed: Counter,
-    c_shed_breaker: Counter,
-    c_shed_queue: Counter,
-    c_shed_deadline: Counter,
-    c_faults: Counter,
-    c_recoveries: Counter,
-    c_respawns: Counter,
-    c_respawns_denied: Counter,
-    c_frontend_respawns: Counter,
-    c_cold_restarts: Counter,
-    c_micro_reboots: Counter,
-    c_micro_mismatch: Counter,
-    h_latency: Histogram,
+    /// Supervisor-owned counts: they survive kernel cold restarts.
+    counts: Counts,
     rr_cursor: usize,
     /// Fail-overs since the last successfully served request; crossing
     /// [`ServeConfig::escalate_failovers`] forces a restart (micro or cold).
@@ -354,22 +357,6 @@ impl Supervisor {
             },
             0,
         );
-        let mut metrics = MetricsRegistry::new();
-        let c_served = metrics.counter("serve_served");
-        let c_failed = metrics.counter("serve_failed");
-        let c_shed = metrics.counter("serve_shed");
-        let c_shed_breaker = metrics.counter("serve_shed_breaker");
-        let c_shed_queue = metrics.counter("serve_shed_queue_full");
-        let c_shed_deadline = metrics.counter("serve_shed_deadline");
-        let c_faults = metrics.counter("serve_faults_injected");
-        let c_recoveries = metrics.counter("serve_recoveries");
-        let c_respawns = metrics.counter("serve_respawns");
-        let c_respawns_denied = metrics.counter("serve_respawns_denied");
-        let c_frontend_respawns = metrics.counter("serve_frontend_respawns");
-        let c_cold_restarts = metrics.counter("serve_cold_restarts");
-        let c_micro_reboots = metrics.counter("serve_micro_reboots");
-        let c_micro_mismatch = metrics.counter("serve_micro_reboot_mismatches");
-        let h_latency = metrics.histogram("serve_latency_cycles");
         Ok(Self {
             tenants: (0..cfg.tenants)
                 .map(|s| Tenant::new(s, &cfg.policy))
@@ -383,22 +370,7 @@ impl Supervisor {
             loadgen,
             fault_rng: StdRng::seed_from_u64(cfg.seed ^ Self::FAULT_SEED_MIX),
             cfg,
-            metrics,
-            c_served,
-            c_failed,
-            c_shed,
-            c_shed_breaker,
-            c_shed_queue,
-            c_shed_deadline,
-            c_faults,
-            c_recoveries,
-            c_respawns,
-            c_respawns_denied,
-            c_frontend_respawns,
-            c_cold_restarts,
-            c_micro_reboots,
-            c_micro_mismatch,
-            h_latency,
+            counts: Counts::default(),
             rr_cursor: 0,
             failover_streak: 0,
             micro_streak: 0,
@@ -501,7 +473,7 @@ impl Supervisor {
                 self.tenants[slot].state = TenantState::Serving;
             } else {
                 self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                self.metrics.inc(self.c_respawns);
+                self.counts.respawns += 1;
             }
         }
 
@@ -562,10 +534,10 @@ impl Supervisor {
         // isolation makes silent drift impossible by construction, so a
         // mismatch means the image itself is damaged — never restore it.
         if kernel.machine().arch_digest() != digest {
-            self.metrics.inc(self.c_micro_mismatch);
+            self.counts.micro_reboot_mismatches += 1;
             return false;
         }
-        self.metrics.inc(self.c_micro_reboots);
+        self.counts.micro_reboots += 1;
         self.micro_streak += 1;
         self.failover_streak = 0;
         // Keep the virtual clock monotone: after the swap, `now()` lands
@@ -585,7 +557,7 @@ impl Supervisor {
             match *warm_tid {
                 Some(tid) => {
                     self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                    self.metrics.inc(self.c_respawns);
+                    self.counts.respawns += 1;
                 }
                 None => {
                     self.slots[slot] = None;
@@ -600,12 +572,12 @@ impl Supervisor {
     /// Total-loss path: reboot the kernel (fresh machine, fresh master
     /// key), charge a realistic downtime penalty to the virtual clock, and
     /// re-provision every non-terminal tenant. Host-side state — queues,
-    /// tenant accounting, metrics — survives.
+    /// tenant accounting, counts — survives.
     fn cold_restart(&mut self) {
-        self.metrics.inc(self.c_cold_restarts);
+        self.counts.cold_restarts += 1;
         self.failover_streak = 0;
         self.micro_streak = 0;
-        let restarts = self.metrics.counter_value(self.c_cold_restarts);
+        let restarts = self.counts.cold_restarts;
         self.cycle_base = self.now() + COLD_RESTART_PENALTY;
         match Self::boot_kernel(&self.cfg, restarts) {
             Ok(kernel) => self.kernel = kernel,
@@ -659,7 +631,7 @@ impl Supervisor {
                 .machine_mut()
                 .clear_fault_plan()
                 .map_or(0, |p| p.applied().len() as u64);
-            self.metrics.add(self.c_faults, applied);
+            self.counts.faults_injected += applied;
             self.arm_fault();
         } else if self.kernel.machine().fault_plan().is_none() {
             self.arm_fault();
@@ -720,29 +692,22 @@ impl Supervisor {
     fn route(&mut self, arr: Arrival) {
         let slot = (arr.request.tenant as usize).min(self.cfg.tenants - 1);
         let breaker_open = matches!(self.tenants[slot].state, TenantState::BreakerOpen { .. });
-        if breaker_open {
-            self.shed_one(slot, true);
-        } else if self.queues[slot].len() >= self.cfg.queue_cap {
-            self.shed_one(slot, false);
+        if breaker_open || self.queues[slot].len() >= self.cfg.queue_cap {
+            self.shed_one(slot);
         } else {
             self.queues[slot].push_back(arr);
         }
     }
 
-    fn shed_one(&mut self, slot: usize, breaker: bool) {
-        self.metrics.inc(self.c_shed);
-        self.metrics.inc(if breaker {
-            self.c_shed_breaker
-        } else {
-            self.c_shed_queue
-        });
+    fn shed_one(&mut self, slot: usize) {
+        self.counts.shed += 1;
         self.tenants[slot].shed = self.tenants[slot].shed.saturating_add(1);
     }
 
     /// Sheds a slot's whole queue (called when its breaker opens).
     fn shed_queue(&mut self, slot: usize) {
         while self.queues[slot].pop_front().is_some() {
-            self.shed_one(slot, true);
+            self.shed_one(slot);
         }
     }
 
@@ -767,7 +732,7 @@ impl Supervisor {
         if self.cfg.deadline_factor == 0 {
             return None;
         }
-        let h = self.metrics.histogram_data(self.h_latency);
+        let h = &self.counts.latency;
         if h.count() < DEADLINE_MIN_SAMPLES {
             return None;
         }
@@ -779,8 +744,8 @@ impl Supervisor {
     }
 
     fn shed_expired(&mut self, slot: usize) {
-        self.metrics.inc(self.c_shed);
-        self.metrics.inc(self.c_shed_deadline);
+        self.counts.shed += 1;
+        self.counts.shed_deadline += 1;
         self.tenants[slot].shed = self.tenants[slot].shed.saturating_add(1);
     }
 
@@ -804,8 +769,8 @@ impl Supervisor {
         match self.try_process(slot, &arr) {
             Ok(true) => {
                 let lat = self.now().saturating_sub(arr.at);
-                self.metrics.observe(self.h_latency, lat);
-                self.metrics.inc(self.c_served);
+                self.counts.latency.record(lat);
+                self.counts.served += 1;
                 self.tenants[slot].on_success(&self.cfg.policy);
                 self.failover_streak = 0;
                 self.micro_streak = 0;
@@ -829,7 +794,7 @@ impl Supervisor {
     }
 
     fn fail_one(&mut self, slot: usize) {
-        self.metrics.inc(self.c_failed);
+        self.counts.failed += 1;
         self.tenants[slot].failed = self.tenants[slot].failed.saturating_add(1);
     }
 
@@ -1023,7 +988,7 @@ impl Supervisor {
         }
         match self.kernel.fail_over() {
             Ok(fo) => {
-                self.metrics.inc(self.c_recoveries);
+                self.counts.recoveries += 1;
                 let mut frontend_lost = false;
                 for tid in &fo.quarantined {
                     if *tid == self.frontend_tid {
@@ -1040,12 +1005,12 @@ impl Supervisor {
                     // otherwise spawn a dedicated replacement.
                     if self.slot_by_tid(fo.current).is_none() {
                         self.frontend_tid = fo.current;
-                        self.metrics.inc(self.c_frontend_respawns);
+                        self.counts.frontend_respawns += 1;
                     } else {
                         match self.kernel.spawn_service_thread() {
                             Ok(tid) => {
                                 self.frontend_tid = tid;
-                                self.metrics.inc(self.c_frontend_respawns);
+                                self.counts.frontend_respawns += 1;
                             }
                             Err(_) => self.restart_tenancy(),
                         }
@@ -1073,21 +1038,21 @@ impl Supervisor {
             match self.kernel.spawn_service_thread() {
                 Ok(tid) => {
                     self.tenants[slot].on_respawned(&self.cfg.policy, tid);
-                    self.metrics.inc(self.c_respawns);
+                    self.counts.respawns += 1;
                     self.drain_slot_safe(slot);
                 }
                 Err(KernelError::ThreadTableFull) => {
                     // The typed degradation event: back off and retry
                     // rather than treating exhaustion as a tenant fault.
                     self.tenants[slot].on_respawn_denied(&self.cfg.policy, now);
-                    self.metrics.inc(self.c_respawns_denied);
+                    self.counts.respawns_denied += 1;
                 }
                 Err(e) if is_fatal(&e) => {
                     self.handle_fault();
                 }
                 Err(_) => {
                     self.tenants[slot].on_respawn_denied(&self.cfg.policy, now);
-                    self.metrics.inc(self.c_respawns_denied);
+                    self.counts.respawns_denied += 1;
                 }
             }
         }
@@ -1197,21 +1162,21 @@ impl Supervisor {
         }
 
         let cycles = self.now().saturating_sub(start);
-        let v = |c: Counter| self.metrics.counter_value(c);
+        let n = &self.counts;
         ServeReport {
             offered: self.loadgen.issued(),
-            served: v(self.c_served),
-            failed: v(self.c_failed),
-            shed: v(self.c_shed),
-            shed_deadline: v(self.c_shed_deadline),
-            faults_injected: v(self.c_faults),
-            recoveries: v(self.c_recoveries),
-            respawns: v(self.c_respawns),
-            respawns_denied: v(self.c_respawns_denied),
-            frontend_respawns: v(self.c_frontend_respawns),
-            cold_restarts: v(self.c_cold_restarts),
-            micro_reboots: v(self.c_micro_reboots),
-            micro_reboot_mismatches: v(self.c_micro_mismatch),
+            served: n.served,
+            failed: n.failed,
+            shed: n.shed,
+            shed_deadline: n.shed_deadline,
+            faults_injected: n.faults_injected,
+            recoveries: n.recoveries,
+            respawns: n.respawns,
+            respawns_denied: n.respawns_denied,
+            frontend_respawns: n.frontend_respawns,
+            cold_restarts: n.cold_restarts,
+            micro_reboots: n.micro_reboots,
+            micro_reboot_mismatches: n.micro_reboot_mismatches,
             breaker_opens: self
                 .tenants
                 .iter()
@@ -1219,7 +1184,7 @@ impl Supervisor {
                 .sum(),
             terminal_tenants: self.tenants.iter().filter(|t| t.is_terminal()).count(),
             cycles,
-            latency: self.metrics.histogram_data(self.h_latency).clone(),
+            latency: n.latency.clone(),
             tenants: self
                 .tenants
                 .iter()
@@ -1384,9 +1349,9 @@ mod tests {
             .expect("kernel heap is writable");
 
         sup.restart_tenancy();
-        assert_eq!(sup.metrics.counter_value(sup.c_micro_mismatch), 1);
-        assert_eq!(sup.metrics.counter_value(sup.c_micro_reboots), 0);
-        assert_eq!(sup.metrics.counter_value(sup.c_cold_restarts), 1);
+        assert_eq!(sup.counts.micro_reboot_mismatches, 1);
+        assert_eq!(sup.counts.micro_reboots, 0);
+        assert_eq!(sup.counts.cold_restarts, 1);
         assert!(!sup.fatal, "the cold restart re-provisions");
     }
 

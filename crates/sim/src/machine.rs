@@ -159,8 +159,6 @@ const _: () = assert_send::<Machine>();
 /// while the machine runs.
 #[derive(Debug, Clone)]
 pub(crate) struct SimCounters {
-    pub(crate) clb_hits: Counter,
-    pub(crate) clb_misses: Counter,
     pub(crate) key_invalidations: Counter,
     /// QARMA block computations by key selector (`m`, `a`..`g`).
     pub(crate) qarma_ops: [Counter; 8],
@@ -171,8 +169,6 @@ pub(crate) struct SimCounters {
 impl SimCounters {
     fn register(metrics: &mut MetricsRegistry) -> Self {
         Self {
-            clb_hits: metrics.counter("clb_hits"),
-            clb_misses: metrics.counter("clb_misses"),
             key_invalidations: metrics.counter("key_invalidations"),
             qarma_ops: std::array::from_fn(|ksel| {
                 let key = KeyReg::from_ksel(ksel as u8).expect("ksel < 8");
@@ -293,10 +289,12 @@ impl Machine {
 
     // --- Metrics --------------------------------------------------------
 
-    /// The live metrics registry. Hot counters (`clb_hits`, `clb_misses`,
-    /// per-ksel `qarma_ops_ksel_*`, `key_invalidations`) are maintained by
-    /// the machine; embedders (the kernel scheduler) register and update
-    /// their own metrics through [`Machine::metrics_mut`].
+    /// The live metrics registry. Hot counters (per-ksel
+    /// `qarma_ops_ksel_*`, `key_invalidations`, `epoch_rekeys`) are
+    /// maintained by the machine; embedders (the kernel scheduler) register
+    /// and update their own metrics through [`Machine::metrics_mut`]. CLB
+    /// hits and misses live in [`ClbStats`] and are exported by
+    /// [`Machine::metrics_snapshot`].
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -309,8 +307,8 @@ impl Machine {
 
     /// A point-in-time export of every metric: the live registry plus
     /// counters derived from [`Stats`] and the CLB (`cycles`, `instret`,
-    /// `crypto_encrypts`, `clb_evictions`, ...), so one snapshot carries
-    /// the complete picture.
+    /// `crypto_encrypts`, `clb_hits`, `clb_misses`, ...), so one snapshot
+    /// carries the complete picture.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut out = self.metrics.clone();
@@ -326,6 +324,8 @@ impl Machine {
             ("timer_interrupts", self.stats.timer_interrupts),
             ("decode_hits", self.stats.decode_hits),
             ("decode_misses", self.stats.decode_misses),
+            ("clb_hits", clb.hits),
+            ("clb_misses", clb.misses),
             ("clb_evictions", clb.evictions),
             ("clb_invalidations", clb.invalidations),
             ("clb_occupancy", self.engine.clb().occupancy() as u64),
@@ -476,13 +476,11 @@ impl Machine {
         let result = self.engine.encrypt(key, tweak, value, range);
         let ksel = key.ksel();
         if result.clb_hit {
-            self.metrics.inc(self.hot.clb_hits);
             self.emit_trace(|| TraceEvent::ClbHit {
                 ksel,
                 decrypt: false,
             });
         } else {
-            self.metrics.inc(self.hot.clb_misses);
             self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
             if self.tracer.is_some() {
                 self.trace_emit(TraceEvent::ClbMiss {
@@ -523,13 +521,11 @@ impl Machine {
         };
         let ksel = key.ksel();
         if clb_hit {
-            self.metrics.inc(self.hot.clb_hits);
             self.emit_trace(|| TraceEvent::ClbHit {
                 ksel,
                 decrypt: true,
             });
         } else {
-            self.metrics.inc(self.hot.clb_misses);
             self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
             if self.tracer.is_some() {
                 self.trace_emit(TraceEvent::ClbMiss {

@@ -9,7 +9,7 @@
 #                      benchmark's tests, verifier corpus sweep,
 #                      fault-campaign determinism and repro-bundle gates,
 #                      record->replay smoke, the hotpath ratio guard, and
-#                      the regenerated BENCH_*.json trajectory diff
+#                      the exact gate on the regenerated BENCH_*.json
 #   check.sh           same as --full
 #
 # Clippy is best-effort locally (minimal toolchains may lack clippy-driver)
@@ -68,7 +68,11 @@ if [ "$tier" = "quick" ]; then
 fi
 
 echo "==> repository benchmark's own tests (every workload's --smoke round and its checks)"
+# Cargo prunes a stale entry from the committed benchmark/Cargo.lock when
+# it builds the benchmark; put the file back so the run leaves no change.
+cp benchmark/Cargo.lock /tmp/regvault_benchmark_Cargo.lock
 cargo test --manifest-path benchmark/Cargo.toml
+cp /tmp/regvault_benchmark_Cargo.lock benchmark/Cargo.lock
 
 echo "==> protection verifier over the full benchmark corpus"
 target/release/regvault-cli verify --workloads
@@ -134,9 +138,10 @@ target/release/regvault-cli metrics /tmp/regvault_replay_smoke.s --json \
 echo "==> hotpath ratio guard (SWAR/reference QARMA, tier on/off, FULL/off, rekey/FULL)"
 target/release/hotpath
 
-echo "==> snapshot committed bench artifacts for the trajectory diff"
-rm -rf /tmp/regvault_bench_baseline && mkdir -p /tmp/regvault_bench_baseline
-cp BENCH_*.json /tmp/regvault_bench_baseline/
+# The committed BENCH_*.json are exact: delete them, regenerate all six,
+# and fail on any changed byte, deleted file or untracked file.
+echo "==> delete the committed bench artifacts; the steps below regenerate them"
+rm -f BENCH_*.json
 
 echo "==> serve under faults (sustained multi-tenant run, rewrites BENCH_serve.json)"
 target/release/serve
@@ -155,9 +160,12 @@ for fig in fig5a_unixbench fig5b_lmbench fig5c_spec; do
     "target/release/$fig" > /dev/null
 done
 
-# The markdown table is also kept in a file, for CI's job summary.
-echo "==> bench trajectory (fresh BENCH_*.json vs committed, 10% ratchet on gated metrics)"
-target/release/trajectory --baseline /tmp/regvault_bench_baseline \
-    | tee /tmp/regvault_trajectory.md
+echo "==> committed bench artifacts are exact (git status over BENCH_*.json)"
+if [ -n "$(git status --porcelain -- 'BENCH_*.json')" ]; then
+    git status --porcelain -- 'BENCH_*.json' >&2
+    git --no-pager diff -- 'BENCH_*.json' >&2
+    echo "FAIL: the regenerated BENCH_*.json differ from the committed files" >&2
+    exit 1
+fi
 
 echo "OK (full tier)"
