@@ -1,12 +1,12 @@
 //! The observability subcommands: `trace`, `metrics` and `profile`.
 //!
 //! All three run a guest — either a bare-metal assembly file or a named
-//! benchmark workload under the protected kernel — with a tracer and the
-//! metrics registry active, then export what was observed:
+//! benchmark workload under the protected kernel — with a tracer
+//! installed, then export what was observed:
 //!
 //! * `trace` — the structured event stream, as rendered text, JSON records,
 //!   or Chrome `trace_event` JSON (loadable in Perfetto / `chrome://tracing`);
-//! * `metrics` — every counter and histogram from the machine's registry
+//! * `metrics` — every counter and histogram the machine exports
 //!   (CLB hit/miss, per-ksel QARMA ops, scheduler counters, syscall-latency
 //!   histograms), human-readable or JSON;
 //! * `profile` — a per-function flat profile attributing retired
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use regvault_isa::asm;
 use regvault_kernel::{Kernel, KernelConfig, ProtectionConfig};
-use regvault_metrics::MetricsRegistry;
+use regvault_metrics::Metrics;
 use regvault_sim::{
     ClbStats, MachineConfig, RingTracer, TraceEvent, TraceRecord, Tracer, TrapCause,
 };
@@ -118,7 +118,7 @@ pub(crate) fn cmd_observe(cmd: Observe, args: &[String]) -> Result<String, CliEr
 /// Everything observable that a run produced.
 struct RunArtifacts {
     tracer: Option<Box<dyn Tracer>>,
-    metrics: MetricsRegistry,
+    metrics: Metrics,
     clb: ClbStats,
     outcome: String,
 }
@@ -157,7 +157,7 @@ fn execute(subject: &TraceSubject, tracer: Box<dyn Tracer>) -> Result<RunArtifac
             };
             Ok(RunArtifacts {
                 tracer: machine.take_tracer(),
-                metrics: machine.metrics_snapshot(),
+                metrics: machine.metrics(),
                 clb: machine.engine().clb().stats(),
                 outcome,
             })
@@ -179,7 +179,7 @@ fn execute(subject: &TraceSubject, tracer: Box<dyn Tracer>) -> Result<RunArtifac
             };
             Ok(RunArtifacts {
                 tracer: kernel.machine_mut().take_tracer(),
-                metrics: kernel.machine().metrics_snapshot(),
+                metrics: kernel.machine().metrics(),
                 clb: kernel.machine().engine().clb().stats(),
                 outcome,
             })
@@ -328,14 +328,15 @@ pub fn cmd_trace(
     }
 }
 
-/// `metrics` subcommand: run and export the machine's metrics registry.
+/// `metrics` subcommand: run and export the machine's counters and
+/// histograms ([`regvault_sim::Machine::metrics`]).
 ///
 /// # Errors
 ///
 /// Assembler diagnostics and unknown workload names.
 pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliError> {
     // A NullTracer keeps the run on the traced datapath without retaining
-    // events; the metrics counters are maintained unconditionally anyway.
+    // events; the counters are maintained unconditionally anyway.
     let artifacts = execute(subject, Box::new(regvault_sim::NullTracer))?;
     let metrics = &artifacts.metrics;
     let clb = artifacts.clb;
@@ -349,8 +350,11 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
     };
 
     if json {
-        let counters = metrics.counters().map(|(name, value)| (name, value.into()));
-        let histograms = metrics.histograms().map(|(name, data)| {
+        let counters = metrics
+            .counters
+            .iter()
+            .map(|&(name, value)| (name, value.into()));
+        let histograms = metrics.histograms.iter().map(|(name, data)| {
             // Raw log2 buckets as [lower_bound, count] pairs (empty buckets
             // elided), so downstream tooling can re-derive any quantile.
             let buckets = data
@@ -367,7 +371,7 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
                 ("p99", data.quantile(0.99).unwrap_or(0).into()),
                 ("buckets", Value::arr(buckets)),
             ]);
-            (name, summary)
+            (*name, summary)
         });
         let clb_stats = Value::obj([
             ("hits", clb.hits.into()),
@@ -386,13 +390,13 @@ pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliErro
     } else {
         let mut out = String::new();
         let _ = writeln!(out, "counters:");
-        let mut counters: Vec<(&str, u64)> = metrics.counters().collect();
+        let mut counters = metrics.counters.clone();
         counters.sort_by(|a, b| a.0.cmp(b.0));
         for (name, value) in counters {
             let _ = writeln!(out, "  {name:<28} {value}");
         }
         let _ = writeln!(out, "histograms:");
-        for (name, data) in metrics.histograms() {
+        for (name, data) in &metrics.histograms {
             let _ = writeln!(
                 out,
                 "  {name:<28} count={} mean={:.1} min={} p50={} p90={} p99={} max={}",
@@ -669,7 +673,7 @@ helper:
     fn metrics_match_clb_stats() {
         let subject = TraceSubject::Bare(CRYPTO_PROGRAM.to_owned());
         let out = cmd_metrics(&subject, true).unwrap();
-        // The registry's counters and the CLB's own stats are reported side
+        // The exported counters and the CLB's own stats are reported side
         // by side; cross-check them.
         let grab = |key: &str| find_number(&out, key).unwrap_or_else(|| panic!("{key} in {out}"));
         assert_eq!(grab("clb_hits"), grab("hits"));
@@ -680,7 +684,7 @@ helper:
     fn metrics_json_reports_quantiles_and_buckets() {
         let subject = TraceSubject::Workload("syscall".to_owned());
         let out = cmd_metrics(&subject, true).unwrap();
-        // Kernel-registered histograms (syscall_cycles) must carry computed
+        // The kernel's histograms (syscall_cycles) must carry computed
         // quantiles alongside the raw log2 buckets.
         let at = out
             .find("\"syscall_cycles\": {")

@@ -37,11 +37,10 @@
 
 pub mod hwcost;
 
-/// Typed counter/histogram metrics registry (re-export of
-/// [`regvault_metrics`]): named `Counter`/`Histogram` handles with a
-/// lock-free hot path, threaded through the machine simulator and the
-/// kernel scheduler. See `regvault_sim::Machine::metrics` for the live
-/// registry of a running machine.
+/// Log2 histograms and the exported metrics view (re-export of
+/// [`regvault_metrics`]). The machine and the kernel count into
+/// `regvault_sim::Stats`; `regvault_sim::Machine::metrics` exports those
+/// counts by name.
 pub use regvault_metrics as metrics;
 
 /// One-stop imports for examples and benches.
@@ -51,7 +50,6 @@ pub mod prelude {
     pub use regvault_compiler::prelude::*;
     pub use regvault_isa::{asm, ByteRange, Insn, KeyReg, Reg};
     pub use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
-    pub use regvault_metrics::{Counter, Histogram, MetricsRegistry};
     pub use regvault_qarma::{Key, Qarma64, Sbox};
     pub use regvault_sim::{
         Clb, ClbStats, CostModel, CryptoEngine, Event, Machine, MachineConfig, RingTracer, Stats,

@@ -2,8 +2,7 @@
 
 use rand::{Rng, SeedableRng};
 use regvault_isa::{ByteRange, KeyReg, Reg};
-use regvault_metrics::{Counter, Histogram, MetricsRegistry};
-use regvault_sim::{Event, InsnClass, Machine, Privilege, TraceEvent, TrapCause};
+use regvault_sim::{Event, InsnClass, Machine, Privilege, SchedEvent, TraceEvent, TrapCause};
 
 use crate::config::{KernelConfig, ProtectionConfig};
 use crate::cred::{CredField, CredStore};
@@ -55,32 +54,6 @@ pub struct FailOver {
 /// Synthetic return-address region in kernel text for the call-site model.
 const KCALL_RA_BASE: u64 = KERNEL_TEXT_BASE + 0x10_0000;
 
-/// Pre-registered scheduler/syscall metric handles, registered in the
-/// machine's [`MetricsRegistry`] at boot so kernel numbers export alongside
-/// the simulator's CLB/QARMA counters.
-#[derive(Debug, Clone)]
-struct SchedMetrics {
-    context_switches: Counter,
-    preemptions: Counter,
-    syscalls: Counter,
-    quarantines: Counter,
-    syscall_cycles: Histogram,
-    timeslice_cycles: Histogram,
-}
-
-impl SchedMetrics {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        Self {
-            context_switches: metrics.counter("sched_context_switches"),
-            preemptions: metrics.counter("sched_preemptions"),
-            syscalls: metrics.counter("sched_syscalls"),
-            quarantines: metrics.counter("sched_quarantines"),
-            syscall_cycles: metrics.histogram("syscall_cycles"),
-            timeslice_cycles: metrics.histogram("timeslice_cycles"),
-        }
-    }
-}
-
 /// The miniature RegVault-protected kernel.
 ///
 /// Owns the simulated [`Machine`]; kernel state lives in guest memory (see
@@ -123,9 +96,6 @@ pub struct Kernel {
     /// Interrupted pc per thread while its signal handler runs.
     signal_return_pc: Vec<Option<u64>>,
     recovery: RecoveryStats,
-    sched: SchedMetrics,
-    /// Cycle stamp of the last thread switch (timeslice histogram).
-    last_switch_cycle: u64,
 }
 
 impl Kernel {
@@ -140,7 +110,6 @@ impl Kernel {
         let mut machine_config = config.machine;
         machine_config.timer_interval = config.timer_interval;
         let mut machine = Machine::new(machine_config);
-        let sched = SchedMetrics::register(machine.metrics_mut());
         let cfg = config.protection;
         let mut rng = rand::rngs::StdRng::seed_from_u64(machine_config.seed ^ 0xB007);
 
@@ -208,8 +177,6 @@ impl Kernel {
             saved_pc: vec![0; MAX_THREADS as usize],
             signal_return_pc: vec![None; MAX_THREADS as usize],
             recovery: RecoveryStats::default(),
-            sched,
-            last_switch_cycle: 0,
         })
     }
 
@@ -375,7 +342,7 @@ impl Kernel {
     pub fn dispatch(&mut self, num: u64, args: [u64; 3]) -> Result<u64, KernelError> {
         let sysno = Sysno::from_u64(num).ok_or(KernelError::BadSyscall(num))?;
         let entry_cycle = self.machine.stats().cycles;
-        self.machine.metrics_mut().inc(self.sched.syscalls);
+        self.machine.record_sched(SchedEvent::Syscall);
         self.machine.trace_emit(TraceEvent::TrapEnter {
             cause: TrapCause::Syscall(num),
         });
@@ -427,10 +394,9 @@ impl Kernel {
         // Trap exit: pt_regs restore + return to user.
         self.machine.charge(InsnClass::Load, 31);
         self.machine.charge(InsnClass::Alu, 22);
-        let elapsed = self.machine.stats().cycles - entry_cycle;
+        let cycles = self.machine.stats().cycles - entry_cycle;
         self.machine
-            .metrics_mut()
-            .observe(self.sched.syscall_cycles, elapsed);
+            .record_sched(SchedEvent::SyscallReturn { cycles });
         self.machine.trace_emit(TraceEvent::TrapExit {
             cause: TrapCause::Syscall(num),
         });
@@ -650,13 +616,7 @@ impl Kernel {
             let pc = self.saved_pc[to as usize];
             self.machine.hart_mut().set_pc(pc);
             self.ksp = crate::layout::kernel_stack_top(to) - crate::trap::FRAME_SIZE - 64;
-            let now = self.machine.stats().cycles;
-            let slice = now - self.last_switch_cycle;
-            self.last_switch_cycle = now;
-            self.machine.metrics_mut().inc(self.sched.context_switches);
-            self.machine
-                .metrics_mut()
-                .observe(self.sched.timeslice_cycles, slice);
+            self.machine.record_sched(SchedEvent::ContextSwitch);
             self.machine
                 .trace_emit(TraceEvent::ContextSwitch { from, to });
         }
@@ -701,7 +661,6 @@ impl Kernel {
             let faulted = self.threads.current;
             self.threads.quarantine(faulted);
             self.recovery.quarantined = self.recovery.quarantined.saturating_add(1);
-            self.machine.metrics_mut().inc(self.sched.quarantines);
             self.signal_return_pc[faulted as usize] = None;
             chain.push(faulted);
             let next = self.threads.next_runnable();
@@ -902,7 +861,7 @@ impl Kernel {
         self.machine.charge(InsnClass::Store, 6);
         let next = self.threads.next_runnable();
         if next != self.threads.current {
-            self.machine.metrics_mut().inc(self.sched.preemptions);
+            self.machine.record_sched(SchedEvent::Preemption);
         }
         let result = self.switch_to(next);
         self.machine.trace_emit(TraceEvent::TrapExit {
@@ -1167,6 +1126,26 @@ mod tests {
         assert_eq!(k.current_tid(), 1);
         k.dispatch(Sysno::Yield as u64, [0; 3]).unwrap();
         assert_eq!(k.current_tid(), 0);
+    }
+
+    #[test]
+    fn reset_stats_restarts_the_running_timeslice() {
+        // The timeslice anchor is reset together with the cycle counter, so
+        // the first slice after a reset runs from the reset instead of
+        // underflowing against a switch made before it.
+        let mut k = kernel(ProtectionConfig::full());
+        k.dispatch(Sysno::Spawn as u64, [0, 0, 0]).unwrap();
+        k.dispatch(Sysno::Yield as u64, [0; 3]).unwrap();
+        k.machine_mut().reset_stats();
+        k.dispatch(Sysno::Yield as u64, [0; 3]).unwrap();
+        let stats = k.machine().stats();
+        assert_eq!(stats.sched_context_switches, 1);
+        let slice = stats.timeslice_cycles.max().expect("one timeslice");
+        assert!(
+            slice > 0 && slice <= stats.cycles,
+            "slice {slice} of {} cycles",
+            stats.cycles
+        );
     }
 
     #[test]

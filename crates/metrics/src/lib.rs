@@ -1,50 +1,40 @@
-//! Typed counter/histogram metrics registry.
+//! Log2 histograms and the exported metrics view.
 //!
-//! The observability substrate of the reproduction: components register
-//! named metrics once (at construction time) and receive copyable integer
-//! [`Counter`]/[`Histogram`] handles; the hot path then updates metrics by
-//! handle — a bounds-checked array index plus an integer add, no hashing,
-//! no locking, no allocation. This crate sits at the bottom of the
-//! dependency graph (it depends on nothing) so the simulator, the kernel
-//! and the benches can all thread the same registry type through their hot
-//! loops; `regvault-core` re-exports it as `regvault_core::metrics`.
-//!
-//! Handles are only meaningful for the registry that created them; indexing
-//! a registry with a foreign handle panics (debug) or reads the wrong slot
-//! (never unsafe — the crate forbids `unsafe` code).
+//! The simulator and the kernel count into plain fields of
+//! `regvault_sim::Stats`, which snapshots carry, so every count follows the
+//! machine through fork, restore and `reset_stats`. This crate holds the
+//! two value types around those counts: [`HistogramData`], the log2
+//! distribution behind the syscall-latency and timeslice histograms (and
+//! the serving layer's latency histograms), and [`Metrics`], the named,
+//! ordered export that `regvault_sim::Machine::metrics` builds on demand.
+//! It sits at the bottom of the dependency graph (it depends on nothing);
+//! `regvault-core` re-exports it as `regvault_core::metrics`.
 //!
 //! # Examples
 //!
 //! ```
-//! use regvault_metrics::MetricsRegistry;
+//! use regvault_metrics::{HistogramData, Metrics};
 //!
-//! let mut registry = MetricsRegistry::new();
-//! let hits = registry.counter("clb_hits");
-//! let latency = registry.histogram("syscall_cycles");
-//! registry.inc(hits);
-//! registry.add(hits, 2);
-//! registry.observe(latency, 180);
-//! assert_eq!(registry.counter_value(hits), 3);
-//! assert_eq!(registry.get("clb_hits"), Some(3));
-//! assert_eq!(registry.histogram_data(latency).count(), 1);
+//! let mut latency = HistogramData::default();
+//! latency.record(180);
+//! latency.record(220);
+//! let metrics = Metrics {
+//!     counters: vec![("clb_hits", 3)],
+//!     histograms: vec![("syscall_cycles", latency)],
+//! };
+//! assert_eq!(metrics.get("clb_hits"), Some(3));
+//! assert_eq!(metrics.get("missing"), None);
+//! assert_eq!(metrics.histograms[0].1.count(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Handle to a named monotonic counter inside a [`MetricsRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Counter(u32);
-
-/// Handle to a named histogram inside a [`MetricsRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Histogram(u32);
-
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `2^63`.
 pub const BUCKETS: usize = 65;
 
-/// Accumulated distribution data behind a [`Histogram`] handle.
+/// A distribution of `u64` observations.
 ///
 /// Values are bucketed by order of magnitude (`bucket 0` holds zeros,
 /// `bucket k` holds values in `[2^(k-1), 2^k)`), which is exact enough for
@@ -78,9 +68,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 impl HistogramData {
-    /// Records one observation directly. Standalone use (e.g. per-worker
-    /// histograms merged later) — inside a [`MetricsRegistry`], prefer
-    /// [`MetricsRegistry::observe`].
+    /// Records one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
         self.count += 1;
@@ -88,6 +76,31 @@ impl HistogramData {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.buckets[bucket_index(value)] += 1;
+    }
+
+    /// Rebuilds a histogram from the parts its accessors report (snapshot
+    /// decoding); the observation count is the bucket total. `min` and
+    /// `max` of an empty histogram are `u64::MAX` and 0. Returns `None`
+    /// when no sequence of [`HistogramData::record`] calls yields these
+    /// parts' count/extrema relation.
+    #[must_use]
+    pub fn from_parts(sum: u64, min: u64, max: u64, buckets: [u64; BUCKETS]) -> Option<Self> {
+        let count = buckets
+            .iter()
+            .try_fold(0u64, |total, &n| total.checked_add(n))?;
+        let parts = Self {
+            count,
+            sum,
+            min,
+            max,
+            buckets,
+        };
+        let consistent = if count == 0 {
+            parts == Self::default()
+        } else {
+            min <= max && buckets[bucket_index(min)] > 0 && buckets[bucket_index(max)] > 0
+        };
+        consistent.then_some(parts)
     }
 
     /// Number of recorded observations.
@@ -138,7 +151,7 @@ impl HistogramData {
     /// recorded `min`/`max` so single-bucket histograms report exact
     /// extrema instead of a bucket midpoint. Error is bounded by the bucket
     /// width — at most a factor of two, which is adequate for the
-    /// latency-shaped p50/p99 reporting this registry feeds.
+    /// latency-shaped p50/p99 reporting these histograms feed.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
@@ -198,112 +211,25 @@ impl HistogramData {
     }
 }
 
-/// Registry of named counters and histograms.
-///
-/// Registration (by name, idempotent) happens off the hot path and returns
-/// a handle; updates go through the handle. The registry is plain owned
-/// data (`Clone` + `Default`), so embedding it in a cloneable machine model
-/// costs nothing beyond its arrays.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistogramData)>,
+/// A point-in-time export of named counters and histograms, in a fixed
+/// order. The simulator builds one on demand from its plain counters
+/// (`regvault_sim::Machine::metrics`); nothing counts into it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Every counter, in export order.
+    pub counters: Vec<(&'static str, u64)>,
+    /// Every histogram, in export order.
+    pub histograms: Vec<(&'static str, HistogramData)>,
 }
 
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or looks up) the counter `name` and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `u32::MAX` distinct counters — far beyond any sane use.
-    pub fn counter(&mut self, name: &str) -> Counter {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return Counter(u32::try_from(i).expect("counter index fits u32"));
-        }
-        let index = u32::try_from(self.counters.len()).expect("counter count fits u32");
-        self.counters.push((name.to_owned(), 0));
-        Counter(index)
-    }
-
-    /// Registers (or looks up) the histogram `name` and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `u32::MAX` distinct histograms.
-    pub fn histogram(&mut self, name: &str) -> Histogram {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return Histogram(u32::try_from(i).expect("histogram index fits u32"));
-        }
-        let index = u32::try_from(self.histograms.len()).expect("histogram count fits u32");
-        self.histograms
-            .push((name.to_owned(), HistogramData::default()));
-        Histogram(index)
-    }
-
-    /// Adds 1 to a counter (the hot-path operation: one indexed add).
-    #[inline]
-    pub fn inc(&mut self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, counter: Counter, n: u64) {
-        self.counters[counter.0 as usize].1 += n;
-    }
-
-    /// Records one observation into a histogram.
-    #[inline]
-    pub fn observe(&mut self, histogram: Histogram, value: u64) {
-        self.histograms[histogram.0 as usize].1.record(value);
-    }
-
-    /// Current value of `counter`.
-    #[must_use]
-    pub fn counter_value(&self, counter: Counter) -> u64 {
-        self.counters[counter.0 as usize].1
-    }
-
-    /// Current value of the counter named `name`, if registered.
+impl Metrics {
+    /// Value of the counter named `name`, if exported.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Accumulated data behind `histogram`.
-    #[must_use]
-    pub fn histogram_data(&self, histogram: Histogram) -> &HistogramData {
-        &self.histograms[histogram.0 as usize].1
-    }
-
-    /// All counters in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// All histograms in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &HistogramData)> {
-        self.histograms.iter().map(|(n, d)| (n.as_str(), d))
-    }
-
-    /// Zeroes every counter and histogram, keeping all registrations (and
-    /// therefore every outstanding handle) valid.
-    pub fn reset_values(&mut self) {
-        for (_, v) in &mut self.counters {
-            *v = 0;
-        }
-        for (_, d) in &mut self.histograms {
-            *d = HistogramData::default();
-        }
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
     }
 }
 
@@ -311,25 +237,24 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn registration_is_idempotent() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("a");
-        let b = r.counter("b");
-        assert_ne!(a, b);
-        assert_eq!(r.counter("a"), a);
-        assert_eq!(r.counters().count(), 2);
+    fn recorded(values: &[u64]) -> HistogramData {
+        let mut h = HistogramData::default();
+        for &v in values {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("ops");
-        r.inc(c);
-        r.add(c, 41);
-        assert_eq!(r.counter_value(c), 42);
-        assert_eq!(r.get("ops"), Some(42));
-        assert_eq!(r.get("missing"), None);
+    fn export_reads_counters_by_name() {
+        let metrics = Metrics {
+            counters: vec![("ops", 42), ("zero", 0)],
+            histograms: vec![("lat", recorded(&[7]))],
+        };
+        assert_eq!(metrics.get("ops"), Some(42));
+        assert_eq!(metrics.get("zero"), Some(0));
+        assert_eq!(metrics.get("missing"), None);
+        assert_eq!(metrics.get("lat"), None, "histograms are not counters");
     }
 
     #[test]
@@ -341,12 +266,7 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
 
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat");
-        for v in [0, 1, 2, 3, 1000] {
-            r.observe(h, v);
-        }
-        let d = r.histogram_data(h);
+        let d = recorded(&[0, 1, 2, 3, 1000]);
         assert_eq!(d.count(), 5);
         assert_eq!(d.sum(), 1006);
         assert_eq!(d.min(), Some(0));
@@ -357,25 +277,17 @@ mod tests {
 
     #[test]
     fn quantiles_from_log2_buckets() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat");
-        assert_eq!(r.histogram_data(h).quantile(0.5), None, "empty");
+        assert_eq!(HistogramData::default().quantile(0.5), None, "empty");
 
         // A single value: every quantile is that value (clamped to extrema).
-        r.observe(h, 700);
-        let d = r.histogram_data(h);
+        let d = recorded(&[700]);
         assert_eq!(d.quantile(0.0), Some(700));
         assert_eq!(d.quantile(0.5), Some(700));
         assert_eq!(d.quantile(1.0), Some(700));
 
         // A spread: quantiles are monotone, bracketed by min/max, and the
         // p50 lands within a factor of two of the true median.
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat");
-        for v in 1..=1000u64 {
-            r.observe(h, v);
-        }
-        let d = r.histogram_data(h);
+        let d = recorded(&(1..=1000u64).collect::<Vec<_>>());
         let p50 = d.quantile(0.5).unwrap();
         let p90 = d.quantile(0.9).unwrap();
         let p99 = d.quantile(0.99).unwrap();
@@ -387,63 +299,78 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_into_one() {
-        let mut r = MetricsRegistry::new();
-        let all = r.histogram("all");
-        let a = r.histogram("a");
-        let b = r.histogram("b");
-        for v in [0u64, 1, 5, 900, 7] {
-            r.observe(all, v);
-        }
-        for v in [0u64, 1, 5] {
-            r.observe(a, v);
-        }
-        for v in [900u64, 7] {
-            r.observe(b, v);
-        }
-        let mut merged = r.histogram_data(a).clone();
-        merged.merge(r.histogram_data(b));
-        assert_eq!(&merged, r.histogram_data(all));
+        let all = recorded(&[0, 1, 5, 900, 7]);
+        let mut merged = recorded(&[0, 1, 5]);
+        merged.merge(&recorded(&[900, 7]));
+        assert_eq!(merged, all);
 
         // Merging an empty histogram is a no-op (min stays untouched).
         merged.merge(&HistogramData::default());
-        assert_eq!(&merged, r.histogram_data(all));
+        assert_eq!(merged, all);
         let mut empty = HistogramData::default();
-        empty.merge(r.histogram_data(all));
-        assert_eq!(&empty, r.histogram_data(all));
+        empty.merge(&all);
+        assert_eq!(empty, all);
     }
 
     #[test]
     fn empty_histogram_has_no_extrema() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("empty");
-        let d = r.histogram_data(h);
+        let d = HistogramData::default();
         assert_eq!(d.min(), None);
         assert_eq!(d.max(), None);
         assert_eq!(d.mean(), 0.0);
     }
 
     #[test]
-    fn reset_keeps_handles_valid() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        r.add(c, 7);
-        r.observe(h, 7);
-        r.reset_values();
-        assert_eq!(r.counter_value(c), 0);
-        assert_eq!(r.histogram_data(h).count(), 0);
-        r.inc(c); // handle still valid after reset
-        assert_eq!(r.counter_value(c), 1);
+    fn reset_to_default_then_record() {
+        // `Stats::default()` is how a measurement epoch zeroes its
+        // histograms: the reset value must forget every observation,
+        // extrema included, and accept new ones.
+        let mut h = recorded(&[7, 9000]);
+        assert_eq!(h.max(), Some(9000));
+        h = HistogramData::default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.nonzero_buckets().count(), 0);
+        h.record(3);
+        assert_eq!(h, recorded(&[3]));
+        assert_eq!((h.min(), h.max()), (Some(3), Some(3)));
+    }
+
+    #[test]
+    fn from_parts_rebuilds_what_the_accessors_report() {
+        for h in [HistogramData::default(), recorded(&[0, 3, 3, 4096])] {
+            let rebuilt = HistogramData::from_parts(
+                h.sum(),
+                h.min().unwrap_or(u64::MAX),
+                h.max().unwrap_or(0),
+                *h.buckets(),
+            );
+            assert_eq!(rebuilt.as_ref(), Some(&h));
+        }
+        let mut buckets = [0; BUCKETS];
+        assert_eq!(
+            HistogramData::from_parts(1, 0, 0, buckets),
+            None,
+            "sum without observations"
+        );
+        buckets[bucket_index(5)] = 1;
+        assert_eq!(
+            HistogramData::from_parts(5, 9, 5, buckets),
+            None,
+            "min above max"
+        );
+        assert_eq!(
+            HistogramData::from_parts(5, 1, 5, buckets),
+            None,
+            "min outside any bucket"
+        );
     }
 
     #[test]
     fn clone_is_independent() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("c");
-        r.inc(c);
-        let mut fork = r.clone();
-        fork.inc(c);
-        assert_eq!(r.counter_value(c), 1);
-        assert_eq!(fork.counter_value(c), 2);
+        let h = recorded(&[1]);
+        let mut fork = h.clone();
+        fork.record(2);
+        assert_eq!(h.count(), 1);
+        assert_eq!(fork.count(), 2);
     }
 }

@@ -92,6 +92,6 @@ pub use mem::Memory;
 pub use memo::memo_counts;
 pub use replay::{shrink_events, EventLog, LoggedEvent, ReproBundle};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use stats::{InsnClass, Stats};
+pub use stats::{InsnClass, SchedEvent, Stats};
 pub use superblock::SuperblockStats;
 pub use trace::{NullTracer, RingTracer, TraceEvent, TraceRecord, Tracer, TrapCause};

@@ -134,20 +134,8 @@ pub fn arch_divergence(fast: &Machine, reference: &Machine) -> Option<String> {
             }
         }
     }
-    let (fs, rs) = (fast.stats(), reference.stats());
-    for (name, a, b) in [
-        ("cycles", fs.cycles, rs.cycles),
-        ("instret", fs.instret, rs.instret),
-        ("encrypts", fs.encrypts, rs.encrypts),
-        ("decrypts", fs.decrypts, rs.decrypts),
-        (
-            "integrity_failures",
-            fs.integrity_failures,
-            rs.integrity_failures,
-        ),
-        ("exceptions", fs.exceptions, rs.exceptions),
-        ("timer_interrupts", fs.timer_interrupts, rs.timer_interrupts),
-    ] {
+    let (fs, rs) = (fast.stats().arch_counts(), reference.stats().arch_counts());
+    for ((name, a), (_, b)) in fs.into_iter().zip(rs) {
         if a != b {
             return Some(format!("{name}: fast={a} reference={b}"));
         }
@@ -306,17 +294,10 @@ fn bisect(
 /// (and almost every realistic tier bug corrupts a register or counter
 /// within the same epoch anyway).
 fn quick_agree(tiered: &Machine, interp: &Machine) -> bool {
-    let (ts, is) = (tiered.stats(), interp.stats());
     tiered.hart().pc() == interp.hart().pc()
         && tiered.hart().privilege() == interp.hart().privilege()
         && tiered.hart().regs() == interp.hart().regs()
-        && ts.cycles == is.cycles
-        && ts.instret == is.instret
-        && ts.encrypts == is.encrypts
-        && ts.decrypts == is.decrypts
-        && ts.integrity_failures == is.integrity_failures
-        && ts.exceptions == is.exceptions
-        && ts.timer_interrupts == is.timer_interrupts
+        && tiered.stats().arch_counts() == interp.stats().arch_counts()
 }
 
 fn divergence_detail(tiered: &Machine, interp: &Machine) -> String {

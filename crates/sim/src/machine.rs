@@ -1,7 +1,7 @@
 //! The complete simulated machine: hart + memory + crypto-engine + clock.
 
 use regvault_isa::{ByteRange, KeyReg};
-use regvault_metrics::{Counter, MetricsRegistry};
+use regvault_metrics::Metrics;
 use regvault_qarma::Key;
 
 use crate::{
@@ -13,7 +13,7 @@ use crate::{
     hart::{Hart, Privilege},
     icache::DecodeCache,
     mem::Memory,
-    stats::{InsnClass, Stats},
+    stats::{InsnClass, SchedEvent, Stats},
     superblock::{self, SuperblockCache, SuperblockStats},
     trace::{RingTracer, TraceEvent, TraceRecord, Tracer},
 };
@@ -118,8 +118,6 @@ pub struct Machine {
     pub(crate) timer_interval: Option<u64>,
     pub(crate) next_timer: u64,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
-    pub(crate) metrics: MetricsRegistry,
-    pub(crate) hot: SimCounters,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) watchdog: Option<Watchdog>,
     /// When recording, every applied fault is also appended here with its
@@ -154,31 +152,6 @@ pub struct Machine {
 const fn assert_send<T: Send>() {}
 const _: () = assert_send::<Machine>();
 
-/// Pre-registered metric handles for the simulator's hot paths. Updating a
-/// metric through a handle is one indexed add — no name lookup ever happens
-/// while the machine runs.
-#[derive(Debug, Clone)]
-pub(crate) struct SimCounters {
-    pub(crate) key_invalidations: Counter,
-    /// QARMA block computations by key selector (`m`, `a`..`g`).
-    pub(crate) qarma_ops: [Counter; 8],
-    /// Fresh rekey epochs issued ([`Machine::issue_key_epoch`]).
-    pub(crate) epoch_rekeys: Counter,
-}
-
-impl SimCounters {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        Self {
-            key_invalidations: metrics.counter("key_invalidations"),
-            qarma_ops: std::array::from_fn(|ksel| {
-                let key = KeyReg::from_ksel(ksel as u8).expect("ksel < 8");
-                metrics.counter(&format!("qarma_ops_ksel_{}", key.name()))
-            }),
-            epoch_rekeys: metrics.counter("epoch_rekeys"),
-        }
-    }
-}
-
 impl Machine {
     /// Builds a machine from `config`.
     #[must_use]
@@ -188,8 +161,6 @@ impl Machine {
         } else {
             CryptoEngine::new(config.clb_entries, config.seed)
         };
-        let mut metrics = MetricsRegistry::new();
-        let hot = SimCounters::register(&mut metrics);
         Self {
             hart: Hart::new(),
             mem: Memory::new(),
@@ -201,8 +172,6 @@ impl Machine {
             timer_interval: config.timer_interval,
             next_timer: config.timer_interval.unwrap_or(u64::MAX),
             tracer: None,
-            metrics,
-            hot,
             fault_plan: None,
             watchdog: None,
             recorder: None,
@@ -289,41 +258,21 @@ impl Machine {
 
     // --- Metrics --------------------------------------------------------
 
-    /// The live metrics registry. Hot counters (per-ksel
-    /// `qarma_ops_ksel_*`, `key_invalidations`, `epoch_rekeys`) are
-    /// maintained by the machine; embedders (the kernel scheduler) register
-    /// and update their own metrics through [`Machine::metrics_mut`]. CLB
-    /// hits and misses live in [`ClbStats`] and are exported by
-    /// [`Machine::metrics_snapshot`].
+    /// A point-in-time export of every count, named and in a fixed order:
+    /// the simulator's own counters, the kernel's scheduler counters and
+    /// histograms, then the counters of [`Stats`], the CLB and the
+    /// superblock tier. Every value is read from snapshotted state (or
+    /// from the tier, which restore resets), so the export follows the
+    /// machine through fork, restore and [`Machine::reset_stats`].
     #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable registry access for embedders registering their own metrics.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
-    /// A point-in-time export of every metric: the live registry plus
-    /// counters derived from [`Stats`] and the CLB (`cycles`, `instret`,
-    /// `crypto_encrypts`, `clb_hits`, `clb_misses`, ...), so one snapshot
-    /// carries the complete picture.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        let mut out = self.metrics.clone();
+    pub fn metrics(&self) -> Metrics {
+        let stats = &self.stats;
         let clb = self.engine.clb().stats();
         let sb = self.sb.stats();
-        for (name, value) in [
-            ("cycles", self.stats.cycles),
-            ("instret", self.stats.instret),
-            ("crypto_encrypts", self.stats.encrypts),
-            ("crypto_decrypts", self.stats.decrypts),
-            ("integrity_failures", self.stats.integrity_failures),
-            ("exceptions", self.stats.exceptions),
-            ("timer_interrupts", self.stats.timer_interrupts),
-            ("decode_hits", self.stats.decode_hits),
-            ("decode_misses", self.stats.decode_misses),
+        let mut counters = stats.arch_counts().to_vec();
+        counters.extend([
+            ("decode_hits", stats.decode_hits),
+            ("decode_misses", stats.decode_misses),
             ("clb_hits", clb.hits),
             ("clb_misses", clb.misses),
             ("clb_evictions", clb.evictions),
@@ -335,11 +284,20 @@ impl Machine {
             ("superblock_built", sb.built),
             ("superblock_invalidations", sb.invalidations),
             ("superblock_cached", sb.cached as u64),
-        ] {
-            let handle = out.counter(name);
-            out.add(handle, value);
+        ]);
+        Metrics {
+            counters,
+            histograms: vec![
+                ("syscall_cycles", stats.syscall_cycles.clone()),
+                ("timeslice_cycles", stats.timeslice_cycles.clone()),
+            ],
         }
-        out
+    }
+
+    /// Counts a scheduler event of the embedding kernel into [`Stats`]. A
+    /// context switch also records the timeslice it ends.
+    pub fn record_sched(&mut self, event: SchedEvent) {
+        self.stats.record_sched(event);
     }
 
     /// The hart (register/PC/privilege state).
@@ -382,12 +340,13 @@ impl Machine {
         &self.stats
     }
 
-    /// Resets cycle/instruction statistics and metric values (memory,
-    /// registers and metric handles are kept).
+    /// Zeroes every count: [`Stats`] (the kernel's scheduler counters,
+    /// histograms and timeslice anchor included), the CLB statistics and
+    /// the superblock tier's counters. Memory, registers, keys and cached
+    /// translations are kept.
     pub fn reset_stats(&mut self) {
         self.stats = Stats::default();
         self.engine.clb_mut().reset_stats();
-        self.metrics.reset_values();
         self.next_timer = self.timer_interval.unwrap_or(u64::MAX);
         // Zero the tier's counters but keep its translated traces warm —
         // reset_stats separates measurement epochs, it doesn't cool caches.
@@ -418,7 +377,7 @@ impl Machine {
             ));
         }
         self.engine.write_key(key, Key::new(w0, k0));
-        self.metrics.inc(self.hot.key_invalidations);
+        self.stats.key_invalidations += 1;
         self.emit_trace(|| TraceEvent::ClbInvalidate { ksel: key.ksel() });
         self.stats.retire(InsnClass::Csr, self.cost.alu);
         self.stats.retire(InsnClass::Csr, self.cost.alu);
@@ -430,7 +389,7 @@ impl Machine {
     /// privilege is checked by the executor).
     pub(crate) fn write_key_half_traced(&mut self, key: KeyReg, high_half: bool, value: u64) {
         self.engine.write_key_half(key, high_half, value);
-        self.metrics.inc(self.hot.key_invalidations);
+        self.stats.key_invalidations += 1;
         self.emit_trace(|| TraceEvent::ClbInvalidate { ksel: key.ksel() });
     }
 
@@ -443,10 +402,10 @@ impl Machine {
     }
 
     /// Issues a fresh rekey epoch for `key` and returns it, counting the
-    /// rekey in the `epoch_rekeys` metric. See
+    /// rekey in [`Stats::epoch_rekeys`]. See
     /// [`CryptoEngine::issue_epoch`].
     pub fn issue_key_epoch(&mut self, key: KeyReg) -> u64 {
-        self.metrics.inc(self.hot.epoch_rekeys);
+        self.stats.epoch_rekeys += 1;
         self.engine.issue_epoch(key)
     }
 
@@ -481,7 +440,7 @@ impl Machine {
                 decrypt: false,
             });
         } else {
-            self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
+            self.stats.qarma_ops[ksel as usize] += 1;
             if self.tracer.is_some() {
                 self.trace_emit(TraceEvent::ClbMiss {
                     ksel,
@@ -526,7 +485,7 @@ impl Machine {
                 decrypt: true,
             });
         } else {
-            self.metrics.inc(self.hot.qarma_ops[ksel as usize]);
+            self.stats.qarma_ops[ksel as usize] += 1;
             if self.tracer.is_some() {
                 self.trace_emit(TraceEvent::ClbMiss {
                     ksel,

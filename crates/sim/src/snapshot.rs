@@ -28,14 +28,17 @@ use crate::hart::Privilege;
 use crate::machine::Machine;
 use crate::mem::{PageData, PAGE_BYTES};
 use crate::stats::{InsnClass, Stats};
+use regvault_metrics::{HistogramData, BUCKETS};
 use regvault_qarma::Key;
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"RVSP";
-/// Version 4 dropped the full/delta kind byte and the base-digest slot.
+/// Version 5 added the simulator's and the kernel's counters to the
+/// statistics block (key invalidations, rekeys, per-key QARMA ops, the
+/// scheduler counters, the timeslice anchor and the two histograms).
 /// Only the current version decodes: any other is
 /// [`SnapshotError::BadVersion`].
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 
 /// FNV-1a 64-bit running hash — the snapshot and bundle checksum, and the
 /// chain [`Machine::arch_digest`] folds its fields through. Not
@@ -158,50 +161,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct StatsImage {
-    pub cycles: u64,
-    pub instret: u64,
-    pub class_counts: [u64; InsnClass::ALL.len()],
-    pub encrypts: u64,
-    pub decrypts: u64,
-    pub integrity_failures: u64,
-    pub exceptions: u64,
-    pub timer_interrupts: u64,
-    pub decode_hits: u64,
-    pub decode_misses: u64,
-}
-
-impl StatsImage {
-    fn capture(stats: &Stats) -> Self {
-        Self {
-            cycles: stats.cycles,
-            instret: stats.instret,
-            class_counts: stats.class_counts(),
-            encrypts: stats.encrypts,
-            decrypts: stats.decrypts,
-            integrity_failures: stats.integrity_failures,
-            exceptions: stats.exceptions,
-            timer_interrupts: stats.timer_interrupts,
-            decode_hits: stats.decode_hits,
-            decode_misses: stats.decode_misses,
-        }
-    }
-
-    fn apply(&self, stats: &mut Stats) {
-        stats.cycles = self.cycles;
-        stats.instret = self.instret;
-        stats.set_class_counts(self.class_counts);
-        stats.encrypts = self.encrypts;
-        stats.decrypts = self.decrypts;
-        stats.integrity_failures = self.integrity_failures;
-        stats.exceptions = self.exceptions;
-        stats.timer_interrupts = self.timer_interrupts;
-        stats.decode_hits = self.decode_hits;
-        stats.decode_misses = self.decode_misses;
-    }
-}
-
 /// A captured machine state (see the module docs for the format).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -219,7 +178,7 @@ pub struct Snapshot {
     pub(crate) clb_entries: Vec<(u8, u64, u64, u64)>,
     pub(crate) clb_stats: ClbStats,
     pub(crate) cost: CostModel,
-    pub(crate) stats: StatsImage,
+    pub(crate) stats: Stats,
     pub(crate) timer_interval: Option<u64>,
     pub(crate) next_timer: u64,
     pub(crate) watchdog: Option<(u64, u64)>,
@@ -355,7 +314,7 @@ impl Snapshot {
         }
         put_u64(&mut out, self.stats.cycles);
         put_u64(&mut out, self.stats.instret);
-        for count in self.stats.class_counts {
+        for count in self.stats.class_counts() {
             put_u64(&mut out, count);
         }
         for value in [
@@ -366,9 +325,24 @@ impl Snapshot {
             self.stats.timer_interrupts,
             self.stats.decode_hits,
             self.stats.decode_misses,
+            self.stats.key_invalidations,
+            self.stats.epoch_rekeys,
         ] {
             put_u64(&mut out, value);
         }
+        for count in self.stats.qarma_ops {
+            put_u64(&mut out, count);
+        }
+        for value in [
+            self.stats.sched_syscalls,
+            self.stats.sched_context_switches,
+            self.stats.sched_preemptions,
+            self.stats.last_switch_cycle,
+        ] {
+            put_u64(&mut out, value);
+        }
+        put_histogram(&mut out, &self.stats.syscall_cycles);
+        put_histogram(&mut out, &self.stats.timeslice_cycles);
         put_opt_u64(&mut out, self.timer_interval);
         put_u64(&mut out, self.next_timer);
         match self.watchdog {
@@ -490,24 +464,40 @@ impl Snapshot {
             crypto_miss: r.u64()?,
             trap: r.u64()?,
         };
-        let cycles = r.u64()?;
-        let instret = r.u64()?;
+        let mut stats = Stats::default();
+        stats.cycles = r.u64()?;
+        stats.instret = r.u64()?;
         let mut class_counts = [0u64; InsnClass::ALL.len()];
         for count in &mut class_counts {
             *count = r.u64()?;
         }
-        let stats = StatsImage {
-            cycles,
-            instret,
-            class_counts,
-            encrypts: r.u64()?,
-            decrypts: r.u64()?,
-            integrity_failures: r.u64()?,
-            exceptions: r.u64()?,
-            timer_interrupts: r.u64()?,
-            decode_hits: r.u64()?,
-            decode_misses: r.u64()?,
-        };
+        stats.set_class_counts(class_counts);
+        for field in [
+            &mut stats.encrypts,
+            &mut stats.decrypts,
+            &mut stats.integrity_failures,
+            &mut stats.exceptions,
+            &mut stats.timer_interrupts,
+            &mut stats.decode_hits,
+            &mut stats.decode_misses,
+            &mut stats.key_invalidations,
+            &mut stats.epoch_rekeys,
+        ] {
+            *field = r.u64()?;
+        }
+        for count in &mut stats.qarma_ops {
+            *count = r.u64()?;
+        }
+        for field in [
+            &mut stats.sched_syscalls,
+            &mut stats.sched_context_switches,
+            &mut stats.sched_preemptions,
+            &mut stats.last_switch_cycle,
+        ] {
+            *field = r.u64()?;
+        }
+        stats.syscall_cycles = r.histogram()?;
+        stats.timeslice_cycles = r.histogram()?;
         let timer_interval = r.opt_u64()?;
         let next_timer = r.u64()?;
         let watchdog = match r.u8()? {
@@ -595,6 +585,16 @@ fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
+/// Sum, raw extrema and every bucket; the count is the bucket total.
+fn put_histogram(out: &mut Vec<u8>, histogram: &HistogramData) {
+    put_u64(out, histogram.sum());
+    put_u64(out, histogram.min().unwrap_or(u64::MAX));
+    put_u64(out, histogram.max().unwrap_or(0));
+    for &n in histogram.buckets() {
+        put_u64(out, n);
+    }
+}
+
 fn put_opt_u64(out: &mut Vec<u8>, value: Option<u64>) {
     match value {
         None => out.push(0),
@@ -673,6 +673,16 @@ impl<'a> Reader<'a> {
         }
     }
 
+    fn histogram(&mut self) -> Result<HistogramData, SnapshotError> {
+        let (sum, min, max) = (self.u64()?, self.u64()?, self.u64()?);
+        let mut buckets = [0u64; BUCKETS];
+        for n in &mut buckets {
+            *n = self.u64()?;
+        }
+        HistogramData::from_parts(sum, min, max, buckets)
+            .ok_or(SnapshotError::BadEncoding("histogram"))
+    }
+
     pub(crate) fn fault_kind(&mut self) -> Result<FaultKind, SnapshotError> {
         let tag = self.u8()?;
         let f0 = self.u64()?;
@@ -721,7 +731,7 @@ impl Machine {
             clb_entries: clb.entries_lru_to_mru(),
             clb_stats: clb.stats(),
             cost: self.cost,
-            stats: StatsImage::capture(&self.stats),
+            stats: self.stats.clone(),
             timer_interval: self.timer_interval,
             next_timer: self.next_timer,
             watchdog: self.watchdog.map(|dog| (dog.budget(), dog.consumed())),
@@ -795,7 +805,7 @@ impl Machine {
             .clb_mut()
             .restore_entries(&snapshot.clb_entries, snapshot.clb_stats);
         self.cost = snapshot.cost;
-        snapshot.stats.apply(&mut self.stats);
+        self.stats = snapshot.stats.clone();
         self.timer_interval = snapshot.timer_interval;
         self.next_timer = snapshot.next_timer;
         self.watchdog = snapshot
@@ -867,12 +877,16 @@ impl Machine {
 
     /// Digest of the machine's architectural state: registers, pc,
     /// privilege, CSRs, key registers, CLB entries and statistics, memory
-    /// contents, and the architectural counters (cycles, instret, per-class
-    /// retirements, crypto/exception/timer counts).
+    /// contents, and the scalar counters of [`Stats`] (cycles, instret,
+    /// per-class retirements, crypto/exception/timer counts, key
+    /// invalidations, rekeys, per-key QARMA ops and the kernel's scheduler
+    /// counts).
     ///
     /// Deliberately excluded: decode-cache hit/miss counters and page write
-    /// generations (microarchitectural), the watchdog and fault plan
-    /// (harness state). Two machines that executed the same architectural
+    /// generations (microarchitectural), the syscall-latency and timeslice
+    /// histograms and the timeslice anchor (measurement aids, carried by
+    /// snapshots but not hashed), the watchdog and fault plan (harness
+    /// state). Two machines that executed the same architectural
     /// history digest identically even when one runs the reference datapath
     /// — which is precisely what the lockstep executor checks.
     ///
@@ -929,19 +943,11 @@ impl Machine {
             h.write_u64(no);
             h.write_word(page_hash(data));
         }
-        h.write_u64(self.stats.cycles);
-        h.write_u64(self.stats.instret);
         for count in self.stats.class_counts() {
             h.write_u64(count);
         }
-        for value in [
-            self.stats.encrypts,
-            self.stats.decrypts,
-            self.stats.integrity_failures,
-            self.stats.exceptions,
-            self.stats.timer_interrupts,
-        ] {
-            h.write_u64(value);
+        for (_, count) in self.stats.arch_counts() {
+            h.write_u64(count);
         }
         h.finish()
     }

@@ -1,5 +1,7 @@
 //! Execution statistics.
 
+use regvault_metrics::HistogramData;
+
 /// Coarse instruction classification used for cycle accounting and
 /// instruction-mix reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,7 +35,10 @@ impl InsnClass {
     ];
 }
 
-/// Counters accumulated while the machine runs.
+/// Counters accumulated while the machine runs: the one place the machine
+/// and the kernel count. Snapshots carry every field, so the counts follow
+/// the machine through fork and restore, and `Stats::default()` zeroes
+/// them all in `Machine::reset_stats`.
 ///
 /// Per-class retirement counts live in a fixed array indexed by the class
 /// discriminant (the retire path runs once per emulated instruction, so a
@@ -71,6 +76,45 @@ pub struct Stats {
     pub decode_hits: u64,
     /// Fetches that ran the full decoder.
     pub decode_misses: u64,
+    /// Key-register writes (each flushes the key's CLB entries).
+    pub key_invalidations: u64,
+    /// Fresh rekey epochs issued (`Machine::issue_key_epoch`).
+    pub epoch_rekeys: u64,
+    /// QARMA block computations, i.e. CLB misses, by key selector
+    /// (`m`, `a`..`g`).
+    pub qarma_ops: [u64; 8],
+    /// Syscalls the kernel dispatched.
+    pub sched_syscalls: u64,
+    /// Thread switches.
+    pub sched_context_switches: u64,
+    /// Timer interrupts that switched threads.
+    pub sched_preemptions: u64,
+    /// Cycles from syscall entry to return, one observation per syscall
+    /// that returned.
+    pub syscall_cycles: HistogramData,
+    /// Cycles between consecutive thread switches.
+    pub timeslice_cycles: HistogramData,
+    /// `cycles` at the last thread switch: the start of the running
+    /// timeslice. It lives beside `cycles` so a reset, fork or restore
+    /// moves both together.
+    pub(crate) last_switch_cycle: u64,
+}
+
+/// A scheduler event the kernel counts into [`Stats`] through
+/// `Machine::record_sched`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedEvent {
+    /// A syscall entered the kernel.
+    Syscall,
+    /// A syscall returned after `cycles` simulated cycles.
+    SyscallReturn {
+        /// Cycles from entry to return.
+        cycles: u64,
+    },
+    /// The scheduler switched threads, ending the running timeslice.
+    ContextSwitch,
+    /// A timer interrupt preempted the running thread.
+    Preemption,
 }
 
 impl Stats {
@@ -118,6 +162,52 @@ impl Stats {
         }
     }
 
+    /// The scalar architectural counts, named and ordered as
+    /// `Machine::metrics` exports them: every count except the per-class
+    /// retirements, the decode-cache counters (microarchitectural), the
+    /// histograms and the timeslice anchor. `Machine::arch_digest` hashes
+    /// these, and lockstep names the first one that differs.
+    pub(crate) fn arch_counts(&self) -> [(&'static str, u64); 20] {
+        let q = self.qarma_ops;
+        [
+            ("key_invalidations", self.key_invalidations),
+            ("qarma_ops_ksel_m", q[0]),
+            ("qarma_ops_ksel_a", q[1]),
+            ("qarma_ops_ksel_b", q[2]),
+            ("qarma_ops_ksel_c", q[3]),
+            ("qarma_ops_ksel_d", q[4]),
+            ("qarma_ops_ksel_e", q[5]),
+            ("qarma_ops_ksel_f", q[6]),
+            ("qarma_ops_ksel_g", q[7]),
+            ("epoch_rekeys", self.epoch_rekeys),
+            ("sched_context_switches", self.sched_context_switches),
+            ("sched_preemptions", self.sched_preemptions),
+            ("sched_syscalls", self.sched_syscalls),
+            ("cycles", self.cycles),
+            ("instret", self.instret),
+            ("crypto_encrypts", self.encrypts),
+            ("crypto_decrypts", self.decrypts),
+            ("integrity_failures", self.integrity_failures),
+            ("exceptions", self.exceptions),
+            ("timer_interrupts", self.timer_interrupts),
+        ]
+    }
+
+    /// Counts one scheduler event.
+    pub(crate) fn record_sched(&mut self, event: SchedEvent) {
+        match event {
+            SchedEvent::Syscall => self.sched_syscalls += 1,
+            SchedEvent::SyscallReturn { cycles } => self.syscall_cycles.record(cycles),
+            SchedEvent::ContextSwitch => {
+                self.sched_context_switches += 1;
+                self.timeslice_cycles
+                    .record(self.cycles - self.last_switch_cycle);
+                self.last_switch_cycle = self.cycles;
+            }
+            SchedEvent::Preemption => self.sched_preemptions += 1,
+        }
+    }
+
     /// Decode-cache hit ratio in `[0, 1]`; zero before any fetch.
     #[must_use]
     pub fn decode_hit_ratio(&self) -> f64 {
@@ -155,6 +245,19 @@ mod tests {
             looped.retire(InsnClass::Load, 2);
         }
         assert_eq!(batched, looped);
+    }
+
+    #[test]
+    fn timeslices_run_from_switch_to_switch() {
+        let mut stats = Stats::default();
+        stats.retire_n(InsnClass::Alu, 1, 100);
+        stats.record_sched(SchedEvent::ContextSwitch);
+        stats.retire_n(InsnClass::Alu, 1, 30);
+        stats.record_sched(SchedEvent::ContextSwitch);
+        assert_eq!(stats.sched_context_switches, 2);
+        assert_eq!(stats.timeslice_cycles.min(), Some(30));
+        assert_eq!(stats.timeslice_cycles.max(), Some(100));
+        assert_eq!(stats.last_switch_cycle, 130);
     }
 
     #[test]

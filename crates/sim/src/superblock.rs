@@ -242,7 +242,7 @@ pub(crate) struct SbExit {
 }
 
 /// Public snapshot of the tier's counters (exposed via
-/// `Machine::superblock_stats` and the metrics registry).
+/// `Machine::superblock_stats` and `Machine::metrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperblockStats {
     /// Superblock dispatches (block entries).
