@@ -30,7 +30,6 @@ use regvault_kernel::ProtectionConfig;
 use regvault_sim::{
     run_lockstep, run_tiered_lockstep, FaultKind, FaultPlan, Machine, MachineConfig, ReproBundle,
 };
-use regvault_verifier::baseline::Baseline;
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
     verify as verifier_verify, ProtectionManifest, Report, Severity, VerifyOptions, ViolationKind,
@@ -472,11 +471,6 @@ pub struct VerifyArgs {
     /// summaries, and the tweak-diversity / raw-key-flow / spill-gadget
     /// lints.
     pub interprocedural: bool,
-    /// Baseline file to ratchet against: exit nonzero on any finding whose
-    /// `(image, kind, fingerprint)` is not in it.
-    pub baseline: Option<String>,
-    /// Write the observed findings to this path as a fresh baseline.
-    pub update_baseline: Option<String>,
     /// Key-storage data symbols (single-file mode): loads from them are
     /// tracked by the raw-key-flow lint.
     pub key_symbols: Vec<String>,
@@ -497,10 +491,6 @@ const VERIFY_FLAGS: &[Flag<VerifyFlags>] = &[
     Flag::switch("--sarif", "SARIF 2.1.0 document", |f, _| set(&mut f.args.sarif, true)),
     Flag::switch("--interprocedural", "call-graph summaries + whole-program lints",
         |f, _| set(&mut f.args.interprocedural, true)),
-    Flag::value("--baseline", "FILE", "fail on any finding not in FILE (ratchet)",
-        |f, v| set(&mut f.args.baseline, Some(v.to_owned()))),
-    Flag::value("--update-baseline", "FILE", "write the findings to FILE as the baseline",
-        |f, v| set(&mut f.args.update_baseline, Some(v.to_owned()))),
     Flag::value("--key-symbol", "NAME", "key-storage data symbol (repeatable)", |f, v| {
         f.args.key_symbols.push(v.to_owned());
         Ok(())
@@ -581,9 +571,9 @@ pub fn report_json(report: &Report) -> Value {
 /// Labeled verifier reports as one SARIF 2.1.0-style document.
 ///
 /// `runs` pairs an artifact label (e.g. `dhry2@full` or a file name) with
-/// its report; all results land in a single SARIF run so the document is one
-/// ratchetable unit. Fingerprints are emitted as the `regvault/v1` partial
-/// fingerprint, which is what the baseline matches on.
+/// its report; all results land in a single SARIF run. Fingerprints are
+/// emitted as the `regvault/v1` partial fingerprint, so a SARIF consumer can
+/// track one finding across rebuilds.
 #[must_use]
 pub fn sarif_json(runs: &[(String, &Report)]) -> Value {
     let rules = ViolationKind::ALL.iter().map(|kind| {
@@ -711,56 +701,12 @@ fn analysis_summary(reports: &[&Report], elapsed: std::time::Duration) -> String
     out
 }
 
-/// Applies the baseline ratchet over labeled reports: `--update-baseline`
-/// rewrites the file from the observed findings; `--baseline` checks against
-/// it. Returns `(summary text, ratchet failed)`.
-fn apply_ratchet(
-    args: &VerifyArgs,
-    runs: &[(String, &Report)],
-) -> Result<(String, bool), CliError> {
-    if let Some(path) = &args.update_baseline {
-        let baseline = Baseline::from_reports(runs);
-        std::fs::write(path, baseline.render())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        return Ok((
-            format!(
-                "baseline updated: {} entr(ies) written to {path}\n",
-                baseline.entries.len()
-            ),
-            false,
-        ));
-    }
-    let Some(path) = &args.baseline else {
-        return Ok((String::new(), false));
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let baseline = Baseline::parse(&text)?;
-    let (new, resolved) = baseline.check(runs);
-    let mut out = String::new();
-    for finding in &new {
-        let _ = writeln!(
-            out,
-            "NEW FINDING [{}] {} in `{}` ({}): {}",
-            finding.kind, finding.image, finding.function, finding.fingerprint, finding.detail
-        );
-    }
-    let _ = writeln!(
-        out,
-        "ratchet: {} baseline entr(ies), {} new finding(s), {} resolved",
-        baseline.entries.len(),
-        new.len(),
-        resolved
-    );
-    Ok((out, !new.is_empty()))
-}
-
 /// Verifies a hand-written assembly program against the RegVault dataflow
 /// invariants. Regions that fail to decode are skipped as data (hand-written
 /// images may interleave `.dword` pools with code).
 ///
-/// Returns `Ok(report)` when the image has no error-severity findings and
-/// `Err(report)` otherwise (or when the baseline ratchet fails), so callers
-/// can exit non-zero. Interprocedural lint warnings render but do not fail.
+/// Returns `Ok(report)` when the image has no finding and `Err(report)`
+/// otherwise, so callers can exit non-zero. Warnings fail like errors.
 ///
 /// # Errors
 ///
@@ -786,7 +732,6 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
     );
     let elapsed = started.elapsed();
     let runs = vec![("<input>".to_owned(), &report)];
-    let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
     let mut rendered = if args.sarif {
         sarif_json(&runs).render()
     } else if args.json {
@@ -796,16 +741,15 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
         if args.interprocedural {
             text.push_str(&analysis_summary(&[&report], elapsed));
         }
-        text.push_str(&ratchet_text);
         text
     };
     if !rendered.ends_with('\n') {
         rendered.push('\n');
     }
-    if report.has_errors() || ratchet_failed {
-        Err(rendered)
-    } else {
+    if report.is_clean() {
         Ok(rendered)
+    } else {
+        Err(rendered)
     }
 }
 
@@ -814,14 +758,12 @@ pub fn cmd_verify_source(source: &str, args: &VerifyArgs) -> Result<String, CliE
 /// manifest), plus the raw UnixBench/LMbench guest programs (dataflow
 /// invariants only).
 ///
-/// Returns `Err` with the summary when any image has an error-severity
-/// finding, or when the `--baseline` ratchet sees a finding not in the
-/// committed baseline. Interprocedural lint warnings render (and feed the
-/// ratchet) but do not fail the run by themselves.
+/// Returns `Err` with the summary when any image has a finding of either
+/// severity; the per-image `OK`/`FAIL` column uses the same predicate.
 ///
 /// # Errors
 ///
-/// Propagates compile errors and reports verification/ratchet failures.
+/// Propagates compile errors and reports verification failures.
 pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
     let configs: [(&str, CompileConfig); 5] = [
         ("base", CompileConfig::none()),
@@ -878,13 +820,8 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         .iter()
         .map(|(name, label, report)| (format!("{name}@{label}"), report))
         .collect();
-    let (ratchet_text, ratchet_failed) = apply_ratchet(args, &runs)?;
 
     let total_violations: usize = rows.iter().map(|(_, _, r)| r.violations.len()).sum();
-    let errors: usize = rows
-        .iter()
-        .map(|(_, _, r)| r.count_by_severity(Severity::Error))
-        .sum();
     let out = if args.sarif {
         sarif_json(&runs).render()
     } else if args.json {
@@ -903,7 +840,7 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
     } else {
         let mut out = String::new();
         for (name, label, report) in &rows {
-            let verdict = if report.has_errors() { "FAIL" } else { "OK" };
+            let verdict = if report.is_clean() { "OK" } else { "FAIL" };
             let _ = writeln!(
                 out,
                 "  {name:<12} {label:<12} {verdict:<5} {} insns, {} crypto ops, {} violation(s)",
@@ -919,7 +856,6 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
             let reports: Vec<&Report> = rows.iter().map(|(_, _, r)| r).collect();
             out.push_str(&analysis_summary(&reports, elapsed));
         }
-        out.push_str(&ratchet_text);
         let _ = writeln!(
             out,
             "verified {} images: {total_violations} violation(s)",
@@ -927,7 +863,7 @@ pub fn cmd_verify_workloads(args: &VerifyArgs) -> Result<String, CliError> {
         );
         out
     };
-    if errors == 0 && !ratchet_failed {
+    if total_violations == 0 {
         Ok(out)
     } else {
         Err(out)
@@ -1218,17 +1154,10 @@ mod tests {
     fn verify_args_parse_and_reject_contradictions() {
         let to_vec =
             |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
-        let parsed = parse_verify_args(&to_vec(&[
-            "--workloads",
-            "--interprocedural",
-            "--sarif",
-            "--baseline",
-            "b.txt",
-        ]))
-        .unwrap();
+        let parsed =
+            parse_verify_args(&to_vec(&["--workloads", "--interprocedural", "--sarif"])).unwrap();
         assert_eq!(parsed.input, VerifyInput::Workloads);
         assert!(parsed.interprocedural && parsed.sarif);
-        assert_eq!(parsed.baseline.as_deref(), Some("b.txt"));
         let parsed = parse_verify_args(&to_vec(&["prog.s", "--key-symbol", "keyblob"])).unwrap();
         assert_eq!(parsed.input, VerifyInput::File("prog.s".to_owned()));
         assert_eq!(parsed.key_symbols, vec!["keyblob".to_owned()]);
@@ -1236,12 +1165,18 @@ mod tests {
         assert!(parse_verify_args(&to_vec(&["a.s", "--workloads"])).is_err());
         assert!(parse_verify_args(&to_vec(&["a.s", "--json", "--sarif"])).is_err());
         assert!(parse_verify_args(&to_vec(&["a.s", "--frobnicate"])).is_err());
+        let err = parse_verify_args(&to_vec(&["--workloads", "--baseline", "b.txt"])).unwrap_err();
+        assert!(
+            err.starts_with("verify: unknown flag `--baseline`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn verify_interprocedural_reports_graph_and_lint_table() {
         // Warning-only program: a (key, tweak) pair reused across two
-        // encryptions of different values, never stored.
+        // encryptions of different values, never stored. A warning fails
+        // the run like an error does.
         let args = VerifyArgs {
             interprocedural: true,
             ..VerifyArgs::default()
@@ -1257,7 +1192,7 @@ mod tests {
               ret",
             &args,
         )
-        .unwrap();
+        .unwrap_err();
         assert!(out.contains("call graph:"), "{out}");
         assert!(
             out.contains("tweak-diversity            warning  1"),

@@ -9,6 +9,10 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use regvault_cli::json::find_number;
+use regvault_compiler::{compile, CompileConfig};
+use regvault_verifier::mutate::{self, Mutation};
+use regvault_verifier::ViolationKind;
+use regvault_workloads::{spec::Spec, Workload};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_regvault-cli"))
@@ -143,26 +147,10 @@ fn unknown_commands_exit_nonzero_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
-/// Two encryptions under the same `(key, tweak)` pair: no error-severity
-/// finding, but a tweak-diversity *warning* in whole-program mode.
-const TWEAK_REUSE_PROGRAM: &str = "main:
-  addi t6, sp, 8
-  creak t5, t0[7:0], t6
-  creak t4, a4[7:0], t6
-  ebreak
-";
-
 #[test]
 fn verify_workloads_corpus_gate_is_zero() {
-    // The committed-baseline invocation CI runs (from the repo root).
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../verifier-baseline.txt");
-    let out = cli(&[
-        "verify",
-        "--workloads",
-        "--interprocedural",
-        "--baseline",
-        baseline,
-    ]);
+    // The invocation CI runs: any finding of either severity fails it.
+    let out = cli(&["verify", "--workloads", "--interprocedural"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -170,7 +158,6 @@ fn verify_workloads_corpus_gate_is_zero() {
         "{stdout}"
     );
     assert!(stdout.contains("call graph:"), "{stdout}");
-    assert!(stdout.contains("ratchet:"), "{stdout}");
 }
 
 #[test]
@@ -190,65 +177,54 @@ fn verify_sarif_emits_a_document_and_keeps_the_exit_contract() {
     assert!(stderr.contains("plain-spill"), "{stderr}");
 }
 
+/// The exact gate in its failing direction: each whole-program mutation
+/// seeded into a compiled FULL listing exits 1 and names its lint, warnings
+/// (tweak reuse, raw key load) as much as the error (spill gadget), while
+/// the unmutated listing exits 0.
 #[test]
-fn verify_ratchet_fails_on_new_findings_until_baselined() {
-    let program = scratch("ratchet.s", TWEAK_REUSE_PROGRAM);
-    let file = program.to_str().unwrap();
+fn verify_fails_on_each_seeded_whole_program_mutation() {
+    let matrix = [
+        (Mutation::ReuseTweak, true, ViolationKind::TweakDiversity),
+        (Mutation::LeakKeyToGpr, true, ViolationKind::RawKeyFlow),
+        (
+            Mutation::PlainSpillInCallee,
+            false,
+            ViolationKind::SpillGadget,
+        ),
+    ];
+    for item in Spec::ALL {
+        let compiled = compile(&item.module(), &CompileConfig::full()).expect("compiles");
+        let asm = compiled.asm_text();
+        let verify = |name: &str, listing: &str| {
+            let file = scratch(&format!("{}_{name}.s", item.name()), listing);
+            cli(&[
+                "verify",
+                file.to_str().unwrap(),
+                "--interprocedural",
+                "--key-symbol",
+                mutate::KEY_SYMBOL,
+            ])
+        };
+        let out = verify("clean", asm);
+        assert!(out.status.success(), "{}: {out:?}", item.name());
 
-    // Warnings alone do not fail the gate...
-    let out = cli(&["verify", file, "--interprocedural"]);
-    assert!(out.status.success(), "{out:?}");
-
-    // ...but against an empty baseline the ratchet flags them as new.
-    let empty = scratch("ratchet_empty.txt", "# regvault verifier baseline v1\n");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        empty.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "new findings must fail: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("NEW FINDING"));
-
-    // Recording the debt and re-checking against it passes again.
-    let accepted = std::env::temp_dir().join(format!(
-        "regvault_cli_exit_codes_{}_ratchet_accepted.txt",
-        std::process::id()
-    ));
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--update-baseline",
-        accepted.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        accepted.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "baselined findings must pass: {out:?}"
-    );
-
-    // A truncated baseline must not silently accept everything.
-    let malformed = scratch("ratchet_bad.txt", "img tweak-diversity main\n");
-    let out = cli(&[
-        "verify",
-        file,
-        "--interprocedural",
-        "--baseline",
-        malformed.to_str().unwrap(),
-    ]);
-    assert!(
-        !out.status.success(),
-        "malformed baseline must fail: {out:?}"
-    );
+        let sites = mutate::crypto_sites(asm);
+        for (mutation, on_cre, kind) in matrix {
+            let site = sites
+                .iter()
+                .find(|s| s.is_cre == on_cre)
+                .expect("FULL listings have cre and crd sites");
+            let mutated = mutate::apply(asm, site.line, mutation).expect("mutation applies");
+            let out = verify(kind.id(), &mutated);
+            assert_eq!(out.status.code(), Some(1), "{}: {mutation:?}", item.name());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(kind.id()),
+                "{}: {mutation:?}: {stderr}",
+                item.name()
+            );
+        }
+    }
 }
 
 #[test]

@@ -69,8 +69,8 @@ pub struct CompileConfig {
     pub verify_output: bool,
     /// Verify in whole-program mode: call-graph recovery, interprocedural
     /// taint summaries, and the tweak-diversity / raw-key-flow /
-    /// spill-gadget lints. Lint *warnings* never fail compilation (they are
-    /// baselined and ratcheted by CI); error-severity findings do. Off by
+    /// spill-gadget lints. Lint *warnings* never fail compilation (CI's
+    /// `regvault-cli verify` run fails on them); error-severity findings do. Off by
     /// default — the intraprocedural gate is the compatibility baseline.
     pub verify_interprocedural: bool,
     /// Key register assignment.

@@ -139,7 +139,8 @@ pub fn report_for_source(
 /// Returns [`CompileError::Verification`] carrying the verifier's
 /// human-readable report when any *error-severity* invariant is violated.
 /// Interprocedural lint warnings (tweak diversity, raw key flow) do not
-/// fail compilation — they are baselined and ratcheted by CI instead.
+/// fail compilation; `regvault-cli verify`, which CI runs over the corpus,
+/// fails on them.
 pub fn check(
     compiled: &CompiledProgram,
     module: &Module,

@@ -9,9 +9,8 @@
 //! per `(kind, fingerprint)`, and assigns each violation a stable
 //! fingerprint — a hash over `(kind, function, instruction, detail,
 //! occurrence index)` that deliberately excludes byte offsets, so unrelated
-//! code motion does not churn a committed baseline. The baseline ratchet
-//! ([`crate::baseline`]) and the CLI's JSON/SARIF reports build on those
-//! fingerprints.
+//! code motion does not change them. The CLI's JSON `fingerprint` key and
+//! SARIF `partialFingerprints` carry them.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,11 +52,12 @@ pub enum ViolationKind {
 }
 
 /// How serious a finding is: errors break the protection invariants
-/// outright, warnings flag side-channel risk or policy debt to be ratcheted
-/// down over time.
+/// outright, warnings flag side-channel risk or policy debt. A reported
+/// label (it sets SARIF `level`): `regvault-cli verify` fails on a finding
+/// of either severity, the compiler's in-compile gate on errors only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Side-channel risk / policy debt; baselined and ratcheted.
+    /// Side-channel risk / policy debt; fails `regvault-cli verify`.
     Warning,
     /// A broken protection invariant; fails the compiler gate.
     Error,
@@ -147,7 +147,7 @@ pub struct Violation {
     pub context: Vec<String>,
     /// Stable fingerprint (filled by [`Report::finalize`]): a hash of
     /// `(kind, function, insn, detail, occurrence)` — offsets excluded so
-    /// code motion does not churn baselines.
+    /// code motion does not change it.
     pub fingerprint: String,
 }
 
@@ -259,7 +259,7 @@ impl Report {
     /// `(kind, fingerprint)`, and assigns stable fingerprints.
     ///
     /// Idempotent; [`crate::verify`] calls it before returning, so reports
-    /// are byte-stable across runs and usable as baselines.
+    /// are byte-stable across runs.
     pub fn finalize(&mut self) {
         self.violations.sort_by(|a, b| {
             (&a.function, a.offset, a.kind, &a.detail).cmp(&(

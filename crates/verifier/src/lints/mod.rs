@@ -18,7 +18,8 @@
 //! Lints only run in interprocedural mode
 //! ([`VerifyOptions::interprocedural`](crate::VerifyOptions)); their
 //! findings carry [`Severity`](crate::diag::Severity) levels and stable
-//! fingerprints so they can be baselined and ratcheted in CI.
+//! fingerprints, and any finding fails `regvault-cli verify`, which CI runs
+//! over the whole corpus.
 
 pub mod raw_key_flow;
 pub mod spill_gadget;

@@ -10,7 +10,8 @@
 //! `a0` — into a finding. Legacy key-install paths necessarily trip the
 //! load rule today, which is the point: the findings inventory exactly the
 //! sites a future `khcreate`/`khuse` handle scheme (ROADMAP item 3) must
-//! replace, and the baseline ratchet keeps the inventory from growing.
+//! replace. The corpus has no such site, and CI's exact verifier gate
+//! fails on the first one.
 
 use regvault_isa::abi::ARG_REGS;
 

@@ -4,7 +4,6 @@
 
 use regvault_isa::asm::assemble;
 use regvault_isa::{KeyReg, Reg};
-use regvault_verifier::baseline::Baseline;
 use regvault_verifier::mutate::{self, Mutation};
 use regvault_verifier::{
     cip, verify, FnExpect, ProtectionManifest, Report, Severity, VerifyOptions, ViolationKind,
@@ -137,36 +136,14 @@ fn each_seeded_mutation_is_caught_by_exactly_its_lint() {
                 report.render_human()
             );
         }
-        // Severity contract: the diversity/key-flow lints warn (baselined
-        // debt), the composed spill gadget is a hard error.
-        let gate_fails = report.has_errors();
+        // Severity labels: the diversity/key-flow lints report warnings,
+        // the composed spill gadget an error. The compiler's in-compile gate
+        // fails on errors only; `regvault-cli verify` fails on either.
         assert_eq!(
-            gate_fails,
+            report.has_errors(),
             expected.severity() == Severity::Error,
-            "{mutation:?}: gate outcome must follow the lint's severity"
+            "{mutation:?}: has_errors must follow the lint's severity"
         );
-    }
-}
-
-#[test]
-fn ratchet_flags_every_seeded_mutation_as_new() {
-    // Baseline captured from the clean substrate (empty — it is clean).
-    let base = run(PROTECTED, &protected_manifest(), &interproc());
-    let baseline = Baseline::from_reports(&[("img".to_owned(), &base)]);
-    assert!(baseline.entries.is_empty());
-
-    for (mutation, on_cre) in [
-        (Mutation::ReuseTweak, true),
-        (Mutation::LeakKeyToGpr, true),
-        (Mutation::PlainSpillInCallee, false),
-    ] {
-        let report = mutated_report(mutation, on_cre);
-        let (new, resolved) = baseline.check(&[("img".to_owned(), &report)]);
-        assert!(
-            !new.is_empty(),
-            "{mutation:?} must register as ratchet regression"
-        );
-        assert_eq!(resolved, 0);
     }
 }
 

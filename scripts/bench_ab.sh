@@ -44,6 +44,12 @@ if [ ! -d "$src" ]; then
     mv "$src.tmp" "$src"
 fi
 
+# Cargo prunes a stale entry from the committed benchmark/Cargo.lock when
+# it builds the working tree's benchmark; put the file back on any exit.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock && rm -f "$lock_copy"' EXIT
+
 build() { # <manifest-dir> <target-dir>
     echo "==> building $1/benchmark" >&2
     CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \

@@ -69,17 +69,18 @@ fi
 
 echo "==> repository benchmark's own tests (every workload's --smoke round and its checks)"
 # Cargo prunes a stale entry from the committed benchmark/Cargo.lock when
-# it builds the benchmark; put the file back so the run leaves no change.
-cp benchmark/Cargo.lock /tmp/regvault_benchmark_Cargo.lock
+# it builds the benchmark; put the file back on any exit, a failing test
+# included, so the run leaves no change.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock && rm -f "$lock_copy"' EXIT
 cargo test --manifest-path benchmark/Cargo.toml
-cp /tmp/regvault_benchmark_Cargo.lock benchmark/Cargo.lock
 
 echo "==> protection verifier over the full benchmark corpus"
 target/release/regvault-cli verify --workloads
 
-echo "==> verifier ratchet (whole-program lints vs committed baseline)"
-target/release/regvault-cli verify --workloads --interprocedural \
-    --baseline verifier-baseline.txt
+echo "==> whole-program verifier lints over the corpus (any finding fails)"
+target/release/regvault-cli verify --workloads --interprocedural
 
 echo "==> fault campaign determinism (two runs must be identical)"
 campaign=(target/release/fault_campaign --seed 42 --trials 50)
