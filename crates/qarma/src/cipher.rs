@@ -22,15 +22,18 @@
 //! (the S-box is nibble-local, so it commutes with nibble permutations).
 //!
 //! One encryption is then `2r + 2` sequential table layers (plus one plain
-//! inverse substitution for the diffusion-less last round), with the tweak
-//! schedule expanded off the critical path. All key material that does not
-//! depend on the tweak is precomputed at construction into a pair of
-//! [`Schedule`]s.
+//! inverse substitution for the diffusion-less last round). All key
+//! material that does not depend on the tweak is precomputed at
+//! construction into a pair of [`Schedule`]s; all tweak material that does
+//! not depend on the key is expanded into a [`TweakSchedule`], which a
+//! small per-thread cache keeps for recently used tweaks (RegVault's tweak
+//! is the storage address, so the same one recurs on every miss there).
 //!
 //! The original cell-by-cell implementation survives as
 //! [`crate::reference::Reference`] and the two are differential-tested
 //! against each other and against the published test vectors.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::tables::{self, apply, tables, Linear};
@@ -103,8 +106,12 @@ fn fused(sbox: Sbox) -> &'static Fused {
 /// wiring (α-reflection), so a [`Qarma64`] holds one schedule per direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Schedule {
-    /// In-whitening key (XORed into the incoming block).
+    /// In-whitening key; with the tweak, the backward half's last round
+    /// tweakey.
     w_in: u64,
+    /// `w_in ⊕ k ⊕ c_0`: everything key-only XORed into the incoming block
+    /// (the diffusion-less first round consumes its key raw).
+    in_key: u64,
     /// Out-whitening key (final XOR).
     w_out: u64,
     /// `τM(w_out)`: the pre-reflector round tweakey, pushed through the
@@ -113,9 +120,6 @@ struct Schedule {
     /// Central (reflector) key, consumed in the pre-shuffle domain by the
     /// `ginv_refl` table.
     central: u64,
-    /// `k ⊕ c_i` per forward round (only index 0, the diffusion-less first
-    /// round, is consumed raw).
-    k_rc: [u64; 8],
     /// `τM(k ⊕ c_i)` per forward round, for the fused-round domain.
     k_rc_tm: [u64; 8],
     /// `k ⊕ c_i ⊕ α` per backward round.
@@ -124,26 +128,123 @@ struct Schedule {
 
 impl Schedule {
     fn new(w_in: u64, w_out: u64, core: u64, central: u64) -> Self {
-        let mut k_rc = [0u64; 8];
         let mut k_rc_tm = [0u64; 8];
         let mut k_rc_alpha = [0u64; 8];
         for i in 0..8 {
-            k_rc[i] = core ^ ROUND_CONSTANTS[i];
             // Register τM: construction shouldn't fault 16 KiB of table
             // into cache for eight one-off transforms.
-            k_rc_tm[i] = tables::tau_mix_swar(k_rc[i]);
+            k_rc_tm[i] = tables::tau_mix_swar(core ^ ROUND_CONSTANTS[i]);
             k_rc_alpha[i] = core ^ ROUND_CONSTANTS[i] ^ ALPHA;
         }
         Self {
             w_in,
+            in_key: w_in ^ core ^ ROUND_CONSTANTS[0],
             w_out,
             w_out_tm: tables::tau_mix_swar(w_out),
             central,
-            k_rc,
             k_rc_tm,
             k_rc_alpha,
         }
     }
+}
+
+/// Key-independent tweak material, expanded to all eight rounds so one
+/// entry serves every round count and S-box.
+#[derive(Debug, Clone, Copy)]
+struct TweakSchedule {
+    /// `tks[i]`: the tweak after `i` forward updates (`tks[0]` is the tweak).
+    tks: [u64; 9],
+    /// `tm[i] = τM(tks[i + 1])`: forward round `i + 1`'s tweak part in the
+    /// fused-round domain.
+    tm: [u64; 8],
+}
+
+impl TweakSchedule {
+    const EMPTY: Self = Self {
+        tks: [0; 9],
+        tm: [0; 8],
+    };
+
+    /// Expands `tweak`. The loop-carried chain is the raw `tks` step; `tm`
+    /// derives from the *previous* raw value through the composite
+    /// `tweak_tau_mix` table.
+    fn new(tweak: u64) -> Self {
+        let t = tables();
+        let mut schedule = Self::EMPTY;
+        schedule.tks[0] = tweak;
+        for i in 0..8 {
+            schedule.tks[i + 1] = tables::tweak_forward_swar(schedule.tks[i]);
+            schedule.tm[i] = apply(&t.tweak_tau_mix, schedule.tks[i]);
+        }
+        schedule
+    }
+}
+
+/// log2 of the tweak-cache slot count: 64 slots of 152 bytes (~9.5 KiB).
+const TWEAK_INDEX_BITS: u32 = 6;
+const TWEAK_SLOTS: usize = 1 << TWEAK_INDEX_BITS;
+
+/// The per-thread, direct-mapped cache of expanded tweak schedules.
+///
+/// Exact by construction: an entry is a pure function of the full tweak it
+/// is tagged with, so key changes need no invalidation. Per thread rather
+/// than per instance, so every cipher of the thread (one per key register,
+/// rebuilt on key writes) shares it and allocates nothing.
+struct TweakCache {
+    /// The tweak each slot's schedule belongs to; `None` until the slot is
+    /// filled, so an empty slot answers no tweak, tweak 0 included.
+    tags: [Cell<Option<u64>>; TWEAK_SLOTS],
+    schedules: [Cell<TweakSchedule>; TWEAK_SLOTS],
+    /// `(hits, lookups)` of this thread's cache.
+    counts: Cell<(u64, u64)>,
+}
+
+thread_local! {
+    static TWEAK_CACHE: TweakCache = const {
+        TweakCache {
+            tags: [const { Cell::new(None) }; TWEAK_SLOTS],
+            schedules: [const { Cell::new(TweakSchedule::EMPTY) }; TWEAK_SLOTS],
+            counts: Cell::new((0, 0)),
+        }
+    };
+}
+
+/// The cache slot of `tweak`: the top bits of one Fibonacci-hashing
+/// multiply, so address tweaks 8 bytes apart spread over the slots.
+fn tweak_slot(tweak: u64) -> usize {
+    (tweak.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - TWEAK_INDEX_BITS)) as usize
+}
+
+/// Runs `f` on the expanded schedule of `tweak`: from this thread's cache
+/// when its slot holds it, else freshly expanded, handed to `f` from
+/// registers and stored for the next block.
+#[inline(always)]
+fn with_tweak_schedule<T>(tweak: u64, f: impl FnOnce(&TweakSchedule) -> T) -> T {
+    TWEAK_CACHE.with(|cache| {
+        let index = tweak_slot(tweak);
+        let hit = cache.tags[index].get() == Some(tweak);
+        let (hits, lookups) = cache.counts.get();
+        cache.counts.set((hits + u64::from(hit), lookups + 1));
+        if hit {
+            return f(&cache.schedules[index].get());
+        }
+        let schedule = TweakSchedule::new(tweak);
+        cache.tags[index].set(Some(tweak));
+        cache.schedules[index].set(schedule);
+        f(&schedule)
+    })
+}
+
+/// `(hits, lookups)` of the calling thread's tweak-schedule cache since the
+/// thread started: one lookup per [`Qarma64`] block, a hit when the tweak's
+/// schedule was still cached.
+///
+/// Host-side only: the cache changes how fast a block is computed, never
+/// its value. Measure a span as the difference of two calls on the same
+/// thread.
+#[must_use]
+pub fn tweak_cache_counts() -> (u64, u64) {
+    TWEAK_CACHE.with(|cache| cache.counts.get())
 }
 
 /// A QARMA-64 tweakable block cipher instance.
@@ -297,18 +398,16 @@ impl Qarma64 {
     /// round, the pseudo-reflector, and the mirrored backward half — all on
     /// in-register `u64` state through the fused tables of [`fused`].
     ///
-    /// The tweak schedule is expanded once, with the per-round key material
-    /// folded straight in: `fwd[i]` is the complete τM-domain tweakey of
-    /// forward round `i`, `bwd[i]` the raw-domain tweakey of the mirrored
-    /// backward round. The backward half reads its entries directly instead
-    /// of stepping the inverse tweak update `r` more times, and each round
-    /// of either half costs a single XOR against the state. The schedule is
-    /// a loop-carried chain of its own, independent of the state chain, so
-    /// it overlaps with the rounds.
+    /// The tweak schedule comes pre-expanded from [`with_tweak_schedule`].
+    /// Each round's tweakey is its tweak part XOR the key part from
+    /// `sched`, an XOR off the state chain, so each round of either half
+    /// costs a single XOR against the state. The backward half reads its
+    /// entries directly instead of stepping the inverse tweak update `r`
+    /// more times.
     fn core(&self, sched: &Schedule, block: u64, tweak: u64) -> u64 {
-        // Monomorphize per round count so the round loops fully unroll and
-        // both tweak schedules live in registers (the engine always runs
-        // r = 7; the other counts exist for the test-vector grid).
+        // Monomorphize per round count so the round loops fully unroll
+        // (the engine always runs r = 7; the other counts exist for the
+        // test-vector grid).
         match self.rounds {
             1 => self.core_r::<1>(sched, block, tweak),
             2 => self.core_r::<2>(sched, block, tweak),
@@ -323,59 +422,37 @@ impl Qarma64 {
     }
 
     fn core_r<const R: usize>(&self, sched: &Schedule, block: u64, tweak: u64) -> u64 {
-        let t = tables();
         let f = self.fused;
         let r = R;
+        with_tweak_schedule(tweak, |&TweakSchedule { tks, tm }| {
+            // Forward half in the pre-substitution domain: `y` is the state
+            // just before round `i`'s S-box layer, so each fused `g`
+            // application performs the previous round's substitution
+            // together with this round's diffusion, and the round tweakey
+            // lands τM-transformed (`τM(tks[i]) ⊕ τM(k ⊕ c_i)`).
+            let mut y = block ^ (sched.in_key ^ tks[0]);
+            for i in 1..r {
+                y = apply(&f.g, y) ^ (tm[i - 1] ^ sched.k_rc_tm[i]);
+            }
+            // Whitened full round, then the pseudo-reflector: `R ∘ S` is
+            // `τ⁻¹ ∘ (Mτ ∘ S) = τ⁻¹ ∘ g`, so the reflector reuses the hot
+            // `g` table; its trailing τ⁻¹ shuffle (and the central-key XOR
+            // under it) is absorbed into the first backward round's
+            // `ginv_refl` table rather than spent on the state chain.
+            y = apply(&f.g, y) ^ (tm[r - 1] ^ sched.w_out_tm);
+            let w = apply(&f.g, y) ^ sched.central;
 
-        // The tweak schedule, expanded once with the round-key material
-        // folded in: `fwd[i]` is forward round `i`'s complete τM-domain
-        // tweakey (`τM(tks[i]) ⊕ τM(k ⊕ c_i)`, via the composite
-        // `tweak_tau_mix` table so it derives from the *previous* raw
-        // value), `bwd[i]` the backward round's raw tweakey. The
-        // loop-carried chain is the raw `tks` step and runs in registers;
-        // everything else hangs off it in parallel with the state chain,
-        // leaving each round a single XOR against the state.
-        let mut tks = [0u64; 9];
-        let mut fwd = [0u64; 9];
-        let mut bwd = [0u64; 9];
-        tks[0] = tweak;
-        for i in 0..r {
-            tks[i + 1] = tables::tweak_forward_swar(tks[i]);
-            let key_tm = if i + 1 == r {
-                sched.w_out_tm
-            } else {
-                sched.k_rc_tm[i + 1]
-            };
-            fwd[i + 1] = apply(&t.tweak_tau_mix, tks[i]) ^ key_tm;
-            bwd[i] = sched.k_rc_alpha[i] ^ tks[i];
-        }
-        bwd[r] = sched.w_in ^ tks[r];
+            // Mirrored whitened round and backward rounds: one fused table
+            // each.
+            let mut state = apply(&f.ginv_refl, w) ^ (sched.w_in ^ tks[r]);
+            for i in (1..r).rev() {
+                state = apply(&f.ginv, state) ^ (sched.k_rc_alpha[i] ^ tks[i]);
+            }
+            // The diffusion-less last round keeps a plain inverse substitution.
+            state = sub_bytes(&self.sbox_inv, state) ^ (sched.k_rc_alpha[0] ^ tks[0]);
 
-        // Forward half in the pre-substitution domain: `y` is the state just
-        // before round `i`'s S-box layer, so each fused `g` application
-        // performs the previous round's substitution together with this
-        // round's diffusion, and the round tweakey lands τM-transformed.
-        let mut y = block ^ sched.w_in ^ sched.k_rc[0] ^ tks[0];
-        for &tweakey in &fwd[1..r] {
-            y = apply(&f.g, y) ^ tweakey;
-        }
-        // Whitened full round, then the pseudo-reflector: `R ∘ S` is
-        // `τ⁻¹ ∘ (Mτ ∘ S) = τ⁻¹ ∘ g`, so the reflector reuses the hot `g`
-        // table; its trailing τ⁻¹ shuffle (and the central-key XOR under
-        // it) is absorbed into the first backward round's `ginv_refl`
-        // table rather than spent on the state chain.
-        y = apply(&f.g, y) ^ fwd[r];
-        let w = apply(&f.g, y) ^ sched.central;
-
-        // Mirrored whitened round and backward rounds: one fused table each.
-        let mut state = apply(&f.ginv_refl, w) ^ bwd[r];
-        for i in (1..r).rev() {
-            state = apply(&f.ginv, state) ^ bwd[i];
-        }
-        // The diffusion-less last round keeps a plain inverse substitution.
-        state = sub_bytes(&self.sbox_inv, state) ^ bwd[0];
-
-        state ^ sched.w_out
+            state ^ sched.w_out
+        })
     }
 }
 
@@ -454,6 +531,49 @@ mod tests {
         let c = Qarma64::with_params(Key::new(1, 2), Sbox::Sigma1, 6);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// An empty slot answers no tweak: on a new thread, tweak 0 (which an
+    /// all-zero slot would carry as its tag) misses first, then hits.
+    #[test]
+    fn tweak_zero_is_not_answered_by_an_empty_slot() {
+        std::thread::spawn(|| {
+            use crate::reference::Reference;
+            let key = Key::new(W0, K0);
+            let (fast, slow) = (Qarma64::new(key), Reference::new(key));
+            assert_eq!(tweak_cache_counts(), (0, 0));
+            assert_eq!(fast.encrypt(PLAINTEXT, 0), slow.encrypt(PLAINTEXT, 0));
+            assert_eq!(tweak_cache_counts(), (0, 1));
+            assert_eq!(fast.decrypt(PLAINTEXT, 0), slow.decrypt(PLAINTEXT, 0));
+            assert_eq!(tweak_cache_counts(), (1, 2));
+        })
+        .join()
+        .expect("cache thread");
+    }
+
+    /// Two tweaks sharing a slot evict each other, and each still gets its
+    /// own schedule.
+    #[test]
+    fn tweaks_sharing_a_slot_keep_their_own_schedules() {
+        let a = TWEAK;
+        let b = (1..)
+            .map(|i| TWEAK ^ (i << 3))
+            .find(|&t| tweak_slot(t) == tweak_slot(a))
+            .expect("some tweak shares the slot");
+        let fast = Qarma64::new(Key::new(W0, K0));
+        let slow = crate::reference::Reference::new(Key::new(W0, K0));
+        for _ in 0..3 {
+            for tweak in [a, b] {
+                assert_eq!(
+                    fast.encrypt(PLAINTEXT, tweak),
+                    slow.encrypt(PLAINTEXT, tweak)
+                );
+                assert_eq!(
+                    fast.decrypt(PLAINTEXT, tweak),
+                    slow.decrypt(PLAINTEXT, tweak)
+                );
+            }
+        }
     }
 
     /// Exhaustive-ish differential check against the reference datapath,

@@ -31,9 +31,10 @@
 //! test vectors from the QARMA paper.
 //!
 //! Two datapaths implement the same cipher: the SWAR-optimized [`Qarma64`]
-//! (fused byte-sliced linear-layer tables, precomputed key schedule — see
-//! `tables`) and the cell-by-cell [`reference::Reference`] it is
-//! differential-tested against.
+//! (fused byte-sliced linear-layer tables, precomputed key schedule, and a
+//! per-thread cache of expanded tweak schedules whose `(hits, lookups)`
+//! [`tweak_cache_counts`] reports — see `tables`) and the uncached,
+//! cell-by-cell [`reference::Reference`] it is differential-tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +46,7 @@ pub mod reference;
 mod tables;
 pub mod tweak;
 
-pub use cipher::{Qarma64, DEFAULT_ROUNDS};
+pub use cipher::{tweak_cache_counts, Qarma64, DEFAULT_ROUNDS};
 pub use key::Key;
 pub use tweak::fold_tweak;
 

@@ -341,11 +341,13 @@ impl CryptoEngine {
 
     /// One cipher computation through the configured datapath: the CLB
     /// missed. The SWAR path consults the host thread's QARMA memo first
-    /// ([`crate::memo`]), keyed on the live register's value. The reference
-    /// path bypasses the memo and rebuilds the cell-level cipher from the
-    /// live register on every call — deliberately no caching of any kind,
-    /// so stale-schedule or stale-memo bugs in the fast path cannot be
-    /// masked by an equivalent cache here.
+    /// ([`crate::memo`]), keyed on the live register's value; on a memo
+    /// miss, `Qarma64` takes the tweak's expanded schedule from its own
+    /// per-thread cache ([`regvault_qarma::tweak_cache_counts`]). The
+    /// reference path bypasses both and rebuilds the cell-level cipher from
+    /// the live register on every call — deliberately no caching of any
+    /// kind, so stale-schedule or stale-memo bugs in the fast path cannot
+    /// be masked by an equivalent cache here.
     ///
     /// Kept out of line: the CLB-hit path that calls it stays small.
     #[inline(never)]

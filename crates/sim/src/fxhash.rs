@@ -2,7 +2,7 @@
 //!
 //! The standard library's default SipHash is DoS-resistant but costs tens of
 //! cycles per key — far too slow for structures the simulator consults every
-//! emulated cycle (the sparse-memory page map, the CLB index). This module
+//! emulated cycle (the sparse-memory page map, the superblock map). This module
 //! provides the FxHash multiply-rotate mix (the hasher rustc itself uses for
 //! interned keys): a couple of cycles per word, perfectly adequate for keys
 //! the guest cannot choose adversarially against the *host*.

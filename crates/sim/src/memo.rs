@@ -17,6 +17,13 @@
 //! The table is one direct-mapped array per host thread rather than a field
 //! of [`crate::CryptoEngine`]: forked and cloned machines then share the
 //! blocks their parent computed and allocate nothing.
+//!
+//! A miss here runs QARMA, which has a per-thread cache of its own one
+//! level down: the expanded tweak schedule, keyed on the tweak alone
+//! ([`regvault_qarma::tweak_cache_counts`] reports it). This memo answers
+//! a repeated *computation*; that cache answers a repeated *tweak* under a
+//! fresh input, such as the fleet handler's `creak` of a new payload at a
+//! fixed address.
 
 use std::cell::Cell;
 

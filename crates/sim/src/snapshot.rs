@@ -1119,6 +1119,31 @@ mod tests {
         );
     }
 
+    /// A snapshot's CLB capacity is an untrusted `u32`. A checksummed
+    /// stream claiming `u32::MAX` entries decodes, forks, and runs a `cre`:
+    /// the buffer grows by use and reserves nothing by capacity.
+    #[test]
+    fn untrusted_clb_capacity_reserves_nothing() {
+        let mut snap = busy_machine().snapshot();
+        let occupancy = snap.clb_entries.len();
+        snap.clb_capacity = u32::MAX as usize;
+        // `to_bytes` re-checksums the stream, so only the field is odd.
+        let decoded = Snapshot::from_bytes(&snap.to_bytes()).expect("checksummed stream decodes");
+        let mut fork = Machine::fork_from(&decoded).unwrap();
+        assert_eq!(fork.engine().clb().capacity(), u32::MAX as usize);
+        let program = regvault_isa::asm::assemble(
+            "li   t1, 0x9008
+             li   a0, 0x1234
+             creak a0, a0[3:0], t1
+             ebreak",
+        )
+        .unwrap();
+        fork.load_program(0x8000_1000, program.bytes());
+        fork.hart_mut().set_pc(0x8000_1000);
+        fork.run_until_break(100).unwrap();
+        assert_eq!(fork.engine().clb().occupancy(), occupancy + 1);
+    }
+
     #[test]
     fn forks_of_one_snapshot_digest_equal() {
         let snap = busy_machine().snapshot();

@@ -60,7 +60,10 @@ proptest! {
 /// a function of those inputs for a fixed key, and key updates invalidate
 /// the whole `ksel`. The generator below respects that reachability
 /// invariant (conflicting inserts are skipped), because match selection
-/// among impossible duplicates is unspecified.
+/// among impossible duplicates is unspecified. A fault-injected MRU poison
+/// can break it only by landing on another entry's plaintext, which the
+/// fault campaign's random 64-bit XOR does with negligible probability;
+/// poisons that would collide are skipped too.
 struct ClbModel {
     capacity: usize,
     /// Most-recently-used last.
@@ -125,6 +128,30 @@ impl ClbModel {
         self.entries.retain(|e| e.0 != ksel);
         self.stats.invalidations += (before - self.entries.len()) as u64;
     }
+
+    fn poison_mru(&mut self, xor: u64) -> bool {
+        match self.entries.last_mut() {
+            Some(mru) if xor != 0 => {
+                mru.2 ^= xor;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn invalidate_all(&mut self) {
+        self.stats.invalidations += self.entries.len() as u64;
+        self.entries.clear();
+    }
+
+    /// `true` when an entry other than the MRU one already caches `pt`
+    /// under `(ksel, tweak)`.
+    fn holds_other(&self, ksel: u8, tweak: u64, pt: u64) -> bool {
+        let older = &self.entries[..self.entries.len().saturating_sub(1)];
+        older
+            .iter()
+            .any(|e| e.0 == ksel && e.1 == tweak && e.2 == pt)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -133,6 +160,8 @@ enum ClbOp {
     LookupDecrypt(u8, u64, u64),
     Insert(u8, u64, u64, u64),
     Invalidate(u8),
+    PoisonMru(u64),
+    InvalidateAll,
 }
 
 fn clb_op() -> impl Strategy<Value = ClbOp> {
@@ -144,33 +173,36 @@ fn clb_op() -> impl Strategy<Value = ClbOp> {
         (0u8..4, small.clone(), small.clone(), small)
             .prop_map(|(k, t, p, c)| ClbOp::Insert(k, t, p, c)),
         (0u8..4).prop_map(ClbOp::Invalidate),
+        (0u64..8).prop_map(ClbOp::PoisonMru),
+        Just(ClbOp::InvalidateAll),
     ]
 }
 
 proptest! {
-    /// The CLB implementation agrees with the naive LRU model on every
-    /// reachable operation sequence: hit/miss agreement, LRU eviction and
-    /// per-ksel invalidation.
+    /// The flat CLB, its naive reference implementation and the LRU model
+    /// agree on every reachable operation sequence: hit/miss agreement,
+    /// LRU order and eviction, per-ksel and whole-buffer invalidation, and
+    /// MRU poison, with identical entries, occupancy and statistics after
+    /// every operation.
     #[test]
     fn clb_matches_reference_lru(
-        capacity in 1usize..6,
+        capacity in 0usize..=32,
         ops in prop::collection::vec(clb_op(), 1..120),
     ) {
         let mut clb = Clb::new(capacity);
+        let mut reference = Clb::new_reference(capacity);
         let mut model = ClbModel::new(capacity);
         for op in ops {
             match op {
                 ClbOp::LookupEncrypt(k, t, p) => {
-                    prop_assert_eq!(
-                        clb.lookup_encrypt(k, t, p),
-                        model.lookup_encrypt(k, t, p)
-                    );
+                    let expected = model.lookup_encrypt(k, t, p);
+                    prop_assert_eq!(clb.lookup_encrypt(k, t, p), expected);
+                    prop_assert_eq!(reference.lookup_encrypt(k, t, p), expected);
                 }
                 ClbOp::LookupDecrypt(k, t, c) => {
-                    prop_assert_eq!(
-                        clb.lookup_decrypt(k, t, c),
-                        model.lookup_decrypt(k, t, c)
-                    );
+                    let expected = model.lookup_decrypt(k, t, c);
+                    prop_assert_eq!(clb.lookup_decrypt(k, t, c), expected);
+                    prop_assert_eq!(reference.lookup_decrypt(k, t, c), expected);
                 }
                 ClbOp::Insert(k, t, p, c) => {
                     // Skip inserts that would create an impossible
@@ -183,16 +215,38 @@ proptest! {
                         .any(|e| e.0 == k && e.1 == t && (e.2 == p || e.3 == c));
                     if !duplicate {
                         clb.insert(k, t, p, c);
+                        reference.insert(k, t, p, c);
                         model.insert(k, t, p, c);
                     }
                 }
                 ClbOp::Invalidate(k) => {
                     clb.invalidate_ksel(k);
+                    reference.invalidate_ksel(k);
                     model.invalidate_ksel(k);
                 }
+                ClbOp::PoisonMru(xor) => {
+                    let collides = model
+                        .entries
+                        .last()
+                        .is_some_and(|&(k, t, p, _)| model.holds_other(k, t, p ^ xor));
+                    if !collides {
+                        let expected = model.poison_mru(xor);
+                        prop_assert_eq!(clb.poison_mru(xor), expected);
+                        prop_assert_eq!(reference.poison_mru(xor), expected);
+                    }
+                }
+                ClbOp::InvalidateAll => {
+                    clb.invalidate_all();
+                    reference.invalidate_all();
+                    model.invalidate_all();
+                }
             }
+            prop_assert_eq!(clb.entries_lru_to_mru(), model.entries.clone());
+            prop_assert_eq!(reference.entries_lru_to_mru(), model.entries.clone());
             prop_assert_eq!(clb.occupancy(), model.entries.len());
+            prop_assert_eq!(reference.occupancy(), model.entries.len());
             prop_assert_eq!(clb.stats(), model.stats);
+            prop_assert_eq!(reference.stats(), model.stats);
         }
     }
 }
