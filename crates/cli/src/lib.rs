@@ -122,6 +122,12 @@ pub fn cmd_run(source: &str, max_steps: u64) -> Result<String, CliError> {
 /// kernel privilege. `reference` selects the reference datapath.
 pub(crate) fn boot_bare_machine(source: &str, reference: bool) -> Result<Machine, CliError> {
     let program = asm::assemble(source).map_err(|e| e.to_string())?;
+    Ok(boot_bare_image(program.bytes(), 0, reference))
+}
+
+/// [`boot_bare_machine`] for an assembled image whose entry is `entry`
+/// bytes past its load address.
+fn boot_bare_image(image: &[u8], entry: u64, reference: bool) -> Machine {
     let mut machine = Machine::new(MachineConfig {
         reference_datapath: reference,
         ..MachineConfig::default()
@@ -142,11 +148,11 @@ pub(crate) fn boot_bare_machine(source: &str, reference: bool) -> Result<Machine
             .write_key_register(*key, 0x1000 + i as u64, 0x2000 + i as u64)
             .expect("general key");
     }
-    machine.load_program(0x8000_0000, program.bytes());
+    machine.load_program(0x8000_0000, image);
     machine.memory_mut().map_region(0x7000_0000, 0x10000);
     machine.hart_mut().set_reg(Reg::Sp, 0x7000_F000);
-    machine.hart_mut().set_pc(0x8000_0000);
-    Ok(machine)
+    machine.hart_mut().set_pc(0x8000_0000 + entry);
+    machine
 }
 
 /// Parses one `--flip INSTRET:ADDR:BIT` specification (addr may be hex).
@@ -290,7 +296,10 @@ pub fn cmd_divergence(source: &str, max_steps: u64, interval: u64) -> Result<Str
 }
 
 /// Co-runs the superblock translation tier against the single-step
-/// interpreter over every raw UnixBench/LMbench guest, in lockstep.
+/// interpreter over every raw UnixBench/LMbench guest and every SPEC
+/// program, in lockstep. The SPEC programs are compiled uninstrumented, as
+/// they run as user programs; they bring what the assembled guests lack:
+/// globals, and blocks that end in `j` stubs the tier follows.
 ///
 /// There is no kernel underneath a bare lockstep pair, so `ecall` stops —
 /// which would truncate the syscall-heavy guests after a handful of
@@ -306,21 +315,20 @@ pub fn cmd_divergence(source: &str, max_steps: u64, interval: u64) -> Result<Str
 /// component that differed.
 pub fn cmd_divergence_tiers(max_steps: u64) -> Result<String, CliError> {
     const ECALL_WORD: u32 = 0x0000_0073;
-    let mut corpus: Vec<(String, String)> = Vec::new();
-    for item in UnixBench::ALL {
-        corpus.push((Workload::name(&item).to_owned(), item.source()));
-    }
-    for item in Lmbench::ALL {
-        corpus.push((Workload::name(&item).to_owned(), item.source()));
-    }
+    let mut corpus: Vec<&dyn Workload> = Vec::new();
+    corpus.extend(UnixBench::ALL.iter().map(|item| item as &dyn Workload));
+    corpus.extend(Lmbench::ALL.iter().map(|item| item as &dyn Workload));
+    corpus.extend(Spec::ALL.iter().map(|item| item as &dyn Workload));
 
     let mut out = String::new();
     let mut total_steps = 0u64;
     let mut total_hits = 0u64;
     let count = corpus.len();
-    for (name, source) in corpus {
-        let mut tiered = boot_bare_machine(&source, false)?;
-        let mut interp = boot_bare_machine(&source, false)?;
+    for workload in corpus {
+        let name = workload.name();
+        let (image, entry) = workload.program();
+        let mut tiered = boot_bare_image(&image, entry, false);
+        let mut interp = boot_bare_image(&image, entry, false);
         interp.set_superblock_tier(false);
         let mut steps = 0u64;
         let mut syscalls = 0u64;
@@ -1267,11 +1275,11 @@ mod tests {
 
     #[test]
     fn divergence_tiers_corpus_agrees() {
-        // A tight budget keeps the 18-guest sweep fast in debug CI runs;
+        // A tight budget keeps the 28-guest sweep fast in debug CI runs;
         // the compute loops still run hot enough to enter superblocks.
         let out = cmd_divergence_tiers(20_000).unwrap();
         assert!(out.contains("tier lockstep OK"), "{out}");
-        assert!(out.contains("18 workloads"), "{out}");
+        assert!(out.contains("28 workloads"), "{out}");
     }
 
     #[test]

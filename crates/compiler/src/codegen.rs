@@ -15,8 +15,9 @@
 //!   the call site (the allocator already keeps them out of callee-saved
 //!   registers).
 //!
-//! The linker places globals first (keeping them 8-aligned), then all
-//! functions, then an entry trampoline; the image is position-independent.
+//! The linker places globals first (8-aligned, padded out to a page of
+//! their own), then all functions, then an entry trampoline; the image is
+//! position-independent.
 
 use std::fmt::Write as _;
 
@@ -34,8 +35,9 @@ const SCRATCH_TWEAK: Reg = Reg::T6;
 
 /// A fully compiled and linked program image.
 ///
-/// The image is position independent; load it anywhere (4-byte aligned)
-/// and start execution at [`CompiledProgram::entry_offset`].
+/// The image is position independent; load it anywhere (4-byte aligned;
+/// a page-aligned base keeps code off the globals' page) and start
+/// execution at [`CompiledProgram::entry_offset`].
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     asm_text: String,
@@ -589,8 +591,17 @@ fn codegen_function(
 
 /// Compiles and links an instrumented module into a loadable image.
 ///
-/// Layout: globals (8-aligned dwords) first, then every function, then the
-/// `__start` trampoline (`call main; ebreak`) if the module defines `main`.
+/// Layout, from offset 0 of the image:
+/// - the globals, as 8-aligned dwords, padded with zeros to the next page
+///   boundary ([`regvault_sim::PAGE_SIZE`]) when the module has any;
+/// - every function, the first one starting on that fresh page;
+/// - the `__start` trampoline (`call main; ebreak`) if the module defines
+///   `main`.
+///
+/// Loaded at a page-aligned base, code then never shares a page with
+/// data. The simulator invalidates decoded code a page at a time, so a
+/// store to a global would otherwise throw away the translated code of
+/// the page it shares.
 ///
 /// # Errors
 ///
@@ -599,6 +610,7 @@ pub fn link(module: &Module, config: &CompileConfig) -> Result<CompiledProgram, 
     let mut text = String::new();
 
     // Globals first: every .dword keeps 8-byte alignment.
+    let mut data_bytes = 0u64;
     for global in &module.globals {
         let _ = writeln!(text, "{}:", global.name);
         let words = global.size.div_ceil(8);
@@ -611,6 +623,11 @@ pub fn link(module: &Module, config: &CompileConfig) -> Result<CompiledProgram, 
         if words == 0 {
             let _ = writeln!(text, "    .dword 0");
         }
+        data_bytes += words.max(1) * 8;
+    }
+    let pad = data_bytes.next_multiple_of(regvault_sim::PAGE_SIZE) - data_bytes;
+    if pad > 0 {
+        let _ = writeln!(text, "    .zero {pad}");
     }
 
     for function in &module.functions {
@@ -718,6 +735,48 @@ mod tests {
         let compiled = link(&module, &CompileConfig::none()).unwrap();
         assert_eq!(compiled.count_mnemonic("cre"), 0);
         assert_eq!(compiled.count_mnemonic("crd"), 0);
+    }
+
+    /// A module with `globals` (name, size) and a `main` returning 7.
+    fn module_with_globals(globals: &[(&str, u64)]) -> Module {
+        let mut module = Module::new("m");
+        for &(name, size) in globals {
+            module.add_global(name, size);
+        }
+        let mut f = FunctionBuilder::new("main", 0);
+        let seven = f.konst(7);
+        f.ret(Some(seven));
+        module.add_function(f.build());
+        module
+    }
+
+    #[test]
+    fn globals_get_their_own_page() {
+        let page = regvault_sim::PAGE_SIZE;
+        // Two dwords of data: zero-padded up to the page boundary, and the
+        // first instruction opens the next page.
+        let compiled = link(&arith_module(), &CompileConfig::none()).unwrap();
+        assert_eq!(compiled.symbol("acc"), Some(0));
+        assert_eq!(compiled.symbol("i"), Some(8));
+        assert_eq!(compiled.symbol("main"), Some(page));
+        assert!(compiled.bytes()[16..page as usize].iter().all(|&b| b == 0));
+        assert_eq!(run_main(&arith_module(), &CompileConfig::none()), 385);
+
+        // Data that already ends on the boundary needs no padding.
+        let exact = link(
+            &module_with_globals(&[("buf", page)]),
+            &CompileConfig::none(),
+        )
+        .unwrap();
+        assert_eq!(exact.symbol("main"), Some(page));
+        assert!(!exact.asm_text().contains(".zero"));
+
+        // No globals, no padding: code starts at offset 0.
+        let bare = module_with_globals(&[]);
+        let compiled = link(&bare, &CompileConfig::none()).unwrap();
+        assert_eq!(compiled.symbol("main"), Some(0));
+        assert!(!compiled.asm_text().contains(".zero"));
+        assert_eq!(run_main(&bare, &CompileConfig::none()), 7);
     }
 
     #[test]

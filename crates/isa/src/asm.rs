@@ -12,8 +12,8 @@
 //! Supported syntax: every instruction in [`crate::Insn`], the usual
 //! pseudo-instructions (`li`, `la`, `mv`, `nop`, `j`, `call`, `ret`, `neg`,
 //! `not`, `seqz`, `snez`, `beqz`, `bnez`, `csrr`, `csrw`), labels, `.word` /
-//! `.dword` data directives, and `#`/`;`/`//` comments. Symbolic CSR names
-//! (`mstatus`, `sepc`, `key_a_lo`, ...) are recognised.
+//! `.dword` data directives, `.zero` padding, and `#`/`;`/`//` comments.
+//! Symbolic CSR names (`mstatus`, `sepc`, `key_a_lo`, ...) are recognised.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +53,8 @@ impl Program {
     /// # Panics
     ///
     /// Panics if the image length is not a multiple of 4 (only possible via
-    /// future byte-granular directives; `.word`/`.dword` keep it aligned).
+    /// future byte-granular directives; `.word`/`.dword`/`.zero` keep it
+    /// aligned).
     #[must_use]
     pub fn words(&self) -> Vec<u32> {
         assert!(
@@ -79,6 +80,10 @@ impl Program {
     }
 }
 
+/// Largest `.zero` padding, in bytes: bounds how far one directive can
+/// grow an image (the linker pads at most one 4 KiB page).
+const MAX_ZERO: u64 = 1 << 20;
+
 /// One assembly item after parsing.
 enum Item {
     Insn(Insn),
@@ -90,6 +95,8 @@ enum Item {
     },
     Word(u32),
     Dword(u64),
+    /// `.zero n`: `n` zero bytes, a multiple of 4.
+    Zero(u64),
 }
 
 enum LabelKind {
@@ -104,6 +111,7 @@ impl Item {
         match self {
             Item::Insn(_) | Item::Word(_) => 4,
             Item::Dword(_) => 8,
+            Item::Zero(n) => *n,
             Item::LabelRef { kind, .. } => match kind {
                 LabelKind::La(_) => 8,
                 _ => 4,
@@ -153,6 +161,7 @@ pub fn assemble(source: &str) -> Result<Program, IsaError> {
             Item::Insn(insn) => bytes.extend_from_slice(&insn.encode()?.to_le_bytes()),
             Item::Word(w) => bytes.extend_from_slice(&w.to_le_bytes()),
             Item::Dword(d) => bytes.extend_from_slice(&d.to_le_bytes()),
+            Item::Zero(n) => bytes.resize(bytes.len() + *n as usize, 0),
             Item::LabelRef { line, kind, label } => {
                 let target = *symbols
                     .get(label)
@@ -469,6 +478,16 @@ fn parse_statement(line: &str, line_no: usize) -> Result<Vec<Item>, IsaError> {
         ".dword" => {
             expect_operands(&ops, 1, line_no, ".dword")?;
             Ok(vec![Item::Dword(parse_int(ops[0], line_no)? as u64)])
+        }
+        ".zero" => {
+            expect_operands(&ops, 1, line_no, ".zero")?;
+            match u64::try_from(parse_int(ops[0], line_no)?) {
+                Ok(n) if n.is_multiple_of(4) && n <= MAX_ZERO => Ok(vec![Item::Zero(n)]),
+                _ => Err(IsaError::Syntax {
+                    line: line_no,
+                    message: format!(".zero takes a multiple of 4 bytes up to {MAX_ZERO}"),
+                }),
+            }
         }
         "lui" | "auipc" => {
             expect_operands(&ops, 2, line_no, mnemonic)?;
@@ -942,6 +961,26 @@ mod tests {
         assert_eq!(program.symbol("tag"), Some(8));
         assert_eq!(program.bytes()[0], 0x88);
         assert_eq!(program.bytes()[8], 0xEF);
+    }
+
+    #[test]
+    fn zero_directive_pads_whole_words() {
+        let program = assemble(
+            "pad:  .zero 4088
+             code: addi a0, a0, 1",
+        )
+        .unwrap();
+        assert_eq!(program.symbol("code"), Some(4088));
+        assert_eq!(program.bytes().len(), 4092);
+        assert!(program.bytes()[..4088].iter().all(|&b| b == 0));
+        let too_big = format!(".zero {}", MAX_ZERO + 4);
+        for bad in [".zero 6", ".zero -4", ".zero", too_big.as_str()] {
+            assert!(
+                matches!(assemble(bad), Err(IsaError::Syntax { .. })),
+                "{bad}"
+            );
+        }
+        assert!(assemble(&format!(".zero {MAX_ZERO}")).is_ok());
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use lockstep::{
     arch_divergence, run_lockstep, run_tiered_lockstep, Divergence, LockstepOutcome,
 };
 pub use machine::{Event, Machine, MachineConfig};
-pub use mem::Memory;
+pub use mem::{Memory, PAGE_SIZE};
 pub use memo::memo_counts;
 pub use replay::{shrink_events, EventLog, LoggedEvent, ReproBundle};
 pub use snapshot::{Snapshot, SnapshotError};

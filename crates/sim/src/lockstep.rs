@@ -309,19 +309,19 @@ fn divergence_detail(tiered: &Machine, interp: &Machine) -> String {
 /// localizes the first divergence.
 ///
 /// `tiered` advances one *epoch* at a time via [`Machine::step_tier`] — a
-/// whole superblock or one interpreter step — and `interp` (which should
-/// have the tier disabled) is driven through the same number of
-/// architectural steps. Every intermediate step of a block epoch must be
+/// chain of whole superblocks or one interpreter step — and `interp`
+/// (which should have the tier disabled) is driven through the same
+/// number of architectural steps. Every intermediate step of a block epoch must be
 /// an uneventful `Ok(None)` on the interpreter, every final outcome must
 /// match, and after every epoch the cheap architectural state (pc,
 /// privilege, GPRs, counters) must agree; full digests (memory, CSRs,
 /// keys, CLB) run every `interval` architectural steps and at the end.
 /// Stops at the first event either machine reports or at `max_steps`.
 ///
-/// Because blocks execute atomically, a divergence inside one is reported
-/// against the block — entry pc, architectural step range, and the first
-/// differing state component — while single-step epochs pin the exact
-/// instruction, exactly like [`run_lockstep`].
+/// Because blocks execute atomically, a divergence inside a chain is
+/// reported against it — the pc it was entered at, the architectural step
+/// range, and the first differing state component — while single-step
+/// epochs pin the exact instruction, exactly like [`run_lockstep`].
 pub fn run_tiered_lockstep(
     tiered: &mut Machine,
     interp: &mut Machine,
@@ -358,7 +358,7 @@ pub fn run_tiered_lockstep(
                 let at = step + k + 1;
                 let context = if consumed > 1 {
                     format!(
-                        " (inside superblock at {entry_pc:#x}, insn {} of {consumed})",
+                        " (inside superblocks entered at {entry_pc:#x}, insn {} of {consumed})",
                         k + 1
                     )
                 } else {
@@ -381,7 +381,7 @@ pub fn run_tiered_lockstep(
             let detail = divergence_detail(tiered, interp);
             let detail = if consumed > 1 {
                 format!(
-                    "inside superblock at {entry_pc:#x} (arch steps {}..={step}): {detail}",
+                    "inside superblocks entered at {entry_pc:#x} (arch steps {}..={step}): {detail}",
                     step - consumed + 1
                 )
             } else {

@@ -661,10 +661,11 @@ impl Machine {
         Ok(exec::step(self))
     }
 
-    /// Executes up to `budget` architectural steps as one unit: a whole
-    /// superblock when the tier can prove equivalence, otherwise exactly
-    /// one interpreter step. Returns how many [`Machine::step`] equivalents
-    /// were consumed plus the event (if any) the final step produced.
+    /// Executes up to `budget` architectural steps as one unit: a chain of
+    /// whole superblocks when the tier can prove equivalence, otherwise
+    /// exactly one interpreter step. Returns how many [`Machine::step`]
+    /// equivalents were consumed plus the event (if any) the final step
+    /// produced.
     ///
     /// This is the dispatch loop under [`Machine::run`]; it is public so
     /// differential harnesses ([`crate::lockstep::run_tiered_lockstep`])
@@ -689,62 +690,77 @@ impl Machine {
         Ok((1, event))
     }
 
-    /// Attempts to dispatch a superblock at the current pc. `None` falls
-    /// back to single-stepping: no valid block here (or not yet hot), or
-    /// one of the entry conditions — step budget, watchdog, timer, pending
-    /// fault — cannot rule out an observation point inside the block.
+    /// Dispatches superblocks from the current pc, chained: when a block
+    /// exits cleanly, the next pc's cached block runs straight away, so a
+    /// hot loop stays in the tier across its blocks. Every block passes the
+    /// full entry precheck ([`Machine::block_fits`]) first, with the budget
+    /// the blocks before it left. `None` falls back to single-stepping: no
+    /// valid block here (or not yet hot), or the precheck cannot rule out
+    /// an observation point inside the first block.
     fn try_superblock(&mut self, budget: u64) -> Option<(u64, Option<Event>)> {
-        let pc = self.hart.pc();
-        let block = match self.sb.probe(pc) {
-            superblock::Probe::Cold => return None,
-            superblock::Probe::Hot => {
-                let built = superblock::build(&self.mem, &self.cost, pc);
-                self.sb.install(pc, built)?
+        let mut consumed = 0;
+        while let Some(index) = self.sb.enter(self.hart.pc(), &self.mem, &self.cost) {
+            let (len, max_cycles) = self.sb.bounds(index);
+            if !self.block_fits(len, max_cycles, budget - consumed) {
+                break;
             }
-            superblock::Probe::Built => self.sb.lookup(pc, &self.mem)?,
-        };
-
-        let len = block.len;
-        if len > budget {
+            let block = self.sb.take(index);
+            let exit = superblock::execute(self, &block);
+            self.sb.put_back(index, block);
+            consumed += exit.consumed;
+            self.sb.hits += 1;
+            self.sb.insns += exit.retired;
+            // The trace *is* the decoded form: account its instructions as
+            // decode-cache hits, like the interpreter path would.
+            self.stats.decode_hits += exit.retired;
+            if let Some(dog) = &mut self.watchdog {
+                dog.consume(exit.consumed);
+            }
+            // A side exit (an exception, or a store into the block's own
+            // page) ends the chain; wherever it left the pc, the next
+            // instruction starts at a boundary.
+            if exit.side_exit {
+                self.sb.side_exits += 1;
+                self.sb_boundary = true;
+                return Some((consumed, exit.event));
+            }
+        }
+        if consumed == 0 {
             return None;
+        }
+        // The chain stopped at a pc it already probed (and warmed): the
+        // next step runs it on the interpreter, as an unchained block
+        // boundary that found no block would.
+        self.sb_boundary = false;
+        Some((consumed, None))
+    }
+
+    /// The entry precheck of a block of `len` instructions costing at most
+    /// `max_cycles`: it may run only when no observation point can fall
+    /// inside it — no tracer installed, at least `len` steps of `budget`
+    /// and of the watchdog left, no timer within `max_cycles`, and no
+    /// planned fault due within `len` retires.
+    fn block_fits(&self, len: u64, max_cycles: u64, budget: u64) -> bool {
+        if self.tracer.is_some() || len > budget {
+            return false;
         }
         if let Some(dog) = &self.watchdog {
             // `remaining >= len` means every one of the `len` single steps
             // would have passed its own expiry check.
             if dog.expired() || dog.remaining() < len {
-                return None;
+                return false;
             }
         }
         // Strict bound: cycles only grow, so if the block's worst case
         // stays below `next_timer`, no sub-step could have delivered the
         // timer.
-        if self.stats.cycles.saturating_add(block.max_cycles) >= self.next_timer {
-            return None;
+        if self.stats.cycles.saturating_add(max_cycles) >= self.next_timer {
+            return false;
         }
-        if let Some(plan) = &self.fault_plan {
-            if let Some(due) = plan.next_due() {
-                if due <= self.stats.instret.saturating_add(len) {
-                    return None;
-                }
-            }
+        match self.fault_plan.as_ref().and_then(FaultPlan::next_due) {
+            Some(due) => due > self.stats.instret.saturating_add(len),
+            None => true,
         }
-
-        let exit = superblock::execute(self, &block);
-        self.sb.hits += 1;
-        self.sb.insns += exit.retired;
-        if exit.side_exit {
-            self.sb.side_exits += 1;
-        }
-        // The trace *is* the decoded form: account its instructions as
-        // decode-cache hits, like the interpreter path would.
-        self.stats.decode_hits += exit.retired;
-        if let Some(dog) = &mut self.watchdog {
-            dog.consume(exit.consumed);
-        }
-        // Wherever the block exited — branch target, fall-through, fault
-        // pc — the next instruction starts at a boundary.
-        self.sb_boundary = true;
-        Some((exit.consumed, exit.event))
     }
 
     /// Counters for the superblock translation tier.

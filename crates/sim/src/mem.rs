@@ -6,7 +6,9 @@ use crate::fxhash::FxHashMap;
 use crate::ExceptionCause;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+/// Bytes per page: the granule of mapping, copy-on-write sharing and the
+/// write generations that invalidate decoded code.
+pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
 /// The raw contents of one 4 KiB page.
 pub(crate) type PageData = [u8; PAGE_SIZE as usize];

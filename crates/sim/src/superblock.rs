@@ -9,11 +9,16 @@
 //! non-sequential pc updates) are pre-translated into *superblocks*:
 //! threaded-code arrays of monomorphized handlers ([`SbOp`]) with operands
 //! pre-extracted (immediates sign-extended, branch targets absolute, byte
-//! ranges validated) and common pairs fused (ALU-imm + conditional branch,
-//! address-gen + dependent load, `cre` + store of the ciphertext). The
-//! machine dispatches a whole superblock with a single bounds/budget check
-//! — see `Machine::step_tier` — so the per-instruction cost collapses to
-//! one handler match plus the architectural work itself.
+//! ranges validated) and common pairs of contiguous instructions fused
+//! (ALU-imm + conditional branch, address-gen + dependent load, `cre` +
+//! store of the ciphertext). A trace runs on through a direct jump
+//! (`jal x0`) to an aligned target on its own page, which retires as a
+//! taken jump, so the `j` stubs compiled code ends its blocks with do not
+//! cut it short. The machine dispatches a whole superblock with a single
+//! bounds/budget check — see `Machine::step_tier` — so the per-instruction
+//! cost collapses to one handler match plus the architectural work itself;
+//! when a block exits cleanly, the machine chains straight into the next
+//! pc's cached block, re-running the entry check first.
 //!
 //! # Exactness
 //!
@@ -26,19 +31,22 @@
 //! single steps. The only mid-block events are architectural exceptions
 //! (access faults, privilege violations, integrity failures), which the
 //! handlers raise exactly like the interpreter, with `pc` rewound to the
-//! faulting instruction.
+//! faulting instruction. A followed jump makes a trace's pcs
+//! non-contiguous, so every exit that is not a control transfer takes its
+//! pc from the trace's exit pc table (`Superblock::pcs`), never from the
+//! entry pc plus four per retired instruction.
 //!
 //! # Invalidation
 //!
-//! Blocks are tagged with their page's write generation, exactly like
-//! decode-cache entries: the entry probe drops a block whose page
-//! generation moved (lazy invalidation — snapshot restore preserves
-//! generations, so restored machines never see stale traces). A store
-//! *inside* a block that hits the block's own page (self-modifying code)
-//! retires normally and then side-exits, so the stale tail is never
-//! executed and the next entry rebuilds from fresh bytes.
-
-use std::sync::Arc;
+//! One direct-mapped, pc-tagged table holds each boundary's warming count
+//! and its block; there is no block map beside it. Blocks are tagged with
+//! their page's write generation, exactly like decode-cache entries: the
+//! entry probe drops a block whose page generation moved (lazy
+//! invalidation — snapshot restore preserves generations, so restored
+//! machines never see stale traces). A store *inside* a block that hits
+//! the block's own page (self-modifying code) retires normally and then
+//! side-exits, so the stale tail is never executed and the next entry
+//! rebuilds from fresh bytes.
 
 use regvault_isa::{decode, AluOp, BranchOp, ByteRange, Insn, KeyReg, MemWidth, Reg};
 
@@ -46,7 +54,6 @@ use crate::{
     cost::CostModel,
     error::ExceptionCause,
     exec,
-    fxhash::FxHashMap,
     hart::Privilege,
     machine::{Event, Machine},
     mem::Memory,
@@ -61,16 +68,16 @@ const MAX_OPS: usize = 64;
 /// Shortest trace worth dispatching; below this the entry probe costs more
 /// than the dispatch saves.
 const MIN_OPS: usize = 3;
-/// Cap on cached blocks; the map is cleared wholesale when it fills.
-const MAX_BLOCKS: usize = 4096;
-/// Direct-mapped boundary-profile slots (power of two). The profile is a
-/// heuristic: collisions simply evict the older boundary's state, which
-/// costs at worst a re-warm or a redundant rebuild, never correctness.
-const PROFILE_SLOTS: usize = 1 << 12;
-/// Profile sentinel for boundaries where translation failed: never retry.
+/// Direct-mapped tier slots (power of two), one per boundary pc. A slot
+/// holds the pc tag, its warming count and its translated block, so the
+/// slot count also caps the cached blocks. Collisions simply evict the
+/// older boundary's state and block, which costs at worst a re-warm or a
+/// redundant rebuild, never correctness.
+const SLOTS: usize = 1 << 12;
+/// Slot count for boundaries where translation failed: never retry.
 const UNBUILDABLE: u32 = u32::MAX;
-/// Profile sentinel for boundaries with a translated block in the cache.
-const BUILT: u32 = u32::MAX - 1;
+/// Slot block index when the slot's pc has no translated block.
+const NO_BLOCK: u32 = u32::MAX;
 
 /// One pre-translated handler: operands extracted, immediates sign-extended
 /// to `u64`, branch targets absolute, byte ranges validated at build time.
@@ -153,6 +160,10 @@ pub(crate) enum SbOp {
     },
     /// Direct jump-and-link; trace terminator.
     Jal { rd: Reg, link: u64, target: u64 },
+    /// A direct jump the trace follows (`jal x0` to an aligned target on
+    /// the block's page): retires as a taken jump, and the trace goes on at
+    /// the target.
+    Jump,
     /// Indirect jump-and-link; trace terminator.
     Jalr {
         rd: Reg,
@@ -207,13 +218,11 @@ pub(crate) enum SbOp {
     },
 }
 
-/// A translated trace: straight-line code from one entry pc, within one
-/// page, ending at the first control transfer or untranslatable
-/// instruction.
-#[derive(Debug)]
+/// A translated trace: the instructions one entry pc runs within one page,
+/// through direct jumps to targets on that page, up to the first other
+/// control transfer or untranslatable instruction.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Superblock {
-    /// First instruction's pc; re-entry always starts here.
-    pub(crate) entry_pc: u64,
     /// The single page the trace was decoded from.
     pub(crate) page_no: u64,
     /// Page write generation at build time; a moved generation kills the
@@ -225,6 +234,19 @@ pub(crate) struct Superblock {
     /// model (branches taken, crypto missing); used for the timer check.
     pub(crate) max_cycles: u64,
     ops: Vec<SbOp>,
+    /// Exit pc table: `pcs[i]` is the pc of the trace's `i`-th
+    /// architectural instruction (`pcs[0]` is the entry) and `pcs[len]` the
+    /// pc after its last. Every exit that is not a control transfer — an
+    /// exception, a self-modifying store, running off the end — takes its
+    /// pc from here, since a followed jump breaks `entry + 4 * retired`.
+    pcs: Box<[u64]>,
+}
+
+impl Superblock {
+    /// The pc the trace starts at; re-entry always starts here.
+    fn entry_pc(&self) -> u64 {
+        self.pcs[0]
+    }
 }
 
 /// How a superblock run ended.
@@ -234,7 +256,7 @@ pub(crate) struct SbExit {
     /// Equivalent `Machine::step` calls (retired, plus one if an exception
     /// was raised — a faulting step consumes budget without retiring).
     pub(crate) consumed: u64,
-    /// The event the final step produced, if any.
+    /// The event the final step produced, if any (only on a side exit).
     pub(crate) event: Option<Event>,
     /// `true` when the block exited before its natural end (exception or
     /// self-modifying store into the block's own page).
@@ -259,19 +281,21 @@ pub struct SuperblockStats {
     pub cached: usize,
 }
 
-/// The per-machine tier state: cached blocks, the boundary profile, and
-/// counters. Deliberately *not* part of [`crate::stats::Stats`] or the
-/// snapshot format — like the decode cache, it is microarchitectural state
-/// that restore simply resets.
+/// The per-machine tier state: one direct-mapped, pc-tagged slot table,
+/// the blocks it owns, and counters. Deliberately *not* part of
+/// [`crate::stats::Stats`] or the snapshot format — like the decode cache,
+/// it is microarchitectural state that restore simply resets.
 #[derive(Debug, Clone)]
 pub(crate) struct SuperblockCache {
-    blocks: FxHashMap<u64, Arc<Superblock>>,
-    /// Direct-mapped: slot `(pc >> 2) & (PROFILE_SLOTS - 1)` holds the pc
-    /// tag and its warming count (or a [`BUILT`]/[`UNBUILDABLE`] sentinel).
-    /// Every interpreter boundary probes this once — it must stay an array
-    /// access, not a hash lookup, or event-heavy guests that never build a
-    /// block pay for the tier anyway.
-    profile: Vec<ProfileSlot>,
+    /// Slot `(pc >> 2) & (SLOTS - 1)` holds the pc tag, its warming count
+    /// (or [`UNBUILDABLE`]) and the index of its block in `blocks` (or
+    /// [`NO_BLOCK`]). Every interpreter boundary probes this once — it must
+    /// stay an array access, or event-heavy guests that never build a
+    /// block pay for the tier anyway. A slot is 16 bytes and `Copy`, so
+    /// building a machine allocates no more than the table itself.
+    slots: Vec<Slot>,
+    /// The translated blocks, each owned by the slot of its entry pc.
+    blocks: Vec<Superblock>,
     pub(crate) hits: u64,
     pub(crate) insns: u64,
     pub(crate) side_exits: u64,
@@ -279,19 +303,32 @@ pub(crate) struct SuperblockCache {
     pub(crate) invalidations: u64,
 }
 
-/// One direct-mapped profile slot. The tag `1` is unreachable (pcs are
-/// 4-aligned), so fresh slots never match.
+/// One direct-mapped slot. The tag `1` is unreachable (pcs are 4-aligned),
+/// so fresh slots never match.
 #[derive(Debug, Clone, Copy)]
-struct ProfileSlot {
+struct Slot {
     pc: u64,
     count: u32,
+    block: u32,
+}
+
+/// The slot a boundary pc maps to.
+fn slot_of(pc: u64) -> usize {
+    (pc >> 2) as usize & (SLOTS - 1)
 }
 
 impl Default for SuperblockCache {
     fn default() -> Self {
         Self {
-            blocks: FxHashMap::default(),
-            profile: vec![ProfileSlot { pc: 1, count: 0 }; PROFILE_SLOTS],
+            slots: vec![
+                Slot {
+                    pc: 1,
+                    count: 0,
+                    block: NO_BLOCK,
+                };
+                SLOTS
+            ],
+            blocks: Vec::new(),
             hits: 0,
             insns: 0,
             side_exits: 0,
@@ -299,16 +336,6 @@ impl Default for SuperblockCache {
             invalidations: 0,
         }
     }
-}
-
-/// What the entry probe found at a boundary pc.
-pub(crate) enum Probe {
-    /// Not hot (or known untranslatable): stay on the interpreter.
-    Cold,
-    /// Crossed the hot threshold: attempt a build now.
-    Hot,
-    /// A translated block should be in the cache: look it up.
-    Built,
 }
 
 impl SuperblockCache {
@@ -335,77 +362,85 @@ impl SuperblockCache {
         self.invalidations = 0;
     }
 
-    /// The per-boundary entry probe: one direct-mapped array access on the
-    /// cold path. Bumps the warming count and reports when `pc` crossed the
-    /// hot threshold or already has a translated block.
-    pub(crate) fn probe(&mut self, pc: u64) -> Probe {
-        let slot = &mut self.profile[(pc >> 2) as usize & (PROFILE_SLOTS - 1)];
+    /// The entry probe at boundary `pc`: one slot access, which bumps the
+    /// warming count. Returns the index of a valid block for `pc`,
+    /// translating it on the visit that crosses the hot threshold; `None`
+    /// keeps the interpreter. A block whose page write generation moved is
+    /// dropped and its slot re-armed at the hot threshold, so the next
+    /// visit rebuilds from the current bytes.
+    pub(crate) fn enter(&mut self, pc: u64, mem: &Memory, cost: &CostModel) -> Option<usize> {
+        let i = slot_of(pc);
+        let slot = self.slots[i];
         if slot.pc != pc {
             // Collision or first visit: evict the older boundary's state.
-            *slot = ProfileSlot { pc, count: 1 };
-            return Probe::Cold;
+            self.evict(i);
+            self.slots[i] = Slot {
+                pc,
+                count: 1,
+                block: NO_BLOCK,
+            };
+            return None;
         }
-        match slot.count {
-            UNBUILDABLE => Probe::Cold,
-            BUILT => Probe::Built,
-            count => {
-                slot.count = count + 1;
-                if slot.count >= HOT_THRESHOLD {
-                    Probe::Hot
-                } else {
-                    Probe::Cold
-                }
+        if slot.block != NO_BLOCK {
+            let block = &self.blocks[slot.block as usize];
+            if mem.page_gen(block.page_no) == Some(block.gen) {
+                return Some(slot.block as usize);
             }
+            self.evict(i);
+            self.invalidations += 1;
+            self.slots[i].count = HOT_THRESHOLD;
+            return None;
         }
-    }
-
-    /// Looks up a still-valid block for `pc`, dropping it if its page's
-    /// write generation moved since translation. On a stale hit the slot is
-    /// re-armed at the hot threshold, so the very next visit rebuilds from
-    /// the current bytes.
-    pub(crate) fn lookup(&mut self, pc: u64, mem: &Memory) -> Option<Arc<Superblock>> {
-        let Some(block) = self.blocks.get(&pc) else {
-            // The blocks map was cleared wholesale (capacity) while the
-            // profile still says BUILT: re-warm from the hot threshold.
-            self.slot_set(pc, HOT_THRESHOLD);
+        if slot.count == UNBUILDABLE {
+            return None;
+        }
+        let count = slot.count + 1;
+        self.slots[i].count = count;
+        if count < HOT_THRESHOLD {
+            return None;
+        }
+        let Some(block) = build(mem, cost, pc) else {
+            self.slots[i].count = UNBUILDABLE;
             return None;
         };
-        if mem.page_gen(block.page_no) == Some(block.gen) {
-            return Some(Arc::clone(block));
-        }
-        self.blocks.remove(&pc);
-        self.invalidations += 1;
-        self.slot_set(pc, HOT_THRESHOLD);
-        None
+        let index = self.blocks.len();
+        self.blocks.push(block);
+        self.slots[i].block = index as u32;
+        self.built += 1;
+        Some(index)
     }
 
-    /// Installs a freshly built block (or records that `pc` can't be
-    /// translated, so the build is never retried).
-    pub(crate) fn install(
-        &mut self,
-        pc: u64,
-        block: Option<Superblock>,
-    ) -> Option<Arc<Superblock>> {
-        match block {
-            Some(block) => {
-                self.slot_set(pc, BUILT);
-                if self.blocks.len() >= MAX_BLOCKS {
-                    self.blocks.clear();
-                }
-                let block = Arc::new(block);
-                self.blocks.insert(pc, Arc::clone(&block));
-                self.built += 1;
-                Some(block)
-            }
-            None => {
-                self.slot_set(pc, UNBUILDABLE);
-                None
-            }
-        }
+    /// Architectural length and worst-case cycles of block `index`, for
+    /// the machine's entry precheck.
+    pub(crate) fn bounds(&self, index: usize) -> (u64, u64) {
+        let block = &self.blocks[index];
+        (block.len, block.max_cycles)
     }
 
-    fn slot_set(&mut self, pc: u64, count: u32) {
-        self.profile[(pc >> 2) as usize & (PROFILE_SLOTS - 1)] = ProfileSlot { pc, count };
+    /// Borrows block `index` out of its slot for one run; [`Self::put_back`]
+    /// returns it. Moving the block out lets it execute against the
+    /// machine that owns the cache without a refcount.
+    pub(crate) fn take(&mut self, index: usize) -> Superblock {
+        std::mem::take(&mut self.blocks[index])
+    }
+
+    /// Returns a block [`Self::take`] borrowed. Nothing touches the cache
+    /// while a block runs, so `index` still names its place.
+    pub(crate) fn put_back(&mut self, index: usize, block: Superblock) {
+        self.blocks[index] = block;
+    }
+
+    /// Drops slot `i`'s block, if it has one. The last block moves into the
+    /// freed place, and its own slot is re-pointed there.
+    fn evict(&mut self, i: usize) {
+        let index = std::mem::replace(&mut self.slots[i].block, NO_BLOCK);
+        if index == NO_BLOCK {
+            return;
+        }
+        self.blocks.swap_remove(index as usize);
+        if let Some(moved) = self.blocks.get(index as usize) {
+            self.slots[slot_of(moved.entry_pc())].block = index;
+        }
     }
 }
 
@@ -704,10 +739,26 @@ fn lower(insn: Insn, pc: u64) -> Option<SbOp> {
     })
 }
 
-/// Translates the straight-line run starting at `entry_pc` into a
-/// superblock. `None` when the trace would be too short to pay for its
-/// entry probe (misaligned entry, unmapped page, immediate control
-/// transfer, or untranslatable leading instructions).
+/// The target of a direct jump a trace follows: `jal x0` to a 4-aligned pc
+/// on the trace's page. Any other jump ends the trace, so a misaligned
+/// target faults on the interpreter's fetch and another page's target is
+/// decoded (and invalidated) under that page's own generation.
+fn followed_jump(insn: &Insn, pc: u64, page_no: u64) -> Option<u64> {
+    let Insn::Jal {
+        rd: Reg::Zero,
+        offset,
+    } = *insn
+    else {
+        return None;
+    };
+    let target = pc.wrapping_add(offset as i64 as u64);
+    (target.is_multiple_of(4) && Memory::page_number(target) == page_no).then_some(target)
+}
+
+/// Translates the run starting at `entry_pc` into a superblock, following
+/// direct jumps within the page. `None` when the trace would be too short
+/// to pay for its entry probe (misaligned entry, unmapped page, immediate
+/// control transfer, or untranslatable leading instructions).
 pub(crate) fn build(mem: &Memory, cost: &CostModel, entry_pc: u64) -> Option<Superblock> {
     if !entry_pc.is_multiple_of(4) {
         return None;
@@ -715,7 +766,10 @@ pub(crate) fn build(mem: &Memory, cost: &CostModel, entry_pc: u64) -> Option<Sup
     let page_no = Memory::page_number(entry_pc);
     let (_, gen) = mem.fetch_word(entry_pc).ok()?;
 
+    // `raw[i]` was fetched from `pcs[i]`; the loop leaves the pc after the
+    // last instruction in `pc`, which closes the table.
     let mut raw: Vec<Insn> = Vec::new();
+    let mut pcs: Vec<u64> = Vec::new();
     let mut pc = entry_pc;
     while raw.len() < MAX_OPS && Memory::page_number(pc) == page_no {
         let Ok((word, _)) = mem.fetch_word(pc) else {
@@ -728,6 +782,11 @@ pub(crate) fn build(mem: &Memory, cost: &CostModel, entry_pc: u64) -> Option<Sup
             break;
         }
         raw.push(insn);
+        pcs.push(pc);
+        if let Some(target) = followed_jump(&insn, pc, page_no) {
+            pc = target;
+            continue;
+        }
         pc += 4;
         if is_terminator(&insn) {
             break;
@@ -736,31 +795,37 @@ pub(crate) fn build(mem: &Memory, cost: &CostModel, entry_pc: u64) -> Option<Sup
     if raw.len() < MIN_OPS {
         return None;
     }
+    pcs.push(pc);
 
     let mut ops = Vec::with_capacity(raw.len());
     let mut max_cycles = 0u64;
     let mut i = 0;
     while i < raw.len() {
-        let insn = raw[i];
-        let at = entry_pc + 4 * i as u64;
-        if let Some(fused) = try_fuse(insn, raw.get(i + 1).copied(), at) {
+        let (insn, at) = (raw[i], pcs[i]);
+        // Fusion pairs only contiguous instructions: the second half of a
+        // pair is addressed as `at + 4`.
+        let next = raw.get(i + 1).copied().filter(|_| pcs[i + 1] == at + 4);
+        if let Some(fused) = try_fuse(insn, next, at) {
             max_cycles += worst_cycles(&insn, cost) + worst_cycles(&raw[i + 1], cost);
             ops.push(fused);
             i += 2;
             continue;
         }
         max_cycles += worst_cycles(&insn, cost);
-        ops.push(lower(insn, at)?);
+        ops.push(match followed_jump(&insn, at, page_no) {
+            Some(_) => SbOp::Jump,
+            None => lower(insn, at)?,
+        });
         i += 1;
     }
 
     Some(Superblock {
-        entry_pc,
         page_no,
         gen,
         len: raw.len() as u64,
         max_cycles,
         ops,
+        pcs: pcs.into_boxed_slice(),
     })
 }
 
@@ -836,12 +901,11 @@ fn store_value(
 /// exception, or a self-modifying store. `pc` is written only at exits.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
-    let entry = block.entry_pc;
     let mut retired: u64 = 0;
 
     macro_rules! raise_at {
         ($cause:expr, $tval:expr) => {{
-            m.hart.set_pc(entry + 4 * retired);
+            m.hart.set_pc(block.pcs[retired as usize]);
             let event = exec::raise(m, $cause, $tval);
             return SbExit {
                 retired,
@@ -867,7 +931,7 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
     macro_rules! smc_check {
         ($addr:expr, $width:expr) => {{
             if touches(block.page_no, $addr, $width) {
-                m.hart.set_pc(entry + 4 * retired);
+                m.hart.set_pc(block.pcs[retired as usize]);
                 return SbExit {
                     retired,
                     consumed: retired,
@@ -1022,6 +1086,10 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 retired += 1;
                 exit_to!(target);
             }
+            SbOp::Jump => {
+                exec::retire(m, InsnClass::Jump, true, false);
+                retired += 1;
+            }
             SbOp::Jalr {
                 rd,
                 link,
@@ -1136,8 +1204,9 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
     }
 
     // Ran off the end of the trace (the next instruction wasn't
-    // translatable): plain sequential exit.
-    m.hart.set_pc(entry + 4 * retired);
+    // translatable, or the trace hit its length cap): exit to the pc after
+    // its last instruction.
+    m.hart.set_pc(block.pcs[retired as usize]);
     SbExit {
         retired,
         consumed: retired,

@@ -13,10 +13,14 @@
 //!    running superblock that touches the block's own page must side-exit
 //!    after retiring the store, and the machine must still agree with the
 //!    interpreter instruction-for-instruction.
+//! 4. **Exits after followed jumps and between chained blocks**: an
+//!    exception after a `j` the trace followed, a timer due between two
+//!    chained blocks, and a `j` to another page, each co-run against the
+//!    interpreter with a full digest after every step.
 
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg, Reg};
-use regvault_sim::{arch_divergence, Machine, MachineConfig};
+use regvault_sim::{arch_divergence, run_tiered_lockstep, Machine, MachineConfig, PAGE_SIZE};
 
 const CODE_BASE: u64 = 0x8000_0000;
 const DATA: [&str; 4] = ["t0", "t1", "t2", "t3"];
@@ -108,6 +112,8 @@ enum BodyOp {
         rd: usize,
         imm: i64,
     },
+    /// A forward `j` over one dead instruction, which the trace follows.
+    Skip { rd: usize, imm: i64 },
 }
 
 fn render(op: &BodyOp, idx: usize) -> String {
@@ -165,6 +171,10 @@ fn render(op: &BodyOp, idx: usize) -> String {
             "bne {}, {}, skip{idx}\n addi {}, {}, {}\nskip{idx}:",
             DATA[*rs1], DATA[*rs2], DATA[*rd], DATA[*rd], imm
         ),
+        BodyOp::Skip { rd, imm } => format!(
+            "j over{idx}\n addi {}, {}, {}\nover{idx}:",
+            DATA[*rd], DATA[*rd], imm
+        ),
     }
 }
 
@@ -198,6 +208,7 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
         }),
         (0usize..4, 0usize..4, 0usize..4, -64i64..64)
             .prop_map(|(rs1, rs2, rd, imm)| BodyOp::Guarded { rs1, rs2, rd, imm }),
+        (0usize..4, -64i64..64).prop_map(|(rd, imm)| BodyOp::Skip { rd, imm }),
     ]
 }
 
@@ -338,5 +349,229 @@ fn mid_trace_self_store_side_exits_and_invalidates() {
     assert!(
         stats.invalidations > 0,
         "self-store must invalidate the trace: {stats:?}"
+    );
+}
+
+/// A tiered machine and an interpreter with `source` loaded at
+/// [`CODE_BASE`] and the pc on its first instruction.
+fn lockstep_pair(source: &str, config: MachineConfig) -> (Machine, Machine) {
+    let program = asm::assemble(source).expect("assembles");
+    let build = |superblock_tier: bool| {
+        let mut machine = Machine::new(MachineConfig {
+            superblock_tier,
+            ..config
+        });
+        machine.load_program(CODE_BASE, program.bytes());
+        machine.hart_mut().set_pc(CODE_BASE);
+        machine
+    };
+    (build(true), build(false))
+}
+
+/// Absolute address of `label` in `source` assembled at [`CODE_BASE`].
+fn label_pc(source: &str, label: &str) -> u64 {
+    let program = asm::assemble(source).expect("assembles");
+    CODE_BASE + program.symbol(label).expect("label defined")
+}
+
+/// A load that faults right after a `j` the trace followed reports the
+/// faulting load's pc, not the dead instruction `entry + 4 * retired`
+/// points at, and the interpreter's `tval`.
+#[test]
+fn fault_after_followed_jump_reports_interpreter_pc_and_tval() {
+    // The loop loads from the mapped scratch page until iteration 30, when
+    // the address moves 1 MiB up, onto an unmapped page; by then the loop
+    // is a hot trace, so the fault is raised inside it.
+    let source = "li   s0, 0x9000
+         sd   zero, 0(s0)
+         li   s3, 30
+         li   s1, 64
+         li   t6, 0
+        loop:
+         addi t6, t6, 1
+         xor  t3, t6, s3
+         seqz t3, t3
+         slli t3, t3, 20
+         add  t4, s0, t3
+         j    next
+         addi t0, t0, 100
+        next:
+         ld   t2, 0(t4)
+         blt  t6, s1, loop
+         ebreak";
+    let (mut tiered, mut interp) = lockstep_pair(source, MachineConfig::default());
+    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_eq!(tiered.hart().pc(), label_pc(source, "next"));
+    assert_eq!(tiered.stats().exceptions, 1);
+    let stats = tiered.superblock_stats();
+    assert_eq!(
+        stats.side_exits, 1,
+        "the fault is raised in a trace: {stats:?}"
+    );
+    assert_eq!(tiered.hart().reg(Reg::T0), 0, "the skipped addi never ran");
+}
+
+/// The exits of a trace that followed a jump that are not control
+/// transfers take the pc from the exit table: an untranslatable `csrr`
+/// and the length cap (a `j` back to its own head, followed until the cap)
+/// run the trace off its end, and a store into the trace's own page stops
+/// it after retiring.
+#[test]
+fn exits_after_followed_jump_take_the_interpreter_pc() {
+    let csr_stop = "li   s1, 200
+         li   t6, 0
+        loop:
+         addi t6, t6, 1
+         addi t0, t0, 2
+         j    tail
+         addi t0, t0, 100
+        tail:
+         csrr t5, mstatus
+         blt  t6, s1, loop
+         ebreak"
+        .to_owned();
+    let cap_stop = "spin:
+         addi a0, a0, 1
+         j    spin"
+        .to_owned();
+    // The store rewrites the `xor` after it with its own encoding.
+    let own_word = encode("xor t5, t0, t2");
+    let smc_stop = |off: u64| {
+        format!(
+            "li   s2, {CODE_BASE}
+             li   s4, {own_word}
+             li   s1, 64
+             li   t6, 0
+            loop:
+             addi t0, t0, 1
+             j    store
+             addi t0, t0, 100
+            store:
+             sw   s4, {off}(s2)
+             xor  t5, t0, t2
+             addi t6, t6, 1
+             blt  t6, s1, loop
+             ebreak"
+        )
+    };
+    let probe = asm::assemble(&smc_stop(0)).expect("assembles");
+    let smc_stop = smc_stop(find_insn(probe.bytes(), own_word));
+
+    for (source, steps) in [(csr_stop, 100_000), (cap_stop, 5_000), (smc_stop, 100_000)] {
+        let (mut tiered, mut interp) = lockstep_pair(&source, MachineConfig::default());
+        let outcome = run_tiered_lockstep(&mut tiered, &mut interp, steps, 1);
+        assert!(outcome.agreed(), "{source}: {outcome:?}");
+        let stats = tiered.superblock_stats();
+        assert!(stats.hits >= 10, "{source}: the trace ran hot: {stats:?}");
+    }
+}
+
+/// A timer due one cycle after the boundary between two chained blocks
+/// stops the chain there: the interrupt lands at the interpreter's
+/// `instret` and `cycles`, one instruction into the second block.
+#[test]
+fn timer_between_chained_blocks_lands_at_interpreter_instret() {
+    // Block `loop` always branches to block `mid`, which loops back: once
+    // both are hot, every iteration is two blocks run in one chain.
+    let source = "li   t6, 0
+         li   s1, 200
+        loop:
+         addi t0, t0, 1
+         addi t1, t1, 2
+         xor  t2, t0, t1
+         bge  t6, zero, mid
+         addi t0, t0, 100
+        mid:
+         addi t3, t3, 3
+         xor  t4, t3, t2
+         addi t6, t6, 1
+         blt  t6, s1, loop
+         ebreak";
+    const ITER: u64 = 40;
+    let mid = label_pc(source, "mid");
+
+    // Clock and instret as the interpreter reaches `mid` in iteration ITER.
+    let (_, mut probe) = lockstep_pair(source, MachineConfig::default());
+    let mut arrivals = 0;
+    while arrivals < ITER {
+        assert_eq!(probe.step().unwrap(), None);
+        if probe.hart().pc() == mid {
+            arrivals += 1;
+        }
+    }
+    let (cycles, instret) = (probe.stats().cycles, probe.stats().instret);
+
+    let config = MachineConfig {
+        timer_interval: Some(cycles + 1),
+        ..MachineConfig::default()
+    };
+    let (mut tiered, mut interp) = lockstep_pair(source, config);
+    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_eq!(tiered.stats().timer_interrupts, 1);
+    assert_eq!(tiered.stats().instret, instret + 1);
+    assert_eq!(tiered.stats().cycles, interp.stats().cycles);
+    assert_eq!(tiered.hart().pc(), mid + 4);
+    let stats = tiered.superblock_stats();
+    assert!(
+        stats.hits >= 2 * (ITER - 16),
+        "both blocks ran hot before the timer: {stats:?}"
+    );
+}
+
+/// A `j` whose target is on the next page ends the trace: the target runs
+/// as a block of its own page, so a patch of that page reaches the very
+/// next iteration. A trace that ran on across the page boundary would be
+/// tagged with the first page's generation only and keep the stale code.
+#[test]
+fn jump_to_another_page_ends_the_trace() {
+    const ITERS: u64 = 64;
+    const PATCH_ITER: u64 = 40;
+    let new_word = encode("addi t2, t2, 7");
+    let text = |pad: u64| -> String {
+        format!(
+            "li   s2, {far}
+             li   s3, {PATCH_ITER}
+             li   s4, {new_word}
+             li   s1, {ITERS}
+             li   t6, 0
+            loop:
+             bne  t6, s3, nopatch
+             sw   s4, 0(s2)
+            nopatch:
+             addi t0, t0, 1
+             addi t1, t1, 2
+             j    far
+            pad:
+             .zero {pad}
+            far:
+             addi t2, t2, 3
+             addi t6, t6, 1
+             blt  t6, s1, loop
+             ebreak",
+            far = CODE_BASE + PAGE_SIZE,
+        )
+    };
+    // Two passes: pad so that `far` opens the next page.
+    let pad = PAGE_SIZE - (label_pc(&text(0), "pad") - CODE_BASE);
+    let source = text(pad);
+    assert_eq!(label_pc(&source, "far"), CODE_BASE + PAGE_SIZE);
+
+    let (mut tiered, mut interp) = lockstep_pair(&source, MachineConfig::default());
+    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_eq!(
+        tiered.hart().reg(Reg::T2),
+        3 * PATCH_ITER + 7 * (ITERS - PATCH_ITER)
+    );
+    let stats = tiered.superblock_stats();
+    assert!(
+        stats.invalidations >= 1,
+        "the patch drops `far`'s block: {stats:?}"
+    );
+    assert_eq!(
+        stats.cached, 2,
+        "`nopatch` and `far` are separate blocks: {stats:?}"
     );
 }

@@ -136,7 +136,7 @@ grep -q '"traceEvents"' /tmp/regvault_trace.json
 target/release/regvault-cli metrics /tmp/regvault_replay_smoke.s --json \
     | grep -q '"clb_hits"'
 
-echo "==> hotpath ratio guard (SWAR/reference QARMA, tier on/off, FULL/off, rekey/FULL)"
+echo "==> hotpath ratio guard (SWAR/reference QARMA, dhry2 and SPEC tier on/off, FULL/off, rekey/FULL)"
 target/release/hotpath
 
 # The committed BENCH_*.json are exact: delete them, regenerate all six,
