@@ -42,7 +42,8 @@ struct Guard {
 
 /// The five guards, in the order of [`Ratios`]. The range in each comment
 /// was measured on a 2-vCPU VM (best of 16–32 rounds); its low end is at
-/// least 1.3x the floor, so host noise does not trip it.
+/// least 1.3x the floor, so host noise does not trip it, except for
+/// dhry2, whose low end is only ~1.13x its floor.
 const GUARDS: [Guard; 5] = [
     // 3.6–4.5x, every block under its own tweak. The SWAR core transforms
     // the whole 64-bit state with table lookups where the reference walks
@@ -52,7 +53,7 @@ const GUARDS: [Guard; 5] = [
         name: "QARMA reference/SWAR ns per block",
         floor: 2.0,
     },
-    // 2.6–3.4x. dhry2 is a register-compute loop the superblock tier
+    // 2.26–3.04x. dhry2 is a register-compute loop the superblock tier
     // covers almost entirely (~98% of its instructions), so dispatching
     // fused traces instead of single steps keeps the 2x the tier was
     // accepted on; a tier that stops entering or churns its traces falls

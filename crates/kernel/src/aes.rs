@@ -191,14 +191,6 @@ impl Aes128 {
         Self::add_round_key(&mut state, &self.round_keys[0]);
         state
     }
-
-    /// Approximate instruction count of one block operation on an in-order
-    /// core, used by the kernel to charge cycles for the software AES path.
-    #[must_use]
-    pub fn block_op_insns() -> u64 {
-        // ~10 rounds x (16 sbox + 16 shift + ~60 mixcolumn ops + 16 xor).
-        1100
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! between user buffers and file buffers, charging per-word memory costs —
 //! which is what makes `read`/`write` latency benchmarks meaningful.
 
-use regvault_sim::{InsnClass, Machine};
+use regvault_sim::{Machine, ModelledPath};
 
 use crate::config::ProtectionConfig;
 use crate::error::KernelError;
@@ -113,7 +113,7 @@ impl FileOpsTable {
         op: FileOp,
     ) -> Result<u64, KernelError> {
         let target = self.resolve(machine, cfg, op)?;
-        machine.charge(InsnClass::Jump, 1);
+        machine.charge_modelled(ModelledPath::IndirectJump, 1);
         if handlers::ALL.contains(&target) {
             Ok(target)
         } else {
@@ -241,8 +241,7 @@ impl MiniFs {
     /// [`KernelError::NotFound`] for unknown names,
     /// [`KernelError::ResourceExhausted`] when out of descriptors.
     pub fn open(&mut self, machine: &mut Machine, name: &str) -> Result<u64, KernelError> {
-        machine.charge(InsnClass::Alu, 40); // path lookup
-        machine.charge(InsnClass::Load, 12);
+        machine.charge_modelled(ModelledPath::PathLookup, 1);
         let index = self
             .files
             .iter()
@@ -300,8 +299,7 @@ impl MiniFs {
         for i in (words * 8)..len {
             let byte = machine.memory().read_u8(src + i)?;
             machine.memory_mut().write_u8(dst + i, byte)?;
-            machine.charge(InsnClass::Load, 1);
-            machine.charge(InsnClass::Store, 1);
+            machine.charge_modelled(ModelledPath::ByteCopy, 1);
         }
         Ok(())
     }
@@ -435,7 +433,7 @@ impl MiniFs {
             FdKind::File { index, .. } => {
                 let target = self.file_ops.dispatch(machine, cfg, FileOp::Stat)?;
                 debug_assert_eq!(target, handlers::FILE_STAT);
-                machine.charge(InsnClass::Load, 8);
+                machine.charge_modelled(ModelledPath::StatFill, 1);
                 Ok(self.files[index].size)
             }
             _ => Err(KernelError::BadHandle),

@@ -2,7 +2,7 @@
 
 use rand::{Rng, SeedableRng};
 use regvault_isa::{ByteRange, KeyReg, Reg};
-use regvault_sim::{Event, InsnClass, Machine, Privilege, SchedEvent, TraceEvent, TrapCause};
+use regvault_sim::{Event, Machine, ModelledPath, Privilege, SchedEvent, TraceEvent, TrapCause};
 
 use crate::config::{KernelConfig, ProtectionConfig};
 use crate::cred::{CredField, CredStore};
@@ -260,7 +260,7 @@ impl Kernel {
             addr,
             self.cfg.fp,
         )?;
-        self.machine.charge(InsnClass::Jump, 1);
+        self.machine.charge_modelled(ModelledPath::IndirectJump, 1);
         if target != Self::ops_hook_target(slot % 8) {
             return Err(KernelError::WildJump { target });
         }
@@ -275,8 +275,7 @@ impl Kernel {
     /// Propagates guest-memory faults.
     pub fn push_kframe(&mut self, site: u32) -> Result<u64, KernelError> {
         self.ksp -= 48;
-        self.machine.charge(InsnClass::Alu, 4);
-        self.machine.charge(InsnClass::Store, 2);
+        self.machine.charge_modelled(ModelledPath::KframePush, 1);
         let ra = Self::kcall_ra(site);
         let slot = self.ksp;
         let stored = if self.cfg.ra {
@@ -320,8 +319,7 @@ impl Kernel {
         } else {
             raw
         };
-        self.machine.charge(InsnClass::Alu, 3);
-        self.machine.charge(InsnClass::Load, 1);
+        self.machine.charge_modelled(ModelledPath::KframePop, 1);
         self.ksp += 48;
         let expected = Self::kcall_ra(site);
         if ra != expected {
@@ -346,10 +344,9 @@ impl Kernel {
         self.machine.trace_emit(TraceEvent::TrapEnter {
             cause: TrapCause::Syscall(num),
         });
-        // Trap entry: privilege switch + pt_regs save.
-        self.machine.charge(InsnClass::Alu, 35);
-        self.machine.charge(InsnClass::Store, 31);
-        self.machine.charge(InsnClass::Alu, sysno.base_insns());
+        self.machine.charge_modelled(ModelledPath::TrapEntry, 1);
+        self.machine
+            .charge_modelled(ModelledPath::SyscallBody, sysno.base_insns());
 
         // Permission check on credential-guarded paths (reads the
         // protected cred.euid).
@@ -391,9 +388,7 @@ impl Kernel {
             }
             result
         };
-        // Trap exit: pt_regs restore + return to user.
-        self.machine.charge(InsnClass::Load, 31);
-        self.machine.charge(InsnClass::Alu, 22);
+        self.machine.charge_modelled(ModelledPath::TrapExit, 1);
         let cycles = self.machine.stats().cycles - entry_cycle;
         self.machine
             .record_sched(SchedEvent::SyscallReturn { cycles });
@@ -485,20 +480,18 @@ impl Kernel {
                 Ok(0)
             }
             Sysno::AddKey => {
-                let bytes = self.machine.memory().read_vec(args[0], 16)?;
-                let material: [u8; 16] = bytes.try_into().expect("16 bytes");
-                self.machine.charge(InsnClass::Load, 2);
+                let material = self.machine.memory().read_array::<16>(args[0])?;
+                self.machine.charge_modelled(ModelledPath::UserBlockIn, 1);
                 self.keyring.add_key(&mut self.machine, &cfg, material)
             }
             Sysno::AesEncrypt => {
-                let bytes = self.machine.memory().read_vec(args[1], 16)?;
-                let block: [u8; 16] = bytes.try_into().expect("16 bytes");
-                self.machine.charge(InsnClass::Load, 2);
+                let block = self.machine.memory().read_array::<16>(args[1])?;
+                self.machine.charge_modelled(ModelledPath::UserBlockIn, 1);
                 let ct = self
                     .keyring
                     .aes_encrypt(&mut self.machine, &cfg, args[0], block)?;
                 self.machine.memory_mut().write_slice(args[2], &ct);
-                self.machine.charge(InsnClass::Store, 2);
+                self.machine.charge_modelled(ModelledPath::UserBlockOut, 1);
                 Ok(0)
             }
             Sysno::Mmap => {
@@ -544,7 +537,7 @@ impl Kernel {
                 if tid == 0 {
                     return Err(KernelError::InvalidArgument);
                 }
-                self.machine.charge(InsnClass::Alu, 200); // teardown
+                self.machine.charge_modelled(ModelledPath::ThreadExit, 1);
                 let next = {
                     self.threads.free(tid);
                     self.threads.next_runnable()
@@ -857,8 +850,7 @@ impl Kernel {
         self.machine.trace_emit(TraceEvent::TrapEnter {
             cause: TrapCause::Timer,
         });
-        self.machine.charge(InsnClass::Alu, 40); // trap entry/exit
-        self.machine.charge(InsnClass::Store, 6);
+        self.machine.charge_modelled(ModelledPath::TimerTrap, 1);
         let next = self.threads.next_runnable();
         if next != self.threads.current {
             self.machine.record_sched(SchedEvent::Preemption);
@@ -1106,6 +1098,30 @@ mod tests {
             .unwrap();
         let ct = k.machine().memory().read_vec(out_ptr, 16).unwrap();
         assert_ne!(&ct, b"blockblockblock!");
+    }
+
+    #[test]
+    fn keyring_syscalls_fault_on_unmapped_pointers() {
+        let unmapped = KernelError::MemoryFault(regvault_sim::ExceptionCause::LoadAccessFault);
+        let mut k = kernel(ProtectionConfig::full());
+        let key_ptr = 0x25_0000u64;
+        k.machine_mut()
+            .memory_mut()
+            .write_slice(key_ptr, b"0123456789abcdef");
+        let serial = k.dispatch(Sysno::AddKey as u64, [key_ptr, 0, 0]).unwrap();
+        // The last 8 of the 16 bytes fall on a page nothing mapped.
+        let straddle = 0x28_0FF8u64;
+        k.machine_mut().memory_mut().write_u64(straddle, 1).unwrap();
+        for ptr in [0x2F_0000u64, straddle] {
+            assert_eq!(
+                k.dispatch(Sysno::AddKey as u64, [ptr, 0, 0]),
+                Err(unmapped.clone())
+            );
+            assert_eq!(
+                k.dispatch(Sysno::AesEncrypt as u64, [serial, ptr, 0x27_0000]),
+                Err(unmapped.clone())
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! +16  key_hi   64-bit block
 //! ```
 
-use regvault_sim::Machine;
+use regvault_sim::{Machine, ModelledPath};
 
 use crate::aes::Aes128;
 use crate::config::ProtectionConfig;
@@ -125,7 +125,7 @@ impl Keyring {
         block: [u8; 16],
     ) -> Result<[u8; 16], KernelError> {
         let material = self.load_key(machine, cfg, serial)?;
-        machine.charge(regvault_sim::InsnClass::Alu, Aes128::block_op_insns());
+        machine.charge_modelled(ModelledPath::AesBlock, 1);
         Ok(Aes128::new(&material).encrypt_block(&block))
     }
 
@@ -142,7 +142,7 @@ impl Keyring {
         block: [u8; 16],
     ) -> Result<[u8; 16], KernelError> {
         let material = self.load_key(machine, cfg, serial)?;
-        machine.charge(regvault_sim::InsnClass::Alu, Aes128::block_op_insns());
+        machine.charge_modelled(ModelledPath::AesBlock, 1);
         Ok(Aes128::new(&material).decrypt_block(&block))
     }
 }

@@ -13,7 +13,7 @@
 //! non-control protection is on; a corrupted or substituted entry decrypts
 //! to a garbage pointer which the walk detects as out-of-arena.
 
-use regvault_sim::Machine;
+use regvault_sim::{Machine, ModelledPath};
 
 use crate::config::ProtectionConfig;
 use crate::error::KernelError;
@@ -56,8 +56,7 @@ impl PageTables {
 
     fn zero_page(&mut self, machine: &mut Machine, base: u64) -> Result<(), KernelError> {
         machine.memory_mut().map_region(base, PT_PAGE_SIZE);
-        // Charge a page-clear loop without 512 individual calls.
-        machine.charge(regvault_sim::InsnClass::Store, 64);
+        machine.charge_modelled(ModelledPath::PageClear, 1);
         Ok(())
     }
 
@@ -117,7 +116,7 @@ impl PageTables {
             if entry & PTE_VALID == 0 || page < PAGE_TABLE_BASE || page >= self.arena_end {
                 return Err(KernelError::IntegrityViolation { what: "pgd entry" });
             }
-            machine.charge(regvault_sim::InsnClass::Alu, 2);
+            machine.charge_modelled(ModelledPath::PgdEntryCheck, 1);
             page
         };
         let pte_slot = pt_page + ((vaddr >> 12) % ENTRIES) * 8;

@@ -11,7 +11,7 @@
 //! guest memory plus a pending bitmask; delivery happens when the kernel
 //! returns to user mode.
 
-use regvault_sim::Machine;
+use regvault_sim::{Machine, ModelledPath};
 
 use crate::config::ProtectionConfig;
 use crate::error::KernelError;
@@ -79,7 +79,7 @@ impl SignalTable {
         }
         let slot = self.handler_slot(tid, signo);
         pfield::write_u64_conf(machine, cfg.key_policy().fn_ptr, slot, handler, cfg.fp)?;
-        machine.charge(regvault_sim::InsnClass::Alu, 30);
+        machine.charge_modelled(ModelledPath::SigactionInstall, 1);
         Ok(())
     }
 
@@ -95,7 +95,7 @@ impl SignalTable {
         let mask_addr = self.entry(tid);
         let mask = machine.kernel_load_u64(mask_addr)?;
         machine.kernel_store_u64(mask_addr, mask | (1 << signo))?;
-        machine.charge(regvault_sim::InsnClass::Alu, 20);
+        machine.charge_modelled(ModelledPath::SignalRaise, 1);
         Ok(())
     }
 
@@ -122,8 +122,7 @@ impl SignalTable {
         machine.kernel_store_u64(mask_addr, mask & !(1 << signo))?;
         let slot = self.handler_slot(tid, signo);
         let handler = pfield::read_u64_conf(machine, cfg.key_policy().fn_ptr, slot, cfg.fp)?;
-        machine.charge(regvault_sim::InsnClass::Alu, 60);
-        machine.charge(regvault_sim::InsnClass::Store, 10);
+        machine.charge_modelled(ModelledPath::SignalDeliver, 1);
         if handler == 0 {
             return Ok(None);
         }

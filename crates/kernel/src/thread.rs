@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use regvault_isa::{ByteRange, KeyReg};
-use regvault_sim::Machine;
+use regvault_sim::{Machine, ModelledPath};
 
 use crate::config::ProtectionConfig;
 use crate::error::KernelError;
@@ -127,9 +127,7 @@ impl ThreadTable {
                 machine.kernel_store_u64(addr, wrapped)?;
             }
         }
-        // Thread creation cost (fork path).
-        machine.charge(regvault_sim::InsnClass::Alu, 300);
-        machine.charge(regvault_sim::InsnClass::Store, 60);
+        machine.charge_modelled(ModelledPath::ThreadCreate, 1);
         Ok(tid)
     }
 
@@ -238,9 +236,7 @@ impl ThreadTable {
         to: u32,
     ) -> Result<(), KernelError> {
         let from = self.current;
-        machine.charge(regvault_sim::InsnClass::Alu, 1600); // scheduler core
-        machine.charge(regvault_sim::InsnClass::Load, 40);
-        machine.charge(regvault_sim::InsnClass::Store, 40);
+        machine.charge_modelled(ModelledPath::SchedulerCore, 1);
         let cip_key = cfg.key_policy().interrupt;
         trap::save_context(machine, cfg, cip_key, self.interrupt_frame_addr(from))?;
         self.states[from as usize] = ThreadState::Runnable;
@@ -287,9 +283,7 @@ impl ThreadTable {
         to: u32,
     ) -> Result<(), KernelError> {
         let from = self.current;
-        machine.charge(regvault_sim::InsnClass::Alu, 1600);
-        machine.charge(regvault_sim::InsnClass::Load, 40);
-        machine.charge(regvault_sim::InsnClass::Store, 40);
+        machine.charge_modelled(ModelledPath::SchedulerCore, 1);
         self.current = to;
         self.states[to as usize] = ThreadState::Current;
         if to != from {

@@ -39,7 +39,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use regvault_kernel::cred::{EGID_OFFSET, EUID_OFFSET, GID_OFFSET, UID_OFFSET};
 use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
 use regvault_metrics::HistogramData;
-use regvault_sim::{FaultKind, FaultPlan, InsnClass};
+use regvault_sim::{FaultKind, FaultPlan, ModelledPath};
 
 use crate::loadgen::{Arrival, LoadGen, LoadGenConfig};
 use crate::protocol::{OpCode, Request, Response, Status, FRAME_LEN};
@@ -64,10 +64,9 @@ const MICRO_REBOOT_PENALTY: u64 = 50_000;
 /// Latency samples required before the deadline shedder trusts its p99.
 /// Below this the estimate is noise and the shedder stays out of the way.
 const DEADLINE_MIN_SAMPLES: u64 = 64;
-/// Modelled ALU cost of parsing a request frame.
-const PARSE_COST: u64 = 40;
-/// Modelled ALU cost of formatting a response frame.
-const RESPOND_COST: u64 = 24;
+/// [`ModelledPath::Idle`] units charged once at boot to measure the cycles
+/// of one unit.
+const IDLE_PROBE_UNITS: u64 = 16;
 
 /// Serve-scenario configuration.
 #[derive(Debug, Clone, Copy)]
@@ -315,8 +314,9 @@ pub struct Supervisor {
     /// Virtual-time offset accumulated across cold restarts, so the clock
     /// stays monotone even though a fresh machine starts at cycle zero.
     cycle_base: u64,
-    /// Measured cycles per charged ALU op (cost model dependent).
-    alu_cost: u64,
+    /// Measured cycles per [`ModelledPath::Idle`] unit (cost model
+    /// dependent).
+    idle_cost: u64,
     /// Supervisor-owned counts: they survive kernel cold restarts.
     counts: Counts,
     rr_cursor: usize,
@@ -365,7 +365,7 @@ impl Supervisor {
             queues: (0..cfg.tenants).map(|_| VecDeque::new()).collect(),
             frontend_tid: kernel.current_tid(),
             cycle_base: 0,
-            alu_cost: 1,
+            idle_cost: 1,
             kernel,
             loadgen,
             fault_rng: StdRng::seed_from_u64(cfg.seed ^ Self::FAULT_SEED_MIX),
@@ -477,11 +477,13 @@ impl Supervisor {
             }
         }
 
-        // Measure the cost model's cycles-per-ALU-op so idle advancement
-        // can hit a target cycle without assuming a cost table.
+        // Measure the cycles of one idle unit so idle advancement can hit
+        // a target cycle without assuming a cost table.
         let c0 = self.kernel.machine().stats().cycles;
-        self.kernel.machine_mut().charge(InsnClass::Alu, 16);
-        self.alu_cost = ((self.kernel.machine().stats().cycles - c0) / 16).max(1);
+        self.kernel
+            .machine_mut()
+            .charge_modelled(ModelledPath::Idle, IDLE_PROBE_UNITS);
+        self.idle_cost = ((self.kernel.machine().stats().cycles - c0) / IDLE_PROBE_UNITS).max(1);
         Ok(())
     }
 
@@ -816,7 +818,9 @@ impl Supervisor {
             .machine_mut()
             .memory_mut()
             .write_slice(FRONT_SCRATCH, &frame);
-        self.kernel.machine_mut().charge(InsnClass::Store, 2);
+        self.kernel
+            .machine_mut()
+            .charge_modelled(ModelledPath::StageRequest, 1);
         let n = self.kernel.dispatch(
             Sysno::Write as u64,
             [res.req_w, FRONT_SCRATCH, FRAME_LEN as u64],
@@ -834,7 +838,9 @@ impl Supervisor {
         if n != FRAME_LEN as u64 {
             return Ok(false);
         }
-        self.kernel.machine_mut().charge(InsnClass::Alu, PARSE_COST);
+        self.kernel
+            .machine_mut()
+            .charge_modelled(ModelledPath::ParseRequest, 1);
         let Ok(bytes) = self
             .kernel
             .machine()
@@ -870,7 +876,7 @@ impl Supervisor {
         };
         self.kernel
             .machine_mut()
-            .charge(InsnClass::Alu, RESPOND_COST);
+            .charge_modelled(ModelledPath::FormatResponse, 1);
         self.kernel
             .machine_mut()
             .memory_mut()
@@ -915,7 +921,9 @@ impl Supervisor {
     fn execute(&mut self, res: &SlotRes, req: &Request) -> Result<u64, KernelError> {
         match req.op {
             OpCode::Echo => {
-                self.kernel.machine_mut().charge(InsnClass::Alu, 8);
+                self.kernel
+                    .machine_mut()
+                    .charge_modelled(ModelledPath::Echo, 1);
                 Ok(req.payload)
             }
             OpCode::Auth => {
@@ -1067,8 +1075,10 @@ impl Supervisor {
             if now >= target {
                 return;
             }
-            let want = ((target - now).div_ceil(self.alu_cost)).clamp(1, 50_000);
-            self.kernel.machine_mut().charge(InsnClass::Alu, want);
+            let want = ((target - now).div_ceil(self.idle_cost)).clamp(1, 50_000);
+            self.kernel
+                .machine_mut()
+                .charge_modelled(ModelledPath::Idle, want);
         }
     }
 

@@ -79,7 +79,7 @@ mod superblock;
 pub mod trace;
 
 pub use clb::{Clb, ClbStats};
-pub use cost::CostModel;
+pub use cost::{CostModel, ModelledPath};
 pub use engine::{CryptoEngine, CryptoResult, IntegrityError, KeyRegFile, Watchdog};
 pub use error::{ExceptionCause, SimError};
 pub use fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec, FaultTrigger};

@@ -5,7 +5,7 @@ use regvault_metrics::Metrics;
 use regvault_qarma::Key;
 
 use crate::{
-    cost::CostModel,
+    cost::{CostModel, ModelledPath},
     engine::{CryptoEngine, CryptoResult, IntegrityError, Watchdog},
     error::{ExceptionCause, SimError},
     exec,
@@ -228,16 +228,7 @@ impl Machine {
     /// activity and context switches through it.
     #[inline]
     pub fn trace_emit(&mut self, event: TraceEvent) {
-        if self.tracer.is_some() {
-            let record = TraceRecord {
-                cycle: self.stats.cycles,
-                instret: self.stats.instret,
-                event,
-            };
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.emit(record);
-            }
-        }
+        self.emit_trace(|| event);
     }
 
     /// Hot-path emission: the event value is only constructed when a tracer
@@ -845,14 +836,25 @@ impl Machine {
     // datapaths as compiled kernel code would. These helpers execute the
     // corresponding hardware operation *and* charge its cycles.
 
-    /// Charges `count` instructions of `class` to the clock — used by the
-    /// Rust-modelled kernel to account for straight-line work.
+    /// Charges `times` passes of a modelled path to the clock — how the
+    /// Rust-modelled kernel and supervisor account for work they do
+    /// without interpreting it. The row's classes are charged one at a
+    /// time, in table order.
     ///
-    /// Kernel work counts against an armed watchdog (expiry surfaces as
+    /// Modelled work counts against an armed watchdog (expiry surfaces as
     /// [`SimError::Timeout`] at the next [`Machine::step`]) and advances
-    /// the fault clock, so planned faults can land inside kernel-modelled
-    /// operations, not only between guest instructions.
-    pub fn charge(&mut self, class: InsnClass, count: u64) {
+    /// the fault clock after each class, so planned faults can land inside
+    /// kernel-modelled operations, not only between guest instructions.
+    #[inline]
+    pub fn charge_modelled(&mut self, path: ModelledPath, times: u64) {
+        for &(class, count) in path.insns() {
+            self.charge(class, count * times);
+        }
+    }
+
+    /// Charges `count` instructions of `class`: retire, then the watchdog,
+    /// then due faults.
+    pub(crate) fn charge(&mut self, class: InsnClass, count: u64) {
         let cycles = self.cost.cycles(class, true, false);
         self.stats.retire_n(class, cycles, count);
         if let Some(dog) = &mut self.watchdog {
@@ -1075,6 +1077,53 @@ mod tests {
         machine.charge(InsnClass::Alu, 10);
         assert!(machine.watchdog().unwrap().expired());
         assert!(matches!(machine.step(), Err(SimError::Timeout { .. })));
+    }
+
+    /// A machine with a word at 0x9000 and bit flips of it planned at
+    /// instret 10 (inside trap entry's 35 ALU ops) and 40 (inside its 31
+    /// stores), recording.
+    fn planned_flips() -> Machine {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.memory_mut().write_u64(0x9000, 0xF0).unwrap();
+        machine.set_fault_plan(
+            FaultPlan::new()
+                .at(
+                    10,
+                    FaultKind::MemBitFlip {
+                        addr: 0x9000,
+                        bit: 0,
+                    },
+                )
+                .at(
+                    40,
+                    FaultKind::MemBitFlip {
+                        addr: 0x9000,
+                        bit: 1,
+                    },
+                ),
+        );
+        machine.start_recording();
+        machine
+    }
+
+    #[test]
+    fn modelled_rows_land_faults_like_per_class_charges() {
+        let mut per_class = planned_flips();
+        per_class.charge(InsnClass::Alu, 35);
+        per_class.charge(InsnClass::Store, 31);
+        let mut modelled = planned_flips();
+        modelled.charge_modelled(ModelledPath::TrapEntry, 1);
+
+        let applied = modelled.fault_plan().unwrap().applied();
+        assert_eq!(
+            applied.iter().map(|f| f.instret).collect::<Vec<_>>(),
+            [35, 66],
+            "each fault lands at the end of the class it falls in"
+        );
+        assert_eq!(applied, per_class.fault_plan().unwrap().applied());
+        assert_eq!(modelled.recording(), per_class.recording());
+        assert_eq!(modelled.memory().read_u64(0x9000).unwrap(), 0xF3);
+        assert_eq!(modelled.stats(), per_class.stats());
     }
 
     #[test]

@@ -193,8 +193,12 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads `N` little-endian bytes.
-    fn read_bytes<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExceptionCause> {
+    /// Reads `N` bytes into a fixed-size array.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExceptionCause::LoadAccessFault`] if any page is unmapped.
+    pub fn read_array<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExceptionCause> {
         let offset = (addr & (PAGE_SIZE - 1)) as usize;
         let mut out = [0u8; N];
         if offset + N <= PAGE_SIZE as usize {
@@ -232,7 +236,7 @@ impl Memory {
     ///
     /// Returns [`ExceptionCause::LoadAccessFault`] on unmapped pages.
     pub fn read_u16(&self, addr: u64) -> Result<u16, ExceptionCause> {
-        Ok(u16::from_le_bytes(self.read_bytes(addr)?))
+        Ok(u16::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Reads a little-endian `u32`.
@@ -241,7 +245,7 @@ impl Memory {
     ///
     /// Returns [`ExceptionCause::LoadAccessFault`] on unmapped pages.
     pub fn read_u32(&self, addr: u64) -> Result<u32, ExceptionCause> {
-        Ok(u32::from_le_bytes(self.read_bytes(addr)?))
+        Ok(u32::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Reads a little-endian `u64`.
@@ -250,7 +254,7 @@ impl Memory {
     ///
     /// Returns [`ExceptionCause::LoadAccessFault`] on unmapped pages.
     pub fn read_u64(&self, addr: u64) -> Result<u64, ExceptionCause> {
-        Ok(u64::from_le_bytes(self.read_bytes(addr)?))
+        Ok(u64::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Writes a little-endian `u16`.
@@ -376,6 +380,22 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_u8(0x1FFC, 1).unwrap();
         assert!(mem.read_u64(0x1FFC).is_err(), "tail page never touched");
+        assert_eq!(
+            mem.read_array::<16>(0x1FF8).unwrap_err(),
+            ExceptionCause::LoadAccessFault
+        );
+    }
+
+    #[test]
+    fn read_array_matches_read_vec() {
+        let mut mem = Memory::new();
+        mem.write_slice(0x1FF8, &(1..=16).collect::<Vec<u8>>());
+        for addr in [0x1FF8, 0x1FFC, 0x2000] {
+            assert_eq!(
+                mem.read_array::<16>(addr).unwrap().to_vec(),
+                mem.read_vec(addr, 16).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! instead of drifting from that state.
 
 use regvault_isa::{asm, ByteRange, KeyReg};
-use regvault_sim::{InsnClass, Machine, MachineConfig, SchedEvent, Stats};
+use regvault_sim::{Machine, MachineConfig, ModelledPath, SchedEvent, Stats};
 
 const TEXT_BASE: u64 = 0x8000_0000;
 
@@ -55,9 +55,9 @@ fn busy_machine() -> Machine {
     }
     for (syscall, slice) in [(120, 900), (310, 40)] {
         machine.record_sched(SchedEvent::Syscall);
-        machine.charge(InsnClass::Alu, syscall);
+        machine.charge_modelled(ModelledPath::SyscallBody, syscall);
         machine.record_sched(SchedEvent::SyscallReturn { cycles: syscall });
-        machine.charge(InsnClass::Alu, slice);
+        machine.charge_modelled(ModelledPath::Idle, slice);
         machine.record_sched(SchedEvent::ContextSwitch);
     }
     machine.record_sched(SchedEvent::Preemption);

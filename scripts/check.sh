@@ -71,9 +71,11 @@ echo "==> repository benchmark's own tests (every workload's --smoke round and i
 # Cargo prunes a stale entry from the committed benchmark/Cargo.lock when
 # it builds the benchmark; put the file back on any exit, a failing test
 # included, so the run leaves no change.
-lock_copy=$(mktemp)
-cp benchmark/Cargo.lock "$lock_copy"
-trap 'cp "$lock_copy" benchmark/Cargo.lock && rm -f "$lock_copy"' EXIT
+# Every scratch file of this run lives in one private directory, so two
+# concurrent runs do not clobber each other; the trap removes it too.
+scratch=$(mktemp -d)
+cp benchmark/Cargo.lock "$scratch/Cargo.lock"
+trap 'cp "$scratch/Cargo.lock" benchmark/Cargo.lock && rm -rf "$scratch"' EXIT
 cargo test --manifest-path benchmark/Cargo.toml
 
 echo "==> protection verifier over the full benchmark corpus"
@@ -84,12 +86,12 @@ target/release/regvault-cli verify --workloads --interprocedural
 
 echo "==> fault campaign determinism (two runs must be identical)"
 campaign=(target/release/fault_campaign --seed 42 --trials 50)
-"${campaign[@]}" > /tmp/fault_campaign_run1.txt
-"${campaign[@]}" > /tmp/fault_campaign_run2.txt
-diff /tmp/fault_campaign_run1.txt /tmp/fault_campaign_run2.txt
+"${campaign[@]}" > "$scratch/fault_campaign_run1.txt"
+"${campaign[@]}" > "$scratch/fault_campaign_run2.txt"
+diff "$scratch/fault_campaign_run1.txt" "$scratch/fault_campaign_run2.txt"
 
 echo "==> record -> replay smoke (bit-for-bit bundle round trip)"
-cat > /tmp/regvault_replay_smoke.s <<'ASM'
+cat > "$scratch/replay_smoke.s" <<'ASM'
 li   t1, 0x9000
 li   s0, 0x9000
 li   s2, 400
@@ -103,13 +105,13 @@ addi s2, s2, -1
 blt  zero, s2, loop
 ebreak
 ASM
-target/release/regvault-cli record /tmp/regvault_replay_smoke.s \
-    /tmp/regvault_smoke.bundle --steps 20000 --flip 50:0x9000:3
-target/release/regvault-cli replay /tmp/regvault_smoke.bundle \
+target/release/regvault-cli record "$scratch/replay_smoke.s" \
+    "$scratch/smoke.bundle" --steps 20000 --flip 50:0x9000:3
+target/release/regvault-cli replay "$scratch/smoke.bundle" \
     | grep -q "bit-for-bit"
 
 echo "==> 10k-step lockstep divergence check (SWAR datapath vs reference)"
-target/release/regvault-cli divergence /tmp/regvault_replay_smoke.s 10000 256 \
+target/release/regvault-cli divergence "$scratch/replay_smoke.s" 10000 256 \
     | grep -q "lockstep OK"
 
 echo "==> superblock tier lockstep sweep (tier vs interpreter, all guests)"
@@ -117,10 +119,10 @@ target/release/regvault-cli divergence --tiers 200000 \
     | grep -q "tier lockstep OK"
 
 echo "==> campaign repro bundle: replay bit-for-bit, shrink to <= 10%"
-rm -rf /tmp/regvault_repro && mkdir -p /tmp/regvault_repro
+mkdir "$scratch/repro"
 target/release/fault_campaign --trials 2 --config full --noise 20 \
-    --repro-dir /tmp/regvault_repro > /dev/null
-bundle=$(ls /tmp/regvault_repro/*.bundle | head -1)
+    --repro-dir "$scratch/repro" > /dev/null
+bundle=$(ls "$scratch"/repro/*.bundle | head -1)
 target/release/fault_campaign --replay "$bundle" | grep -q "bit-for-bit"
 shrink=$(target/release/fault_campaign --shrink "$bundle")
 echo "$shrink"
@@ -130,10 +132,10 @@ test -n "$pct" && test "$pct" -le 10
 target/release/fault_campaign --replay "$bundle.min" | grep -q "bit-for-bit"
 
 echo "==> observability smoke (Chrome trace + metrics JSON on a traced guest)"
-target/release/regvault-cli trace /tmp/regvault_replay_smoke.s --chrome \
-    > /tmp/regvault_trace.json
-grep -q '"traceEvents"' /tmp/regvault_trace.json
-target/release/regvault-cli metrics /tmp/regvault_replay_smoke.s --json \
+target/release/regvault-cli trace "$scratch/replay_smoke.s" --chrome \
+    > "$scratch/trace.json"
+grep -q '"traceEvents"' "$scratch/trace.json"
+target/release/regvault-cli metrics "$scratch/replay_smoke.s" --json \
     | grep -q '"clb_hits"'
 
 echo "==> hotpath ratio guard (SWAR/reference QARMA, dhry2 and SPEC tier on/off, FULL/off, rekey/FULL)"
