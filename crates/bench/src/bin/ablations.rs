@@ -9,8 +9,12 @@
 //! 4. raised spill costs for sensitive registers (how many sensitive
 //!    values reach memory).
 
+use regvault_compiler::prelude::*;
 use regvault_compiler::regalloc::{self, Loc};
-use regvault_core::prelude::*;
+use regvault_isa::{ByteRange, Reg};
+use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
+use regvault_qarma::Key;
+use regvault_sim::{CostModel, CryptoEngine, MachineConfig};
 
 fn main() {
     tweak_choice();

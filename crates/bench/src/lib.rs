@@ -5,8 +5,6 @@
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `table3_hwcost` | Table 3: relative hardware resource cost |
-//! | `table4_pentest` | Table 4: penetration test results |
 //! | `clb_hit_ratio` | §4.4.1: CLB hit ratio and overhead reduction |
 //! | `fig5a_unixbench` | Figure 5a: UnixBench overheads |
 //! | `fig5b_lmbench` | Figure 5b: LMbench overheads |
@@ -17,7 +15,8 @@
 //! The `serve` and `fleet` binaries compare three configurations of the
 //! scenario `regvault-cli serve`/`fleet` runs once, reusing its report
 //! builder and per-run gate; `BENCH_leakage.json` is the output of
-//! `regvault-cli leakage --json`.
+//! `regvault-cli leakage --json`. Tables 3 and 4 are `regvault-cli hwcost`
+//! and `regvault-cli pentest` with no argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

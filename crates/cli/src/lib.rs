@@ -22,13 +22,13 @@ pub use serve::{cmd_serve, parse_serve_args, ServeArgs};
 
 use std::fmt::Write as _;
 
-use regvault_attacks::run_all;
+use regvault_attacks::{run_all, Outcome};
 use regvault_compiler::{compile, verify as compiler_verify, CompileConfig};
-use regvault_core::hwcost;
 use regvault_isa::{asm, disasm, KeyReg, Reg};
 use regvault_kernel::ProtectionConfig;
 use regvault_sim::{
-    run_lockstep, run_tiered_lockstep, FaultKind, FaultPlan, Machine, MachineConfig, ReproBundle,
+    hwcost, run_lockstep, run_tiered_lockstep, FaultKind, FaultPlan, Machine, MachineConfig,
+    ReproBundle,
 };
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
@@ -417,6 +417,116 @@ pub fn cmd_pentest(label: &str) -> Result<String, CliError> {
         );
     }
     Ok(out)
+}
+
+/// Regenerates Table 4: every attack against the original kernel and the
+/// RegVault-protected one, the paper comparison, and the protected
+/// column's evidence trail.
+fn cmd_pentest_table() -> String {
+    fn mark(outcome: Outcome) -> &'static str {
+        match outcome {
+            Outcome::Succeeded => "x (succeeded)",
+            Outcome::DefeatedDetected => "ok (detected)",
+            Outcome::DefeatedGarbled => "ok (garbled)",
+        }
+    }
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Table 4: Penetration test results (x = attack succeeds, ok = defeated)\n"
+    );
+    let original = run_all(ProtectionConfig::off());
+    let regvault = run_all(ProtectionConfig::full());
+    let _ = writeln!(
+        out,
+        "{:<38} {:<16} {:<16}",
+        "Attack", "Original", "RegVault"
+    );
+    for (orig, prot) in original.iter().zip(&regvault) {
+        let _ = writeln!(
+            out,
+            "{:<38} {:<16} {:<16}",
+            orig.attack.name(),
+            mark(orig.outcome),
+            mark(prot.outcome)
+        );
+    }
+    let defended = regvault.iter().filter(|r| r.outcome.defeated()).count();
+    let _ = writeln!(out, "\nRegVault stops {defended}/8 attacks (paper: 8/8).");
+    let _ = writeln!(out, "\nEvidence trail (RegVault column):");
+    for result in &regvault {
+        let _ = writeln!(out, "  {:<38} {}", result.attack.name(), result.detail);
+    }
+    out
+}
+
+/// Regenerates Table 3: relative hardware resource cost over the SoC for
+/// the CLB-0 and CLB-8 configurations next to the paper's figures, then
+/// the CLB size sweep.
+fn cmd_hwcost_table() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Table 3: RegVault relative hardware resource cost over the entire SoC\n"
+    );
+    let _ = writeln!(
+        out,
+        "{:<6} {:<6} {:>16} {:>8} {:>8}   {:>16} {:>8} {:>8}",
+        "CLB", "", "crypto-engine", "CLB", "FPU", "(paper: engine)", "(CLB)", "(FPU)"
+    );
+    let paper = [
+        // (entries, metric, engine, clb, fpu)
+        (0usize, "#LUT", 4.88, f64::NAN, 25.28),
+        (0, "#FF", 4.79, f64::NAN, 12.40),
+        (8, "#LUT", 4.42, 4.30, 24.39),
+        (8, "#FF", 4.55, 4.84, 11.78),
+    ];
+    let pct_or_na = |pct: f64| {
+        if pct.is_nan() {
+            "N/A".to_owned()
+        } else {
+            format!("{pct:.2}%")
+        }
+    };
+    for (entries, metric, p_engine, p_clb, p_fpu) in paper {
+        let r = hwcost::soc_report(entries);
+        let (engine, clb, fpu) = match metric {
+            "#LUT" => (r.crypto_engine_lut_pct(), r.clb_lut_pct(), r.fpu_lut_pct()),
+            _ => (r.crypto_engine_ff_pct(), r.clb_ff_pct(), r.fpu_ff_pct()),
+        };
+        let clb = if entries == 0 { f64::NAN } else { clb };
+        let _ = writeln!(
+            out,
+            "{:<6} {:<6} {:>15.2}% {:>8} {:>7.2}%   {:>15.2}% {:>8} {:>7.2}%",
+            entries,
+            metric,
+            engine,
+            pct_or_na(clb),
+            fpu,
+            p_engine,
+            pct_or_na(p_clb),
+            p_fpu
+        );
+    }
+
+    let _ = writeln!(out, "\nCLB size sweep (ablation):");
+    let _ = writeln!(
+        out,
+        "{:<8} {:>10} {:>10} {:>10} {:>10}",
+        "entries", "CLB LUTs", "CLB %LUT", "CLB FFs", "CLB %FF"
+    );
+    for report in hwcost::clb_sweep(&[0, 2, 4, 8, 16, 32, 64]) {
+        let _ = writeln!(
+            out,
+            "{:<8} {:>10} {:>9.2}% {:>10} {:>9.2}%",
+            report.clb_entries,
+            report.clb_luts,
+            report.clb_lut_pct(),
+            report.clb_ffs,
+            report.clb_ff_pct()
+        );
+    }
+    out
 }
 
 /// Prints the hardware area model for a CLB size.
@@ -888,8 +998,9 @@ USAGE:
     regvault-cli asm     <file.s>          assemble, print words + symbols
     regvault-cli disasm  <file.s>          assemble + disassemble round trip
     regvault-cli run     <file.s> [steps]  execute on the simulated machine
-    regvault-cli pentest [config]          run Table 4 (default: full)
-    regvault-cli hwcost  [entries]         Table 3 area model (default: 8)
+    regvault-cli pentest [config]          Table 4: both columns, or one config
+    regvault-cli hwcost  [entries]         Table 3: paper rows + CLB sweep, or
+                                           the area model for one CLB size
     regvault-cli verify  <file.s> | --workloads [flags]
                                            check RegVault invariants over a program
                                            or every benchmark image
@@ -1008,9 +1119,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         ("disasm", [file]) => cmd_disasm(&read_source(file)?),
         ("run", [file]) => cmd_run(&read_source(file)?, 10_000_000),
         ("run", [file, steps]) => cmd_run(&read_source(file)?, num(steps)?),
-        ("pentest", []) => cmd_pentest("full"),
+        ("pentest", []) => Ok(cmd_pentest_table()),
         ("pentest", [config]) => cmd_pentest(config),
-        ("hwcost", []) => cmd_hwcost("8"),
+        ("hwcost", []) => Ok(cmd_hwcost_table()),
         ("hwcost", [entries]) => cmd_hwcost(entries),
         ("verify", rest) => {
             let parsed = parse_verify_args(rest)?;
@@ -1071,6 +1182,16 @@ mod tests {
     fn pentest_base_loses_everything() {
         let out = cmd_pentest("base").unwrap();
         assert_eq!(out.matches("SUCCEEDED").count(), 8);
+    }
+
+    #[test]
+    fn bare_pentest_and_hwcost_print_the_paper_tables() {
+        let table4 = run(&["pentest".to_owned()]).unwrap();
+        assert!(table4.starts_with("Table 4:"), "{table4}");
+        assert!(table4.contains("RegVault stops 8/8 attacks"), "{table4}");
+        let table3 = run(&["hwcost".to_owned()]).unwrap();
+        assert!(table3.starts_with("Table 3:"), "{table3}");
+        assert!(table3.contains("CLB size sweep"), "{table3}");
     }
 
     #[test]

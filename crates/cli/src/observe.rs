@@ -1,8 +1,9 @@
 //! The observability subcommands: `trace`, `metrics` and `profile`.
 //!
 //! All three run a guest — either a bare-metal assembly file or a named
-//! benchmark workload under the protected kernel — with a tracer
-//! installed, then export what was observed:
+//! benchmark workload under the protected kernel — then export what was
+//! observed. `trace` and `profile` install a tracer; `metrics` runs
+//! untraced, so it reports the execution mode a plain run uses:
 //!
 //! * `trace` — the structured event stream, as rendered text, JSON records,
 //!   or Chrome `trace_event` JSON (loadable in Perfetto / `chrome://tracing`);
@@ -145,12 +146,19 @@ fn find_workload(name: &str) -> Result<(Box<dyn Workload>, String), CliError> {
     ))
 }
 
-/// Runs `subject` with `tracer` installed and collects the artifacts.
-fn execute(subject: &TraceSubject, tracer: Box<dyn Tracer>) -> Result<RunArtifacts, CliError> {
+/// Runs `subject`, with `tracer` installed if there is one, and collects
+/// the artifacts. An untraced run takes the same execution path as a
+/// plain `run` (superblock tier included).
+fn execute(
+    subject: &TraceSubject,
+    tracer: Option<Box<dyn Tracer>>,
+) -> Result<RunArtifacts, CliError> {
     match subject {
         TraceSubject::Bare(source) => {
             let mut machine = boot_bare_machine(source, false)?;
-            machine.install_tracer(tracer);
+            if let Some(tracer) = tracer {
+                machine.install_tracer(tracer);
+            }
             let outcome = match machine.run_until_break(10_000_000) {
                 Ok(()) => "break".to_owned(),
                 Err(e) => e.to_string(),
@@ -172,7 +180,9 @@ fn execute(subject: &TraceSubject, tracer: Box<dyn Tracer>) -> Result<RunArtifac
             })
             .map_err(|e| e.to_string())?;
             kernel.machine_mut().reset_stats();
-            kernel.machine_mut().install_tracer(tracer);
+            if let Some(tracer) = tracer {
+                kernel.machine_mut().install_tracer(tracer);
+            }
             let outcome = match kernel.run_user(&image, entry, STEP_BUDGET) {
                 Ok(value) => format!("break (a0 = {value})"),
                 Err(e) => e.to_string(),
@@ -285,7 +295,7 @@ pub fn cmd_trace(
     format: TraceFormat,
     limit: usize,
 ) -> Result<String, CliError> {
-    let artifacts = execute(subject, Box::new(RingTracer::new(limit.max(1))))?;
+    let artifacts = execute(subject, Some(Box::new(RingTracer::new(limit.max(1)))))?;
     let tracer = artifacts.tracer.expect("tracer survives the run");
     let ring = tracer
         .into_any()
@@ -335,9 +345,7 @@ pub fn cmd_trace(
 ///
 /// Assembler diagnostics and unknown workload names.
 pub fn cmd_metrics(subject: &TraceSubject, json: bool) -> Result<String, CliError> {
-    // A NullTracer keeps the run on the traced datapath without retaining
-    // events; the counters are maintained unconditionally anyway.
-    let artifacts = execute(subject, Box::new(regvault_sim::NullTracer))?;
+    let artifacts = execute(subject, None)?;
     let metrics = &artifacts.metrics;
     let clb = artifacts.clb;
     let hits = metrics.get("clb_hits").unwrap_or(0);
@@ -545,7 +553,7 @@ pub fn cmd_profile(subject: &TraceSubject, json: bool) -> Result<String, CliErro
         &[],
     );
     let profiler = ProfileTracer::new(code_base, regions);
-    let artifacts = execute(subject, Box::new(profiler))?;
+    let artifacts = execute(subject, Some(Box::new(profiler)))?;
     let profiler = artifacts
         .tracer
         .expect("tracer survives the run")
@@ -678,6 +686,31 @@ helper:
         let grab = |key: &str| find_number(&out, key).unwrap_or_else(|| panic!("{key} in {out}"));
         assert_eq!(grab("clb_hits"), grab("hits"));
         assert_eq!(grab("clb_misses"), grab("misses"));
+    }
+
+    /// `metrics` runs untraced, so a hot loop reaches the superblock tier
+    /// and retires exactly what `run` retires.
+    #[test]
+    fn metrics_report_the_untraced_execution_mode() {
+        const HOT_LOOP: &str = "main:
+         li   t0, 0
+         li   t1, 20000
+loop:
+         addi t0, t0, 1
+         add  a0, a0, t0
+         xor  a1, a1, a0
+         blt  t0, t1, loop
+         ebreak";
+        let out = cmd_metrics(&TraceSubject::Bare(HOT_LOOP.to_owned()), true).unwrap();
+        let grab = |key: &str| find_number(&out, key).unwrap_or_else(|| panic!("{key} in {out}"));
+        assert!(grab("superblock_insns") > 0.0, "{out}");
+        let run = crate::cmd_run(HOT_LOOP, 10_000_000).unwrap();
+        let expected = format!(
+            "halted after {} instructions, {} cycles",
+            grab("instret"),
+            grab("cycles")
+        );
+        assert!(run.starts_with(&expected), "{expected} vs {run}");
     }
 
     #[test]

@@ -21,13 +21,37 @@ fn cli(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn scratch(name: &str, contents: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "regvault_cli_exit_codes_{}_{name}",
-        std::process::id()
-    ));
-    std::fs::write(&path, contents).expect("write scratch file");
-    path
+/// One test's scratch directory under the temp dir; dropping it removes
+/// the directory and everything in it, also when the test panics.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "regvault_cli_exit_codes_{}_{test}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Self(dir)
+    }
+
+    /// A path in the directory; nothing is written.
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+
+    /// Writes `contents` to `name` in the directory.
+    fn file(&self, name: &str, contents: &str) -> PathBuf {
+        let path = self.path(name);
+        std::fs::write(&path, contents).expect("write scratch file");
+        path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 const CLEAN_PROGRAM: &str = "main:\n  li a0, 1\n  ebreak\n";
@@ -50,11 +74,12 @@ const CRYPTO_PROGRAM: &str = "main:
 
 #[test]
 fn verify_is_zero_on_clean_and_nonzero_on_findings() {
-    let clean = scratch("clean.s", CLEAN_PROGRAM);
+    let scratch = Scratch::new("verify_is_zero_on_clean_and_nonzero_on_findings");
+    let clean = scratch.file("clean.s", CLEAN_PROGRAM);
     let out = cli(&["verify", clean.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
 
-    let dirty = scratch("spill.s", SPILL_PROGRAM);
+    let dirty = scratch.file("spill.s", SPILL_PROGRAM);
     let out = cli(&["verify", dirty.to_str().unwrap()]);
     assert!(!out.status.success(), "findings must exit nonzero: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -63,18 +88,17 @@ fn verify_is_zero_on_clean_and_nonzero_on_findings() {
 
 #[test]
 fn verify_rejects_malformed_assembly() {
-    let bad = scratch("bad.s", "frobnicate the bits\n");
+    let scratch = Scratch::new("verify_rejects_malformed_assembly");
+    let bad = scratch.file("bad.s", "frobnicate the bits\n");
     let out = cli(&["verify", bad.to_str().unwrap()]);
     assert!(!out.status.success(), "{out:?}");
 }
 
 #[test]
 fn record_then_replay_round_trips_and_corruption_fails() {
-    let program = scratch("record.s", CRYPTO_PROGRAM);
-    let bundle = std::env::temp_dir().join(format!(
-        "regvault_cli_exit_codes_{}.bundle",
-        std::process::id()
-    ));
+    let scratch = Scratch::new("record_then_replay_round_trips_and_corruption_fails");
+    let program = scratch.file("record.s", CRYPTO_PROGRAM);
+    let bundle = scratch.path("record.bundle");
     let out = cli(&[
         "record",
         program.to_str().unwrap(),
@@ -97,21 +121,23 @@ fn record_then_replay_round_trips_and_corruption_fails() {
 
 #[test]
 fn replay_rejects_garbage_input() {
-    let garbage = scratch("garbage.bundle", "this is not a bundle");
+    let scratch = Scratch::new("replay_rejects_garbage_input");
+    let garbage = scratch.file("garbage.bundle", "this is not a bundle");
     let out = cli(&["replay", garbage.to_str().unwrap()]);
     assert!(!out.status.success(), "{out:?}");
 }
 
 #[test]
 fn trace_emits_chrome_json_and_rejects_malformed_input() {
-    let program = scratch("trace.s", CRYPTO_PROGRAM);
+    let scratch = Scratch::new("trace_emits_chrome_json_and_rejects_malformed_input");
+    let program = scratch.file("trace.s", CRYPTO_PROGRAM);
     let out = cli(&["trace", program.to_str().unwrap(), "--chrome"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("{\n  \"traceEvents\": ["), "{stdout}");
     assert!(stdout.contains("\"name\": \"qarma\""), "{stdout}");
 
-    let bad = scratch("trace_bad.s", "not assembly at all\n");
+    let bad = scratch.file("trace_bad.s", "not assembly at all\n");
     let out = cli(&["trace", bad.to_str().unwrap()]);
     assert!(!out.status.success(), "malformed input must fail: {out:?}");
 
@@ -121,7 +147,8 @@ fn trace_emits_chrome_json_and_rejects_malformed_input() {
 
 #[test]
 fn metrics_json_reports_clb_counters() {
-    let program = scratch("metrics.s", CRYPTO_PROGRAM);
+    let scratch = Scratch::new("metrics_json_reports_clb_counters");
+    let program = scratch.file("metrics.s", CRYPTO_PROGRAM);
     let out = cli(&["metrics", program.to_str().unwrap(), "--json"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -132,7 +159,8 @@ fn metrics_json_reports_clb_counters() {
 
 #[test]
 fn profile_attributes_by_function() {
-    let program = scratch("profile.s", CRYPTO_PROGRAM);
+    let scratch = Scratch::new("profile_attributes_by_function");
+    let program = scratch.file("profile.s", CRYPTO_PROGRAM);
     let out = cli(&["profile", program.to_str().unwrap(), "--json"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -162,13 +190,14 @@ fn verify_workloads_corpus_gate_is_zero() {
 
 #[test]
 fn verify_sarif_emits_a_document_and_keeps_the_exit_contract() {
-    let clean = scratch("sarif_clean.s", CLEAN_PROGRAM);
+    let scratch = Scratch::new("verify_sarif_emits_a_document_and_keeps_the_exit_contract");
+    let clean = scratch.file("sarif_clean.s", CLEAN_PROGRAM);
     let out = cli(&["verify", clean.to_str().unwrap(), "--sarif"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"version\": \"2.1.0\""), "{stdout}");
 
-    let dirty = scratch("sarif_spill.s", SPILL_PROGRAM);
+    let dirty = scratch.file("sarif_spill.s", SPILL_PROGRAM);
     let out = cli(&["verify", dirty.to_str().unwrap(), "--sarif"]);
     assert!(!out.status.success(), "findings must exit nonzero: {out:?}");
     // Failure output goes to stderr; the SARIF document still carries the
@@ -183,6 +212,7 @@ fn verify_sarif_emits_a_document_and_keeps_the_exit_contract() {
 /// the unmutated listing exits 0.
 #[test]
 fn verify_fails_on_each_seeded_whole_program_mutation() {
+    let scratch = Scratch::new("verify_fails_on_each_seeded_whole_program_mutation");
     let matrix = [
         (Mutation::ReuseTweak, true, ViolationKind::TweakDiversity),
         (Mutation::LeakKeyToGpr, true, ViolationKind::RawKeyFlow),
@@ -196,7 +226,7 @@ fn verify_fails_on_each_seeded_whole_program_mutation() {
         let compiled = compile(&item.module(), &CompileConfig::full()).expect("compiles");
         let asm = compiled.asm_text();
         let verify = |name: &str, listing: &str| {
-            let file = scratch(&format!("{}_{name}.s", item.name()), listing);
+            let file = scratch.file(&format!("{}_{name}.s", item.name()), listing);
             cli(&[
                 "verify",
                 file.to_str().unwrap(),
@@ -229,9 +259,10 @@ fn verify_fails_on_each_seeded_whole_program_mutation() {
 
 #[test]
 fn verify_rejects_contradictory_flag_combinations() {
+    let scratch = Scratch::new("verify_rejects_contradictory_flag_combinations");
     let out = cli(&["verify", "--workloads", "some.s"]);
     assert!(!out.status.success(), "{out:?}");
-    let clean = scratch("flags_clean.s", CLEAN_PROGRAM);
+    let clean = scratch.file("flags_clean.s", CLEAN_PROGRAM);
     let out = cli(&["verify", clean.to_str().unwrap(), "--json", "--sarif"]);
     assert!(!out.status.success(), "{out:?}");
 }
@@ -241,12 +272,10 @@ fn verify_rejects_contradictory_flag_combinations() {
 /// and the flag, followed by the command's generated flag list.
 #[test]
 fn unknown_flags_are_rejected_before_any_work() {
-    let program = scratch("bogus_flag.s", CRYPTO_PROGRAM);
+    let scratch = Scratch::new("unknown_flags_are_rejected_before_any_work");
+    let program = scratch.file("bogus_flag.s", CRYPTO_PROGRAM);
     let file = program.to_str().unwrap();
-    let bundle = std::env::temp_dir().join(format!(
-        "regvault_cli_exit_codes_{}_bogus.bundle",
-        std::process::id()
-    ));
+    let bundle = scratch.path("bogus.bundle");
     let bundle_path = bundle.to_str().unwrap();
     let cases: [(&str, Vec<&str>); 9] = [
         ("serve", vec!["--bogus"]),

@@ -302,16 +302,6 @@ impl Module {
         });
     }
 
-    /// Adds a data-initialised global.
-    pub fn add_global_init(&mut self, name: &str, init: Vec<u8>) {
-        self.globals.push(Global {
-            name: name.to_owned(),
-            size: init.len() as u64,
-            init,
-            is_key: false,
-        });
-    }
-
     /// Adds a data-initialised key-storage global (see [`Global::is_key`]).
     pub fn add_key_global(&mut self, name: &str, init: Vec<u8>) {
         self.globals.push(Global {

@@ -502,15 +502,6 @@ impl Insn {
         }
     }
 
-    /// The byte range of a `cre`/`crd` instruction, if this is one.
-    #[must_use]
-    pub fn byte_range(&self) -> Option<ByteRange> {
-        match *self {
-            Insn::Cre { hi, lo, .. } | Insn::Crd { hi, lo, .. } => ByteRange::new(hi, lo),
-            _ => None,
-        }
-    }
-
     /// `true` for the RegVault cryptographic instructions.
     #[must_use]
     pub fn is_crypto(&self) -> bool {

@@ -7,8 +7,7 @@
 //! distribution behind the syscall-latency and timeslice histograms (and
 //! the serving layer's latency histograms), and [`Metrics`], the named,
 //! ordered export that `regvault_sim::Machine::metrics` builds on demand.
-//! It sits at the bottom of the dependency graph (it depends on nothing);
-//! `regvault-core` re-exports it as `regvault_core::metrics`.
+//! It sits at the bottom of the dependency graph (it depends on nothing).
 //!
 //! # Examples
 //!

@@ -71,19 +71,12 @@ pub enum FaultKind {
     },
 }
 
-/// When a planned fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Fires once the machine has retired at least this many instructions
-    /// (kernel-modelled operations count too).
-    AtInstret(u64),
-}
-
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// When to fire.
-    pub trigger: FaultTrigger,
+    /// Fires once the machine has retired at least this many instructions
+    /// (kernel-modelled operations count too).
+    pub instret: u64,
     /// What to do.
     pub kind: FaultKind,
 }
@@ -140,10 +133,7 @@ impl FaultPlan {
     /// `instret`.
     #[must_use]
     pub fn at(mut self, instret: u64, kind: FaultKind) -> Self {
-        self.push(FaultSpec {
-            trigger: FaultTrigger::AtInstret(instret),
-            kind,
-        });
+        self.push(FaultSpec { instret, kind });
         self
     }
 
@@ -182,13 +172,7 @@ impl FaultPlan {
     /// this instret, so injected faults always land on the exact
     /// architectural step.
     pub(crate) fn next_due(&self) -> Option<u64> {
-        self.pending
-            .iter()
-            .map(|spec| {
-                let FaultTrigger::AtInstret(when) = spec.trigger;
-                when
-            })
-            .min()
+        self.pending.iter().map(|spec| spec.instret).min()
     }
 
     /// Removes and returns every fault due at `instret`, preserving
@@ -196,8 +180,7 @@ impl FaultPlan {
     pub(crate) fn take_due(&mut self, instret: u64) -> Vec<FaultKind> {
         let mut due = Vec::new();
         self.pending.retain(|spec| {
-            let FaultTrigger::AtInstret(when) = spec.trigger;
-            if when <= instret {
+            if spec.instret <= instret {
                 due.push(spec.kind);
                 false
             } else {

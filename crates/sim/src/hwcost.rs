@@ -121,7 +121,7 @@ impl AreaReport {
 /// # Examples
 ///
 /// ```
-/// use regvault_core::hwcost::soc_report;
+/// use regvault_sim::hwcost::soc_report;
 ///
 /// let no_clb = soc_report(0);
 /// let with_clb = soc_report(8);

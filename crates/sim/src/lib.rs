@@ -20,6 +20,9 @@
 //! paper's FPGA prototype; CLB hit = 1). The paper's evaluation reports
 //! relative overheads, which this model reproduces.
 //!
+//! The [`hwcost`] module prices the same crypto-engine and CLB in FPGA
+//! area (Table 3 of the paper).
+//!
 //! The [`Machine::run`] loop returns [`Event`]s (syscalls, traps, timer
 //! interrupts) to its embedder; the miniature kernel in `regvault-kernel`
 //! plays the role of the privileged software handling those events.
@@ -67,6 +70,7 @@ mod exec;
 mod fault;
 mod fxhash;
 mod hart;
+pub mod hwcost;
 mod icache;
 mod lockstep;
 mod machine;
@@ -82,7 +86,7 @@ pub use clb::{Clb, ClbStats};
 pub use cost::{CostModel, ModelledPath};
 pub use engine::{CryptoEngine, CryptoResult, IntegrityError, KeyRegFile, Watchdog};
 pub use error::{ExceptionCause, SimError};
-pub use fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+pub use fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec};
 pub use hart::{Hart, Privilege};
 pub use lockstep::{
     arch_divergence, run_lockstep, run_tiered_lockstep, Divergence, LockstepOutcome,
@@ -94,4 +98,4 @@ pub use replay::{shrink_events, EventLog, LoggedEvent, ReproBundle};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{InsnClass, SchedEvent, Stats};
 pub use superblock::SuperblockStats;
-pub use trace::{NullTracer, RingTracer, TraceEvent, TraceRecord, Tracer, TrapCause};
+pub use trace::{RingTracer, TraceEvent, TraceRecord, Tracer, TrapCause};

@@ -344,12 +344,6 @@ impl Machine {
         self.sb.reset_counters();
     }
 
-    /// The active cost model.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
     /// Copies a program image into memory at `addr`.
     pub fn load_program(&mut self, addr: u64, bytes: &[u8]) {
         self.mem.write_slice(addr, bytes);

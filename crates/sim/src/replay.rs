@@ -21,7 +21,7 @@
 //! failure still reproduces, it returns a 1-minimal sublist (removing any
 //! single remaining event makes the failure vanish).
 
-use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+use crate::fault::{FaultKind, FaultPlan, FaultSpec};
 use crate::snapshot::{fnv64, put_fault_kind, Reader, Snapshot, SnapshotError};
 
 const MAGIC: [u8; 4] = *b"RVRB";
@@ -87,7 +87,7 @@ impl EventLog {
         let mut plan = FaultPlan::new();
         for event in &self.events {
             plan.push(FaultSpec {
-                trigger: FaultTrigger::AtInstret(event.instret),
+                instret: event.instret,
                 kind: event.kind,
             });
         }

@@ -23,7 +23,7 @@
 use crate::clb::ClbStats;
 use crate::cost::CostModel;
 use crate::engine::{CryptoEngine, Watchdog};
-use crate::fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+use crate::fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec};
 use crate::hart::Privilege;
 use crate::machine::Machine;
 use crate::mem::{PageData, PAGE_BYTES};
@@ -355,8 +355,7 @@ impl Snapshot {
         }
         put_u32(&mut out, self.fault_pending.len() as u32);
         for spec in &self.fault_pending {
-            let FaultTrigger::AtInstret(when) = spec.trigger;
-            put_u64(&mut out, when);
+            put_u64(&mut out, spec.instret);
             put_fault_kind(&mut out, spec.kind);
         }
         put_u32(&mut out, self.fault_applied.len() as u32);
@@ -508,9 +507,8 @@ impl Snapshot {
         let pending_count = r.u32()? as usize;
         let mut fault_pending = Vec::with_capacity(pending_count.min(4096));
         for _ in 0..pending_count {
-            let when = r.u64()?;
             fault_pending.push(FaultSpec {
-                trigger: FaultTrigger::AtInstret(when),
+                instret: r.u64()?,
                 kind: r.fault_kind()?,
             });
         }

@@ -13,12 +13,9 @@
 //! §11; the repository benchmark's `bench.trace_overhead_pct` prices the
 //! on path).
 //!
-//! Two sinks ship with the simulator:
-//!
-//! * [`RingTracer`] — a bounded ring buffer of the most recent records,
-//!   the default behind [`crate::Machine::enable_trace`];
-//! * [`NullTracer`] — discards everything; keeps a run on the traced
-//!   datapath without retaining events (`regvault-cli metrics`).
+//! One sink ships with the simulator: [`RingTracer`], a bounded ring
+//! buffer of the most recent records, the default behind
+//! [`crate::Machine::enable_trace`].
 //!
 //! Embedders can implement [`Tracer`] for their own sinks (the CLI's
 //! per-function profiler does exactly that) and install them with
@@ -248,29 +245,6 @@ impl Clone for Box<dyn Tracer> {
     }
 }
 
-/// Discards every event. Exists so the emission hooks themselves can be
-/// priced: a run with a `NullTracer` installed pays the full hook cost
-/// (branch + record construction + virtual call) with no sink work, which
-/// upper-bounds the cost of the not-taken branch when tracing is off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn emit(&mut self, _record: TraceRecord) {}
-
-    fn boxed_clone(&self) -> Box<dyn Tracer> {
-        Box::new(*self)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// Fixed-capacity ring buffer of the most recent trace records.
 #[derive(Debug, Clone)]
 pub struct RingTracer {
@@ -437,9 +411,6 @@ mod tests {
             .downcast::<RingTracer>()
             .expect("concrete type survives the box");
         assert_eq!(ring.len(), 1);
-
-        let null: Box<dyn Tracer> = Box::new(NullTracer);
-        assert!(null.into_any().downcast::<NullTracer>().is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg};
 use regvault_sim::{
-    FaultKind, FaultPlan, FaultSpec, FaultTrigger, Machine, MachineConfig, Snapshot, SnapshotError,
+    FaultKind, FaultPlan, FaultSpec, Machine, MachineConfig, Snapshot, SnapshotError,
 };
 
 const TEXT_BASE: u64 = 0x8000_0000;
@@ -117,7 +117,7 @@ fn plan_from(faults: &[(u64, FaultKind)]) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for (instret, kind) in faults {
         plan.push(FaultSpec {
-            trigger: FaultTrigger::AtInstret(*instret),
+            instret: *instret,
             kind: *kind,
         });
     }

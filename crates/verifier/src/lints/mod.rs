@@ -10,7 +10,7 @@
 //!   ciphertext equality observable (arxiv 2502.13401);
 //! * [`raw_key_flow`] — the KeyVisor invariant: no value derived from key
 //!   material may reach a general-purpose register or memory unencrypted
-//!   (arxiv 2410.01777, ROADMAP item 3 groundwork);
+//!   (arxiv 2410.01777, ROADMAP Deferred: KeyVisor key handles);
 //! * [`spill_gadget`] — a callee-saved register holding sensitive plaintext
 //!   live across a call into a function that (transitively) saves that
 //!   register to memory without a wrapping `cre`.

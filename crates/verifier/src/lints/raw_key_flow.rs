@@ -9,7 +9,7 @@
 //! unencrypted store, a key passed as a call argument, a key returned in
 //! `a0` — into a finding. Legacy key-install paths necessarily trip the
 //! load rule today, which is the point: the findings inventory exactly the
-//! sites a future `khcreate`/`khuse` handle scheme (ROADMAP item 3) must
+//! sites a future `khcreate`/`khuse` handle scheme (ROADMAP Deferred: KeyVisor key handles) must
 //! replace. The corpus has no such site, and CI's exact verifier gate
 //! fails on the first one.
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example attack_lab`
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 
 fn main() {
     let configs = [

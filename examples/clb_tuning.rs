@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example clb_tuning`
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("CLB size sweep on the LMbench `read` probe (FULL protection)\n");

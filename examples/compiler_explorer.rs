@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example compiler_explorer`
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 use regvault_isa::disasm;
 
 fn module() -> Module {

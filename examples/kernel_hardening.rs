@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example kernel_hardening`
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 use regvault_kernel::cred::EUID_OFFSET;
 use regvault_kernel::fs::FileOp;
 use regvault_kernel::selinux::INITIALIZED_OFFSET;

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A machine with the RegVault extension: 8-entry CLB, QARMA engine.

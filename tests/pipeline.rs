@@ -1,6 +1,6 @@
 //! Cross-crate integration: compiler → simulator → kernel pipeline.
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 
 /// Builds a kernel-style module: a `cred`-like struct with annotated
 /// fields, written and read back through instrumented accessors.

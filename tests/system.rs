@@ -1,7 +1,7 @@
 //! System-level integration: determinism, security/performance interplay,
 //! and end-to-end paper claims.
 
-use regvault_core::prelude::*;
+use regvault::prelude::*;
 
 #[test]
 fn simulation_is_deterministic() {
