@@ -165,18 +165,13 @@ impl TweakSchedule {
         tm: [0; 8],
     };
 
-    /// Expands `tweak`. The loop-carried chain is the raw `tks` step; `tm`
-    /// derives from the *previous* raw value through the composite
-    /// `tweak_tau_mix` table.
-    fn new(tweak: u64) -> Self {
-        let t = tables();
-        let mut schedule = Self::EMPTY;
-        schedule.tks[0] = tweak;
-        for i in 0..8 {
-            schedule.tks[i + 1] = tables::tweak_forward_swar(schedule.tks[i]);
-            schedule.tm[i] = apply(&t.tweak_tau_mix, schedule.tks[i]);
-        }
-        schedule
+    /// Expands entry `i`: `tm[i]` and `tks[i + 1]`, both from `tks[i]`.
+    /// The loop-carried chain is the raw `tks` step; `tm` derives from the
+    /// *previous* raw value through the composite `tweak_tau_mix` table.
+    #[inline(always)]
+    fn expand(&mut self, tweak_tau_mix: &Linear, i: usize) {
+        self.tm[i] = apply(tweak_tau_mix, self.tks[i]);
+        self.tks[i + 1] = tables::tweak_forward_swar(self.tks[i]);
     }
 }
 
@@ -213,26 +208,6 @@ thread_local! {
 /// multiply, so address tweaks 8 bytes apart spread over the slots.
 fn tweak_slot(tweak: u64) -> usize {
     (tweak.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - TWEAK_INDEX_BITS)) as usize
-}
-
-/// Runs `f` on the expanded schedule of `tweak`: from this thread's cache
-/// when its slot holds it, else freshly expanded, handed to `f` from
-/// registers and stored for the next block.
-#[inline(always)]
-fn with_tweak_schedule<T>(tweak: u64, f: impl FnOnce(&TweakSchedule) -> T) -> T {
-    TWEAK_CACHE.with(|cache| {
-        let index = tweak_slot(tweak);
-        let hit = cache.tags[index].get() == Some(tweak);
-        let (hits, lookups) = cache.counts.get();
-        cache.counts.set((hits + u64::from(hit), lookups + 1));
-        if hit {
-            return f(&cache.schedules[index].get());
-        }
-        let schedule = TweakSchedule::new(tweak);
-        cache.tags[index].set(Some(tweak));
-        cache.schedules[index].set(schedule);
-        f(&schedule)
-    })
 }
 
 /// `(hits, lookups)` of the calling thread's tweak-schedule cache since the
@@ -281,6 +256,8 @@ pub struct Qarma64 {
     /// Process-wide fused round tables for this S-box, resolved once at
     /// construction so the per-block path never touches the `OnceLock`s.
     fused: &'static Fused,
+    /// The process-wide tweak-schedule table, resolved like `fused`.
+    tweak_tau_mix: &'static Linear,
     /// Encryption-direction key schedule.
     enc: Schedule,
     /// Decryption-direction key schedule (α-reflection wiring).
@@ -355,6 +332,7 @@ impl Qarma64 {
             rounds,
             sbox_inv: byte_sbox(|c| sbox.inverse(c)),
             fused: fused(sbox),
+            tweak_tau_mix: &tables().tweak_tau_mix,
             enc: Schedule::new(key.w0(), key.w1(), key.k0(), key.k0()),
             dec: Schedule::new(key.w1(), key.w0(), key.k0() ^ ALPHA, key.k0_mixed()),
         }
@@ -398,7 +376,7 @@ impl Qarma64 {
     /// round, the pseudo-reflector, and the mirrored backward half — all on
     /// in-register `u64` state through the fused tables of [`fused`].
     ///
-    /// The tweak schedule comes pre-expanded from [`with_tweak_schedule`].
+    /// The tweak schedule comes from [`Qarma64::core_r`]'s cache lookup.
     /// Each round's tweakey is its tweak part XOR the key part from
     /// `sched`, an XOR off the state chain, so each round of either half
     /// costs a single XOR against the state. The backward half reads its
@@ -421,38 +399,79 @@ impl Qarma64 {
         }
     }
 
+    /// One block through this thread's tweak-schedule cache. A hit reads
+    /// the cached schedule; a miss expands it round by round alongside the
+    /// state chain, so the two independent chains overlap, then completes
+    /// it to all eight rounds and stores it for the next block.
     fn core_r<const R: usize>(&self, sched: &Schedule, block: u64, tweak: u64) -> u64 {
+        TWEAK_CACHE.with(|cache| {
+            let index = tweak_slot(tweak);
+            let hit = cache.tags[index].get() == Some(tweak);
+            let (hits, lookups) = cache.counts.get();
+            cache.counts.set((hits + u64::from(hit), lookups + 1));
+            if hit {
+                return self.datapath::<R, false>(sched, block, &mut cache.schedules[index].get());
+            }
+            let mut schedule = TweakSchedule::EMPTY;
+            schedule.tks[0] = tweak;
+            let out = self.datapath::<R, true>(sched, block, &mut schedule);
+            for i in R..8 {
+                schedule.expand(self.tweak_tau_mix, i);
+            }
+            cache.tags[index].set(Some(tweak));
+            cache.schedules[index].set(schedule);
+            out
+        })
+    }
+
+    /// The rounds of [`Qarma64::core`] over tweak schedule `ts`. With
+    /// `EXPAND`, `ts` holds only the tweak on entry, and each forward round
+    /// first expands the entry it consumes (the backward half reads only
+    /// entries the forward half expanded); on return `ts` is expanded
+    /// through round `R`.
+    #[inline(always)]
+    fn datapath<const R: usize, const EXPAND: bool>(
+        &self,
+        sched: &Schedule,
+        block: u64,
+        ts: &mut TweakSchedule,
+    ) -> u64 {
         let f = self.fused;
         let r = R;
-        with_tweak_schedule(tweak, |&TweakSchedule { tks, tm }| {
-            // Forward half in the pre-substitution domain: `y` is the state
-            // just before round `i`'s S-box layer, so each fused `g`
-            // application performs the previous round's substitution
-            // together with this round's diffusion, and the round tweakey
-            // lands τM-transformed (`τM(tks[i]) ⊕ τM(k ⊕ c_i)`).
-            let mut y = block ^ (sched.in_key ^ tks[0]);
-            for i in 1..r {
-                y = apply(&f.g, y) ^ (tm[i - 1] ^ sched.k_rc_tm[i]);
+        // Forward half in the pre-substitution domain: `y` is the state
+        // just before round `i`'s S-box layer, so each fused `g`
+        // application performs the previous round's substitution together
+        // with this round's diffusion, and the round tweakey lands
+        // τM-transformed (`τM(tks[i]) ⊕ τM(k ⊕ c_i)`).
+        let mut y = block ^ (sched.in_key ^ ts.tks[0]);
+        for i in 1..r {
+            if EXPAND {
+                ts.expand(self.tweak_tau_mix, i - 1);
             }
-            // Whitened full round, then the pseudo-reflector: `R ∘ S` is
-            // `τ⁻¹ ∘ (Mτ ∘ S) = τ⁻¹ ∘ g`, so the reflector reuses the hot
-            // `g` table; its trailing τ⁻¹ shuffle (and the central-key XOR
-            // under it) is absorbed into the first backward round's
-            // `ginv_refl` table rather than spent on the state chain.
-            y = apply(&f.g, y) ^ (tm[r - 1] ^ sched.w_out_tm);
-            let w = apply(&f.g, y) ^ sched.central;
+            y = apply(&f.g, y) ^ (ts.tm[i - 1] ^ sched.k_rc_tm[i]);
+        }
+        if EXPAND {
+            ts.expand(self.tweak_tau_mix, r - 1);
+        }
+        // Whitened full round, then the pseudo-reflector: `R ∘ S` is
+        // `τ⁻¹ ∘ (Mτ ∘ S) = τ⁻¹ ∘ g`, so the reflector reuses the hot `g`
+        // table; its trailing τ⁻¹ shuffle (and the central-key XOR under
+        // it) is absorbed into the first backward round's `ginv_refl`
+        // table rather than spent on the state chain.
+        y = apply(&f.g, y) ^ (ts.tm[r - 1] ^ sched.w_out_tm);
+        let w = apply(&f.g, y) ^ sched.central;
 
-            // Mirrored whitened round and backward rounds: one fused table
-            // each.
-            let mut state = apply(&f.ginv_refl, w) ^ (sched.w_in ^ tks[r]);
-            for i in (1..r).rev() {
-                state = apply(&f.ginv, state) ^ (sched.k_rc_alpha[i] ^ tks[i]);
-            }
-            // The diffusion-less last round keeps a plain inverse substitution.
-            state = sub_bytes(&self.sbox_inv, state) ^ (sched.k_rc_alpha[0] ^ tks[0]);
+        // Mirrored whitened round and backward rounds: one fused table
+        // each.
+        let tks = &ts.tks;
+        let mut state = apply(&f.ginv_refl, w) ^ (sched.w_in ^ tks[r]);
+        for i in (1..r).rev() {
+            state = apply(&f.ginv, state) ^ (sched.k_rc_alpha[i] ^ tks[i]);
+        }
+        // The diffusion-less last round keeps a plain inverse substitution.
+        state = sub_bytes(&self.sbox_inv, state) ^ (sched.k_rc_alpha[0] ^ tks[0]);
 
-            state ^ sched.w_out
-        })
+        state ^ sched.w_out
     }
 }
 

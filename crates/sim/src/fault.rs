@@ -18,7 +18,9 @@
 //! A [`FaultPlan`] schedules faults at chosen retired-instruction counts;
 //! [`crate::Machine`] polls the plan on every step and on every
 //! kernel-modelled operation, applies due faults, and records what actually
-//! happened in the plan's applied-fault log. Faults can also be injected
+//! happened in the plan's applied-fault log. A poll is one compare against
+//! the plan's earliest pending instret, which the machine keeps cached
+//! ([`crate::Machine::next_fault_due`]). Faults can also be injected
 //! immediately through [`crate::Machine::inject_fault`].
 //!
 //! Everything here is deterministic: the same plan against the same machine
@@ -105,6 +107,14 @@ pub struct AppliedFault {
 
 /// A deterministic schedule of faults plus the log of what fired.
 ///
+/// Faults may be pushed in any order and may share an instret; an
+/// installed plan fires each at the machine's first poll point at or after
+/// its instret (one already past fires at the next poll), and faults due
+/// at the same poll fire in the order they were pushed. The machine caches
+/// the earliest pending instret when the plan is installed and after each
+/// firing, so what an armed plan costs per poll does not grow with the
+/// number of faults it holds.
+///
 /// # Examples
 ///
 /// ```
@@ -167,12 +177,14 @@ impl FaultPlan {
         Self { pending, applied }
     }
 
-    /// Earliest pending trigger point, `None` when the schedule is empty.
-    /// The superblock tier refuses to enter a block that would retire past
-    /// this instret, so injected faults always land on the exact
-    /// architectural step.
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.pending.iter().map(|spec| spec.instret).min()
+    /// Earliest pending trigger point, `u64::MAX` when the schedule is
+    /// empty: the value the machine's fault clock caches.
+    pub(crate) fn next_due(&self) -> u64 {
+        self.pending
+            .iter()
+            .map(|spec| spec.instret)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Removes and returns every fault due at `instret`, preserving

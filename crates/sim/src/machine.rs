@@ -119,6 +119,12 @@ pub struct Machine {
     pub(crate) next_timer: u64,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     pub(crate) fault_plan: Option<FaultPlan>,
+    /// The fault clock: the earliest pending instret of `fault_plan`,
+    /// `u64::MAX` when nothing is pending. Every poll is one compare
+    /// against it; every writer of the plan's schedule refreshes it:
+    /// `set_fault_plan`, `clear_fault_plan` (snapshot load goes through
+    /// those two) and the poll's slow path.
+    pub(crate) fault_due: u64,
     pub(crate) watchdog: Option<Watchdog>,
     /// When recording, every applied fault is also appended here with its
     /// retired-instruction timestamp — the nondeterministic-input log that
@@ -173,6 +179,7 @@ impl Machine {
             next_timer: config.timer_interval.unwrap_or(u64::MAX),
             tracer: None,
             fault_plan: None,
+            fault_due: u64::MAX,
             watchdog: None,
             recorder: None,
             sb: SuperblockCache::default(),
@@ -491,14 +498,23 @@ impl Machine {
 
     // --- Fault injection and watchdog ----------------------------------
 
-    /// Installs a [`FaultPlan`]; due faults are applied as the machine runs
-    /// (polled on every step and every kernel-modelled operation). Replaces
-    /// any existing plan, discarding its applied-fault log.
+    /// Installs a [`FaultPlan`]; due faults are applied as the machine runs.
+    /// Replaces any existing plan, discarding its applied-fault log.
+    ///
+    /// The machine polls the plan on every step, after every charged
+    /// instruction class and before every kernel load, store, `cre` and
+    /// `crd`, so a fault lands at the first poll point at or after its
+    /// instret. A poll is one compare against the plan's earliest pending
+    /// instret ([`Machine::next_fault_due`]) until that instret is reached,
+    /// so the cost of an armed plan does not grow with its size.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault_due = plan.next_due();
         self.fault_plan = Some(plan);
     }
 
     /// The installed fault plan (schedule plus applied-fault log), if any.
+    /// A plan whose every fault has fired stays installed (with
+    /// `pending() == 0`) until it is cleared or replaced.
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
@@ -506,7 +522,16 @@ impl Machine {
 
     /// Removes and returns the installed fault plan.
     pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
+        self.fault_due = u64::MAX;
         self.fault_plan.take()
+    }
+
+    /// The retired-instruction count at which the installed plan's next
+    /// fault comes due: the earliest pending instret, `u64::MAX` when no
+    /// plan is installed or nothing is pending.
+    #[must_use]
+    pub fn next_fault_due(&self) -> u64 {
+        self.fault_due
     }
 
     /// Applies one fault immediately and records it in the applied-fault
@@ -550,9 +575,19 @@ impl Machine {
         self.watchdog.as_ref()
     }
 
-    /// Applies every fault due at the current retired-instruction count and
-    /// records the outcomes.
+    /// The fault clock: applies every fault due at the current
+    /// retired-instruction count. One compare until a fault is due.
+    #[inline]
     fn poll_faults(&mut self) {
+        if self.stats.instret >= self.fault_due {
+            self.fire_due_faults();
+        }
+    }
+
+    /// The poll's slow path: applies and records every due fault in
+    /// schedule order, then moves the clock to the next pending one.
+    #[inline(never)]
+    fn fire_due_faults(&mut self) {
         // Take/restore so the applied-fault handlers can borrow `self`
         // mutably without aliasing the plan.
         let Some(mut plan) = self.fault_plan.take() else {
@@ -570,6 +605,7 @@ impl Machine {
                 effect,
             });
         }
+        self.fault_due = plan.next_due();
         self.fault_plan = Some(plan);
     }
 
@@ -690,17 +726,29 @@ impl Machine {
                 break;
             }
             let block = self.sb.take(index);
-            let exit = superblock::execute(self, &block);
+            // A block that exits cleanly to its own entry runs again
+            // without the probe: a clean exit proves no store touched its
+            // page (one would have side-exited), so the probe's generation
+            // check would pass. The precheck still runs before every pass.
+            let exit = loop {
+                let exit = superblock::execute(self, &block);
+                consumed += exit.consumed;
+                self.sb.hits += 1;
+                self.sb.insns += exit.retired;
+                // The trace *is* the decoded form: account its instructions
+                // as decode-cache hits, like the interpreter path would.
+                self.stats.decode_hits += exit.retired;
+                if let Some(dog) = &mut self.watchdog {
+                    dog.consume(exit.consumed);
+                }
+                if exit.side_exit
+                    || self.hart.pc() != block.entry_pc()
+                    || !self.block_fits(len, max_cycles, budget - consumed)
+                {
+                    break exit;
+                }
+            };
             self.sb.put_back(index, block);
-            consumed += exit.consumed;
-            self.sb.hits += 1;
-            self.sb.insns += exit.retired;
-            // The trace *is* the decoded form: account its instructions as
-            // decode-cache hits, like the interpreter path would.
-            self.stats.decode_hits += exit.retired;
-            if let Some(dog) = &mut self.watchdog {
-                dog.consume(exit.consumed);
-            }
             // A side exit (an exception, or a store into the block's own
             // page) ends the chain; wherever it left the pc, the next
             // instruction starts at a boundary.
@@ -742,10 +790,9 @@ impl Machine {
         if self.stats.cycles.saturating_add(max_cycles) >= self.next_timer {
             return false;
         }
-        match self.fault_plan.as_ref().and_then(FaultPlan::next_due) {
-            Some(due) => due > self.stats.instret.saturating_add(len),
-            None => true,
-        }
+        // The fault clock is the same one the step's poll reads; with
+        // nothing pending it is `u64::MAX` and never refuses a block.
+        self.fault_due > self.stats.instret.saturating_add(len)
     }
 
     /// Counters for the superblock translation tier.

@@ -809,15 +809,14 @@ impl Machine {
         self.watchdog = snapshot
             .watchdog
             .map(|(budget, consumed)| Watchdog::from_parts(budget, consumed));
-        self.fault_plan = if snapshot.fault_pending.is_empty() && snapshot.fault_applied.is_empty()
-        {
-            None
+        if snapshot.fault_pending.is_empty() && snapshot.fault_applied.is_empty() {
+            self.clear_fault_plan();
         } else {
-            Some(FaultPlan::from_parts(
+            self.set_fault_plan(FaultPlan::from_parts(
                 snapshot.fault_pending.clone(),
                 snapshot.fault_applied.clone(),
-            ))
-        };
+            ));
+        }
     }
 
     /// Forks a machine from a warm snapshot, SnapStart-style.

@@ -244,7 +244,7 @@ pub(crate) struct Superblock {
 
 impl Superblock {
     /// The pc the trace starts at; re-entry always starts here.
-    fn entry_pc(&self) -> u64 {
+    pub(crate) fn entry_pc(&self) -> u64 {
         self.pcs[0]
     }
 }

@@ -520,6 +520,81 @@ fn timer_between_chained_blocks_lands_at_interpreter_instret() {
     );
 }
 
+/// A block that branches back to its own entry re-runs without the slot
+/// probe, and each pass still takes the full entry precheck: a timer, a
+/// watchdog budget and a planned fault each due mid-loop stop it exactly
+/// where the interpreter observes them.
+#[test]
+fn self_looping_block_stops_for_timer_watchdog_and_fault() {
+    let source = "li   t6, 0
+         li   s1, 200
+         li   s0, 0x9000
+        loop:
+         addi t0, t0, 1
+         addi t1, t1, 2
+         xor  t2, t0, t1
+         addi t6, t6, 1
+         blt  t6, s1, loop
+         ebreak";
+    const ITER: u64 = 60;
+    let at = label_pc(source, "loop") + 8;
+
+    // Clock and instret as the interpreter reaches `at` in iteration ITER.
+    let (_, mut probe) = lockstep_pair(source, MachineConfig::default());
+    let mut arrivals = 0;
+    while arrivals < ITER {
+        assert_eq!(probe.step().unwrap(), None);
+        if probe.hart().pc() == at {
+            arrivals += 1;
+        }
+    }
+    let (cycles, instret) = (probe.stats().cycles, probe.stats().instret);
+
+    // Timer one cycle past that point.
+    let config = MachineConfig {
+        timer_interval: Some(cycles + 1),
+        ..MachineConfig::default()
+    };
+    let (mut tiered, mut interp) = lockstep_pair(source, config);
+    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_eq!(tiered.stats().timer_interrupts, 1);
+    assert_eq!(tiered.stats().cycles, interp.stats().cycles);
+    assert!(tiered.superblock_stats().hits >= ITER - 20);
+
+    // Watchdog budget running out at that point.
+    let (mut tiered, mut interp) = lockstep_pair(source, MachineConfig::default());
+    for machine in [&mut tiered, &mut interp] {
+        machine.arm_watchdog(instret);
+        assert!(matches!(
+            machine.run(1_000_000),
+            Err(regvault_sim::SimError::Timeout { .. })
+        ));
+    }
+    assert_eq!(tiered.stats().instret, instret);
+    assert_eq!(tiered.arch_digest(), interp.arch_digest());
+    assert!(tiered.superblock_stats().hits >= ITER - 20);
+
+    // A planned fault due at that point.
+    let (mut tiered, mut interp) = lockstep_pair(source, MachineConfig::default());
+    for machine in [&mut tiered, &mut interp] {
+        machine.set_fault_plan(regvault_sim::FaultPlan::new().at(
+            instret,
+            regvault_sim::FaultKind::MemWrite {
+                addr: 0x9000,
+                value: 7,
+            },
+        ));
+        machine.run_until_break(1_000_000).unwrap();
+    }
+    let applied = tiered.fault_plan().unwrap().applied();
+    assert_eq!(applied.len(), 1);
+    assert_eq!(applied[0].instret, instret);
+    assert_eq!(applied, interp.fault_plan().unwrap().applied());
+    assert_eq!(tiered.arch_digest(), interp.arch_digest());
+    assert!(tiered.superblock_stats().hits >= 200 - 20);
+}
+
 /// A `j` whose target is on the next page ends the trace: the target runs
 /// as a block of its own page, so a patch of that page reaches the very
 /// next iteration. A trace that ran on across the page boundary would be

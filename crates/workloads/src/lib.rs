@@ -37,7 +37,7 @@ pub mod spec;
 pub mod unixbench;
 
 use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig};
-use regvault_sim::{ClbStats, MachineConfig};
+use regvault_sim::{ClbStats, FaultPlan, MachineConfig};
 
 /// Timer period used for every benchmark run (cycles); scaled so that a
 /// workload sees a realistic handful of preemptions.
@@ -113,6 +113,23 @@ pub fn measure_with(
     protection: ProtectionConfig,
     machine: MachineConfig,
 ) -> Result<Measurement, KernelError> {
+    measure_armed(workload, protection, machine, None)
+}
+
+/// As [`measure_with`], with `plan` (if any) installed for the user run;
+/// its instrets count from the start of that run (statistics are reset
+/// after boot). A plan whose faults all lie beyond the run times what
+/// merely having it armed costs the host.
+///
+/// # Errors
+///
+/// As [`measure_with`].
+pub fn measure_armed(
+    workload: &dyn Workload,
+    protection: ProtectionConfig,
+    machine: MachineConfig,
+    plan: Option<FaultPlan>,
+) -> Result<Measurement, KernelError> {
     let mut kernel = Kernel::boot(KernelConfig {
         protection,
         machine,
@@ -120,6 +137,9 @@ pub fn measure_with(
     })?;
     let (image, entry) = workload.program();
     kernel.machine_mut().reset_stats();
+    if let Some(plan) = plan {
+        kernel.machine_mut().set_fault_plan(plan);
+    }
     let result = kernel.run_user(&image, entry, STEP_BUDGET)?;
     if let Some(expected) = workload.expected() {
         if result != expected {
