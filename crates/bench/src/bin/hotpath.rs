@@ -1,6 +1,6 @@
 //! Host-speed ratio guard for the simulator's hot paths.
 //!
-//! Running it is the check: it takes no flags, writes no file, prints six
+//! Running it is the check: it takes no flags, writes no file, prints seven
 //! ratios next to their floors, and exits 1 when any ratio falls below its
 //! floor. Each ratio compares two configurations of this build measured in
 //! the same process, interleaved round by round and taken between the best
@@ -20,7 +20,8 @@ use std::time::Instant;
 use regvault_cli::args::parse_env;
 use regvault_kernel::ProtectionConfig;
 use regvault_qarma::{reference::Reference, Key, Qarma64};
-use regvault_sim::{FaultKind, FaultPlan, MachineConfig};
+use regvault_server::fleet::warm_image;
+use regvault_sim::{FaultKind, FaultPlan, Machine, MachineConfig, Snapshot};
 use regvault_workloads::{measure_armed, spec::Spec, unixbench::UnixBench, Workload};
 
 /// Interleaved rounds; every side of every ratio runs once per round.
@@ -40,10 +41,10 @@ struct Guard {
     floor: f64,
 }
 
-/// The six guards, in the order of [`Ratios`]. The range in each comment
+/// The seven guards, in the order of [`Ratios`]. The range in each comment
 /// was measured on a 2-vCPU VM (best of 16 rounds, 8 invocations); its low
 /// end is at least 1.3x the floor, so host noise does not trip it.
-const GUARDS: [Guard; 6] = [
+const GUARDS: [Guard; 7] = [
     // 4.3–5.0x, every block under its own tweak. The SWAR core transforms
     // the whole 64-bit state with table lookups where the reference walks
     // 16 cells one at a time; a datapath that fell back to cell-level code
@@ -102,13 +103,27 @@ const GUARDS: [Guard; 6] = [
         name: "syscall FULL+plan/FULL steps/s",
         floor: 0.5,
     },
+    // 9.8–13.7x (15 runs). The restore gate's `arch_digest` of a fresh fork
+    // of the fleet's 66-page warm image, with every page read in full (a
+    // fork of the image decoded from bytes, whose pages start unhashed)
+    // against every page's hash memoised by the capture (a plain
+    // `fork_from`). With the memo never kept, both sides read every page
+    // and it measured 1.73–1.83x, all of it the decoded side's pages being
+    // fresh allocations that miss the cache.
+    Guard {
+        name: "restore digest unhashed/memoised ns",
+        floor: 4.0,
+    },
 ];
 
-/// Faults in the armed plan of the last guard.
+/// Faults in the armed plan of the fault-clock guard.
 const FAULT_PLAN_LEN: u64 = 256;
 
+/// Fresh forks digested per timed restore-digest batch.
+const DIGEST_FORKS: usize = 8;
+
 /// One value per entry of [`GUARDS`].
-type Ratios = [f64; 6];
+type Ratios = [f64; 7];
 
 /// `Ok` when every ratio reaches its floor; otherwise the failing guards,
 /// by name. A NaN ratio fails.
@@ -159,6 +174,17 @@ fn steps_per_sec(
     steps as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Digests per second of [`DIGEST_FORKS`] fresh machines from `fork`, made
+/// before the clock starts; a digest other than `digest` fails the guard.
+fn digests_per_sec(digest: u64, fork: impl Fn() -> Machine) -> f64 {
+    let forks: Vec<Machine> = (0..DIGEST_FORKS).map(|_| fork()).collect();
+    let start = Instant::now();
+    for machine in &forks {
+        assert_eq!(machine.arch_digest(), digest, "restored image digest");
+    }
+    DIGEST_FORKS as f64 / start.elapsed().as_secs_f64()
+}
+
 /// [`FAULT_PLAN_LEN`] faults, each due at an instret no run reaches.
 fn far_future_plan() -> FaultPlan {
     (0..FAULT_PLAN_LEN).fold(FaultPlan::new(), |plan, i| {
@@ -185,7 +211,14 @@ fn measure_ratios() -> Ratios {
     let spec: &[&dyn Workload] = &[&Spec::Omnetpp, &Spec::Leela];
     let syscall: &[&dyn Workload] = &[&UnixBench::Syscall];
     let plan = far_future_plan();
-    let mut best = [0.0f64; 10];
+    let warm = warm_image(1);
+    let image = warm.to_bytes();
+    let fork_unhashed = || {
+        let decoded = Snapshot::from_bytes(&image).expect("image decodes");
+        Machine::fork_from(&decoded).expect("fork")
+    };
+    let fork_memoised = || Machine::fork_from(&warm).expect("fork");
+    let mut best = [0.0f64; 12];
     for _ in 0..ROUNDS {
         let round = [
             blocks_per_sec(|block, tweak| reference.encrypt(block, tweak)),
@@ -198,12 +231,15 @@ fn measure_ratios() -> Ratios {
             steps_per_sec(syscall, full, machine, None),
             steps_per_sec(syscall, full, rekey, None),
             steps_per_sec(syscall, full, machine, Some(&plan)),
+            digests_per_sec(warm.digest(), fork_unhashed),
+            digests_per_sec(warm.digest(), fork_memoised),
         ];
         for (best, rate) in best.iter_mut().zip(round) {
             *best = best.max(rate);
         }
     }
-    let [reference, swar, dhry2_on, dhry2_off, spec_on, spec_off, off, full, rekey, armed] = best;
+    let [reference, swar, dhry2_on, dhry2_off, spec_on, spec_off, off, full, rekey, armed, unhashed, memoised] =
+        best;
     [
         swar / reference,
         dhry2_on / dhry2_off,
@@ -211,6 +247,7 @@ fn measure_ratios() -> Ratios {
         full / off,
         rekey / full,
         armed / full,
+        memoised / unhashed,
     ]
 }
 

@@ -324,6 +324,13 @@ fn boot_instance(seed: u64) -> Machine {
     machine
 }
 
+/// The fleet's warm image for `seed`: a cold-booted instance, snapshotted.
+/// Capture digests it, so every page's hash is already memoised.
+#[must_use]
+pub fn warm_image(seed: u64) -> Snapshot {
+    boot_instance(seed).snapshot()
+}
+
 /// Serves one instance's full request stream, including its chaos
 /// schedule. Deterministic given (`cfg`, `index`, the warm snapshot).
 fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceReport {
@@ -441,10 +448,8 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
 #[must_use]
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let boot_start = Instant::now();
-    let warm_machine = boot_instance(cfg.seed);
-    let warm = warm_machine.snapshot();
+    let warm = warm_image(cfg.seed);
     let boot_nanos = u64::try_from(boot_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    drop(warm_machine);
 
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
@@ -622,7 +627,7 @@ mod tests {
 
     #[test]
     fn damaged_warm_image_fails_integrity_and_cold_boots() {
-        let warm = boot_instance(1).snapshot();
+        let warm = warm_image(1);
         // Flip the last byte of the last page in the serialized image and
         // re-checksum the stream: the recorded digest is kept, so the
         // decoded snapshot claims the pristine image's digest.
@@ -643,7 +648,7 @@ mod tests {
 
     #[test]
     fn forked_instances_share_clean_pages_with_each_other() {
-        let warm = boot_instance(1).snapshot();
+        let warm = warm_image(1);
         let a = Machine::fork_from(&warm).unwrap();
         let b = Machine::fork_from(&warm).unwrap();
         let shared = a.memory().shared_pages_with(b.memory());

@@ -1365,6 +1365,54 @@ mod tests {
         assert!(!sup.fatal, "the cold restart re-provisions");
     }
 
+    /// The warm image's page hashes are memoised by its first digest. A
+    /// later write to a page the image no longer shares lands in place
+    /// (no copy), and must still clear that page's memo, or the gate would
+    /// pass a damaged image.
+    #[test]
+    fn warm_image_damaged_in_place_after_a_micro_reboot_fails_integrity() {
+        let mut sup = Supervisor::new(ServeConfig {
+            requests: 50,
+            seed: 7,
+            ..ServeConfig::default()
+        })
+        .expect("boot");
+        sup.provision(true).expect("provision");
+        sup.capture_warm_image();
+        sup.restart_tenancy();
+        assert_eq!(sup.counts.micro_reboots, 1, "the pristine image restores");
+
+        // The live kernel now shares every page with the warm image; its
+        // first store to the heap page copies that page out, so the image
+        // owns its own copy alone.
+        let addr = regvault_kernel::layout::KERNEL_HEAP_BASE;
+        let live = sup.kernel.machine_mut().memory_mut();
+        let word = live.read_u64(addr).expect("kernel heap is mapped");
+        live.write_u64(addr, word).expect("kernel heap is writable");
+        let warm = sup.warm.as_mut().expect("warm image");
+        let shared = warm
+            .kernel
+            .machine()
+            .memory()
+            .shared_pages_with(sup.kernel.machine().memory());
+        assert_eq!(
+            shared + 1,
+            warm.kernel.machine().memory().mapped_pages(),
+            "only the heap page is unshared"
+        );
+        warm.kernel
+            .machine_mut()
+            .memory_mut()
+            .write_u64(addr, !word)
+            .expect("kernel heap is writable");
+
+        sup.restart_tenancy();
+        assert_eq!(sup.counts.micro_reboot_mismatches, 1);
+        assert_eq!(sup.counts.micro_reboots, 1);
+        assert_eq!(sup.counts.cold_restarts, 1);
+        assert!(!sup.fatal, "the cold restart re-provisions");
+    }
+
     #[test]
     fn stale_requests_are_shed_at_dequeue() {
         // Heavy overload with an aggressive deadline: once the p99

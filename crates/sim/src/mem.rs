@@ -1,26 +1,110 @@
 //! Sparse, page-granular physical memory with copy-on-write page sharing.
 
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::fxhash::FxHashMap;
+use crate::snapshot::page_hash;
 use crate::ExceptionCause;
 
 const PAGE_SHIFT: u32 = 12;
 /// Bytes per page: the granule of mapping, copy-on-write sharing and the
 /// write generations that invalidate decoded code.
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+/// [`PAGE_SIZE`] as a `usize`, for byte arrays and slice offsets.
+pub(crate) const PAGE_BYTES: usize = PAGE_SIZE as usize;
 
-/// The raw contents of one 4 KiB page.
-pub(crate) type PageData = [u8; PAGE_SIZE as usize];
+/// The contents of one 4 KiB page plus a memo of its content hash.
+///
+/// The memo lives in the shared allocation, so every holder of the page's
+/// [`Arc`] (a snapshot, a warm image, every fork of either) reuses one
+/// hash: [`Machine::arch_digest`](crate::Machine::arch_digest) hashes each
+/// page version at most once. The bytes are read-only through [`Deref`];
+/// [`PageData::bytes_mut`] is the only writable path, and it clears the
+/// memo. The hash word comes first (`repr(C)`), right after the `Arc`
+/// counts that every store's [`Arc::make_mut`] already touches, so clearing
+/// it rarely costs a cache line of its own.
+#[repr(C)]
+#[derive(Debug)]
+pub(crate) struct PageData {
+    /// [`page_hash`] of `bytes`, or 0 when not hashed since the last write.
+    /// A page whose hash is 0 is simply rehashed on every digest.
+    hash: AtomicU64,
+    bytes: [u8; PAGE_BYTES],
+}
+
+impl PageData {
+    /// A page holding `bytes`, not yet hashed.
+    pub(crate) fn new(bytes: [u8; PAGE_BYTES]) -> Self {
+        Self {
+            hash: AtomicU64::new(0),
+            bytes,
+        }
+    }
+
+    /// Writable bytes; forgets the memoised hash. `&mut self` means no
+    /// other holder shares the allocation, so a plain store suffices.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_BYTES] {
+        *self.hash.get_mut() = 0;
+        &mut self.bytes
+    }
+
+    /// [`page_hash`] of the bytes, computed on the first call after a write
+    /// and memoised for every holder of the page. The memo publishes no
+    /// other data: while the page is shared its bytes cannot change (a
+    /// writer holds the only reference), and concurrent first calls store
+    /// the same value, so `Relaxed` suffices. Debug builds recompute the
+    /// hash on every memo hit and check it.
+    pub(crate) fn hash(&self) -> u64 {
+        let memo = self.hash.load(Ordering::Relaxed);
+        if memo != 0 {
+            debug_assert_eq!(memo, page_hash(&self.bytes), "stale page-hash memo");
+            return memo;
+        }
+        let hash = page_hash(&self.bytes);
+        self.hash.store(hash, Ordering::Relaxed);
+        hash
+    }
+}
+
+impl Deref for PageData {
+    type Target = [u8; PAGE_BYTES];
+
+    fn deref(&self) -> &Self::Target {
+        &self.bytes
+    }
+}
+
+/// Copies the bytes; the memo is carried over, since it hashes equal bytes.
+impl Clone for PageData {
+    fn clone(&self) -> Self {
+        Self {
+            hash: AtomicU64::new(self.hash.load(Ordering::Relaxed)),
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// Equal when the bytes are equal, hashed or not.
+impl PartialEq for PageData {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for PageData {}
 
 /// One 4 KiB page plus its write generation.
 ///
 /// The contents live behind an [`Arc`] so snapshots and forked machines
 /// share physical pages until someone writes: every store goes through
 /// [`Arc::make_mut`], which copies the page only when it is actually
-/// shared (copy-on-first-write). The write generation stays *outside* the
-/// `Arc` — it is per-machine microarchitectural state, and two forks that
-/// share a page's bytes still advance their generations independently.
+/// shared (copy-on-first-write), and then [`PageData::bytes_mut`], which
+/// clears the page's hash memo. The memo lives *inside* the `Arc`, so all
+/// holders of one page version share it; the write generation stays
+/// *outside* — it is per-machine microarchitectural state, and two forks
+/// that share a page's bytes still advance their generations independently.
 #[derive(Debug, Clone)]
 struct Page {
     /// Bumped on every store into the page. The decoded-instruction cache
@@ -34,7 +118,7 @@ impl Page {
     fn zeroed() -> Self {
         Self {
             gen: 0,
-            data: Arc::new([0u8; PAGE_SIZE as usize]),
+            data: Arc::new(PageData::new([0; PAGE_BYTES])),
         }
     }
 }
@@ -55,7 +139,9 @@ impl Page {
 /// capturing a snapshot, or forking a machine from one shares every page
 /// and copies nothing. The first store into a shared page copies that one
 /// page (copy-on-write), so a fleet of forked instances pays only for the
-/// pages it actually dirties.
+/// pages it actually dirties. Each page also carries a memo of its content
+/// hash, shared the same way and cleared by the write that creates a new
+/// page version, so digesting a fork re-reads only the pages it wrote.
 ///
 /// # Examples
 ///
@@ -136,13 +222,13 @@ impl Memory {
     /// Writable view of the page containing `addr`, mapping it on first
     /// touch, with its generation bumped. Copies the page contents first if
     /// they are shared with a snapshot or fork (copy-on-write).
-    fn page_data_mut(&mut self, addr: u64) -> &mut PageData {
+    fn page_data_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
         let page = self
             .pages
             .entry(addr >> PAGE_SHIFT)
             .or_insert_with(Page::zeroed);
         page.gen += 1;
-        Arc::make_mut(&mut page.data)
+        Arc::make_mut(&mut page.data).bytes_mut()
     }
 
     /// Fetches the aligned instruction word at `addr` together with the
@@ -160,12 +246,8 @@ impl Memory {
             .pages
             .get(&(addr >> PAGE_SHIFT))
             .ok_or(ExceptionCause::LoadAccessFault)?;
-        let offset = (addr & (PAGE_SIZE - 1)) as usize;
-        let word = u32::from_le_bytes(
-            page.data[offset..offset + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        );
+        let (words, _) = page.data.as_chunks::<4>();
+        let word = u32::from_le_bytes(words[(addr & (PAGE_SIZE - 1)) as usize / 4]);
         Ok((word, page.gen))
     }
 
@@ -309,7 +391,19 @@ impl Memory {
     ///
     /// Returns [`ExceptionCause::LoadAccessFault`] if any page is unmapped.
     pub fn read_vec(&self, addr: u64, len: usize) -> Result<Vec<u8>, ExceptionCause> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        let mut out = Vec::with_capacity(len);
+        let mut at = addr;
+        while out.len() < len {
+            let offset = (at & (PAGE_SIZE - 1)) as usize;
+            let take = (PAGE_BYTES - offset).min(len - out.len());
+            let page = self
+                .pages
+                .get(&(at >> PAGE_SHIFT))
+                .ok_or(ExceptionCause::LoadAccessFault)?;
+            out.extend_from_slice(&page.data[offset..offset + take]);
+            at = at.wrapping_add(take as u64);
+        }
+        Ok(out)
     }
 
     /// Every mapped page as `(page_number, write_generation, contents)`,
@@ -340,9 +434,6 @@ impl Memory {
         self.pages.insert(page_no, Page { gen, data });
     }
 }
-
-/// Page size re-export for the snapshot module.
-pub(crate) const PAGE_BYTES: usize = PAGE_SIZE as usize;
 
 #[cfg(test)]
 mod tests {
@@ -396,6 +487,44 @@ mod tests {
                 mem.read_vec(addr, 16).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn read_vec_faults_if_a_later_page_is_unmapped() {
+        let mut mem = Memory::new();
+        mem.write_u8(0x1FFF, 7).unwrap();
+        assert_eq!(
+            mem.read_vec(0x1F00, 0x200).unwrap_err(),
+            ExceptionCause::LoadAccessFault
+        );
+        assert_eq!(mem.read_vec(0x1F00, 0x100).unwrap().len(), 0x100);
+        assert_eq!(mem.read_vec(0x7000, 0).unwrap(), b"");
+        mem.write_u8(0x2000, 9).unwrap();
+        assert_eq!(mem.read_vec(0x1FFF, 2).unwrap(), [7, 9]);
+    }
+
+    /// The hash memo as stored, without computing it.
+    fn memo(mem: &Memory, page_no: u64) -> u64 {
+        mem.pages[&page_no].data.hash.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn page_hash_memo_is_shared_and_cleared_by_writes() {
+        let mut mem = Memory::new();
+        mem.write_u64(0x1000, 1).unwrap();
+        let fork = mem.clone();
+        assert_eq!(memo(&mem, 1), 0, "no digest yet");
+        let hash = mem.pages[&1].data.hash();
+        assert_eq!(hash, page_hash(&mem.pages[&1].data));
+        assert_eq!(memo(&fork, 1), hash, "the fork shares the memo");
+        // The page is shared, so this write copies it; the copy is unhashed
+        // and the fork keeps its memo.
+        mem.write_u64(0x1008, 2).unwrap();
+        assert_eq!((memo(&mem, 1), memo(&fork, 1)), (0, hash));
+        // Now the page is private, so this write lands in place.
+        assert_ne!(mem.pages[&1].data.hash(), hash);
+        mem.write_u8(0x1010, 3).unwrap();
+        assert_eq!(memo(&mem, 1), 0, "an in-place write clears the memo too");
     }
 
     #[test]

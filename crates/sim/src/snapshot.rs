@@ -17,8 +17,9 @@
 //! bookkeeping (decode-cache hit counters, page write generations) so the
 //! optimized and reference datapaths digest identically when they agree.
 //! The on-disk checksum is byte-serial FNV-1a; the digest hashes page
-//! contents with a word-at-a-time lane hash (`page_hash`) and folds the
-//! fixed-size fields through the same FNV-1a chain.
+//! contents with a word-at-a-time lane hash (`page_hash`), memoised in
+//! each shared page until the next write, and folds the fixed-size fields
+//! through the same FNV-1a chain.
 
 use crate::clb::ClbStats;
 use crate::cost::CostModel;
@@ -109,13 +110,14 @@ fn lane_step(state: u64, word: u64) -> u64 {
 /// the same step. Changing any single word changes the result with
 /// certainty: that word's lane step yields a different state, every later
 /// step and the fold are bijections of it, and the other lanes are
-/// untouched.
-fn page_hash(data: &PageData) -> u64 {
+/// untouched. [`PageData::hash`] memoises it per page version.
+pub(crate) fn page_hash(bytes: &[u8; PAGE_BYTES]) -> u64 {
     let mut lanes = LANE_SEEDS;
-    for block in data.chunks_exact(8 * PAGE_LANES) {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-            *lane = lane_step(*lane, word);
+    let (words, _) = bytes.as_chunks::<8>();
+    let (blocks, _) = words.as_chunks::<PAGE_LANES>();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block) {
+            *lane = lane_step(*lane, u64::from_le_bytes(*word));
         }
     }
     lanes[1..]
@@ -243,13 +245,14 @@ impl Snapshot {
             };
             let page_base = no * PAGE_BYTES as u64;
             for (offset, (new, old)) in data
-                .chunks_exact(8)
-                .zip(base_page.chunks_exact(8))
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .zip(base_page.as_chunks::<8>().0)
                 .enumerate()
             {
                 if new != old {
-                    let word = u64::from_le_bytes(new.try_into().expect("8-byte chunk"));
-                    out.push((page_base + (offset * 8) as u64, word));
+                    out.push((page_base + (offset * 8) as u64, u64::from_le_bytes(*new)));
                 }
             }
         }
@@ -397,8 +400,10 @@ impl Snapshot {
         if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let found = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
+        let Some((payload, tail)) = bytes.split_last_chunk::<8>() else {
+            return Err(SnapshotError::Truncated);
+        };
+        let found = u64::from_le_bytes(*tail);
         let expected = fnv64(payload);
         if expected != found {
             return Err(SnapshotError::BadChecksum { expected, found });
@@ -535,11 +540,9 @@ impl Snapshot {
         for _ in 0..page_count {
             let no = r.u64()?;
             let gen = r.u64()?;
-            let data = r.bytes(PAGE_BYTES)?;
-            let page: PageData = data
-                .try_into()
-                .map_err(|_| SnapshotError::BadEncoding("page size"))?;
-            pages.push((no, gen, Arc::new(page)));
+            // Unhashed: an image read from disk is read in full by its
+            // first digest, never trusted through a stored hash.
+            pages.push((no, gen, Arc::new(PageData::new(r.array()?))));
         }
         if !r.is_empty() {
             return Err(SnapshotError::BadEncoding("trailing bytes"));
@@ -647,20 +650,30 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// The next `N` bytes as a fixed-size array.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let rest = self.bytes.get(self.at..).unwrap_or_default();
+        let (head, _) = rest
+            .split_first_chunk::<N>()
+            .ok_or(SnapshotError::Truncated)?;
+        self.at += N;
+        Ok(*head)
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().expect("2")))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
@@ -887,10 +900,15 @@ impl Machine {
     /// history digest identically even when one runs the reference datapath
     /// — which is precisely what the lockstep executor checks.
     ///
-    /// Fields go through an FNV-1a chain. Each page is read in full on every
-    /// call and enters the chain as its number plus a word-at-a-time lane
-    /// hash of its contents, absorbed in one bijective word step — so any
-    /// single changed memory word changes the digest with certainty.
+    /// Fields go through an FNV-1a chain. Each page enters the chain as its
+    /// number plus a word-at-a-time lane hash of its contents, absorbed in
+    /// one bijective word step — so any single changed memory word changes
+    /// the digest with certainty. The lane hash is memoised in the shared
+    /// page (`PageData::hash`): it is computed at most once per page
+    /// version, the write that creates a version clears it, and every
+    /// holder of the page reuses it. A fresh fork of a digested snapshot
+    /// therefore costs O(pages) lookups, and only pages written since, or
+    /// read from disk by [`Snapshot::from_bytes`], are read in full.
     #[must_use]
     pub fn arch_digest(&self) -> u64 {
         let mut h = Fnv::new();
@@ -934,11 +952,11 @@ impl Machine {
         ] {
             h.write_u64(value);
         }
-        // Every mapped byte is read on every call: no per-page hash is
-        // cached, and pages shared with a snapshot are not skipped.
+        // No page is skipped, shared or not: each contributes its memoised
+        // hash, recomputed only after a write or a decode from bytes.
         for (no, _gen, data) in self.mem.page_entries() {
             h.write_u64(no);
-            h.write_word(page_hash(data));
+            h.write_word(data.hash());
         }
         for count in self.stats.class_counts() {
             h.write_u64(count);
@@ -1102,7 +1120,7 @@ mod tests {
             snap.digest()
         );
         let mut damaged = snap.clone();
-        Arc::make_mut(&mut damaged.pages[0].2)[17] ^= 0x04;
+        Arc::make_mut(&mut damaged.pages[0].2).bytes_mut()[17] ^= 0x04;
         // The recorded digest is kept: only the gate can notice.
         assert_eq!(damaged.digest(), snap.digest());
         assert_ne!(

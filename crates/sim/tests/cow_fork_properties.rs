@@ -10,11 +10,15 @@
 //!   freshly restored from the same snapshot: identical step results and
 //!   architectural digests over a 10k-step lockstep run;
 //! * microarchitectural state (superblock tier, decode cache) resets
-//!   across a restore and re-warms without architectural effect.
+//!   across a restore and re-warms without architectural effect;
+//! * the per-page hash memo never goes stale: under any interleaving of
+//!   stores, clones, snapshots, restores, forks and byte round trips, every
+//!   machine digests exactly as a fork of its own image decoded from bytes
+//!   (whose pages start unhashed).
 
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg, Reg};
-use regvault_sim::{Machine, MachineConfig};
+use regvault_sim::{Machine, MachineConfig, Snapshot, PAGE_SIZE};
 
 const TEXT_BASE: u64 = 0x8000_0000;
 const DATA_BASE: u64 = 0x9000;
@@ -117,6 +121,167 @@ proptest! {
             untouched.memory().shared_pages_with(parent.memory()),
             snap.page_count()
         );
+    }
+}
+
+/// One step of the memo property below. Machine and snapshot indices wrap
+/// around their pool's current size.
+#[derive(Debug, Clone)]
+enum Op {
+    WriteU8 {
+        who: usize,
+        addr: u64,
+        value: u8,
+    },
+    WriteU64 {
+        who: usize,
+        addr: u64,
+        value: u64,
+    },
+    WriteSlice {
+        who: usize,
+        addr: u64,
+        len: usize,
+        fill: u8,
+    },
+    Clone {
+        who: usize,
+    },
+    Snapshot {
+        who: usize,
+    },
+    Restore {
+        who: usize,
+        snap: usize,
+    },
+    Fork {
+        snap: usize,
+    },
+    RoundTrip {
+        snap: usize,
+    },
+}
+
+/// Most pool entries a run keeps; a clone or fork past it replaces one.
+const POOL: usize = 4;
+
+/// Addresses in and around three data pages, page-straddling ones often.
+fn data_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0..3 * PAGE_SIZE).prop_map(|off| DATA_BASE + off),
+        (1..4u64, 0..16u64).prop_map(|(page, back)| DATA_BASE + page * PAGE_SIZE - 1 - back),
+    ]
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let who = 0..POOL;
+    prop_oneof![
+        (who.clone(), data_addr(), any::<u8>()).prop_map(|(who, addr, value)| Op::WriteU8 {
+            who,
+            addr,
+            value
+        }),
+        (who.clone(), data_addr(), any::<u64>()).prop_map(|(who, addr, value)| Op::WriteU64 {
+            who,
+            addr,
+            value
+        }),
+        (who.clone(), data_addr(), 1..6000usize, any::<u8>()).prop_map(|(who, addr, len, fill)| {
+            Op::WriteSlice {
+                who,
+                addr,
+                len,
+                fill,
+            }
+        }),
+        who.clone().prop_map(|who| Op::Clone { who }),
+        who.clone().prop_map(|who| Op::Snapshot { who }),
+        (who.clone(), 0..POOL).prop_map(|(who, snap)| Op::Restore { who, snap }),
+        (0..POOL).prop_map(|snap| Op::Fork { snap }),
+        (0..POOL).prop_map(|snap| Op::RoundTrip { snap }),
+    ]
+}
+
+/// Pushes `item`, or replaces entry `at` once the pool is full.
+fn admit<T>(pool: &mut Vec<T>, at: usize, item: T) {
+    if pool.len() < POOL {
+        pool.push(item);
+    } else {
+        pool[at % POOL] = item;
+    }
+}
+
+/// The digest of `machine` recomputed from scratch: a fork of its image
+/// after a byte round trip, so every page is hashed afresh.
+fn unhashed_digest(machine: &Machine) -> u64 {
+    let decoded = Snapshot::from_bytes(&machine.snapshot().to_bytes()).expect("image decodes");
+    Machine::fork_from(&decoded).expect("fork").arch_digest()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The page-hash memo is exact: after every operation each machine's
+    /// digest equals its unhashed digest, and each snapshot's forks still
+    /// digest as recorded.
+    #[test]
+    fn memoised_digests_match_unhashed_digests(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(op(), 1..24),
+    ) {
+        let mut parent = warm_machine(seed, 4);
+        parent.run_until_break(10_000).expect("warm run");
+        let mut machines = vec![parent];
+        let mut snaps = vec![machines[0].snapshot()];
+        for (step, op) in ops.iter().enumerate() {
+            let pick = |who: usize| who % machines.len();
+            match *op {
+                Op::WriteU8 { who, addr, value } => {
+                    let m = pick(who);
+                    machines[m].memory_mut().write_u8(addr, value).expect("store");
+                }
+                Op::WriteU64 { who, addr, value } => {
+                    let m = pick(who);
+                    machines[m].memory_mut().write_u64(addr, value).expect("store");
+                }
+                Op::WriteSlice { who, addr, len, fill } => {
+                    let bytes: Vec<u8> = (0..len).map(|i| fill ^ i as u8).collect();
+                    let m = pick(who);
+                    machines[m].memory_mut().write_slice(addr, &bytes);
+                }
+                Op::Clone { who } => {
+                    let clone = machines[pick(who)].clone();
+                    admit(&mut machines, who + 1, clone);
+                }
+                Op::Snapshot { who } => {
+                    let snap = machines[pick(who)].snapshot();
+                    admit(&mut snaps, who, snap);
+                }
+                Op::Restore { who, snap } => {
+                    let m = pick(who);
+                    machines[m].restore(&snaps[snap % snaps.len()]);
+                }
+                Op::Fork { snap } => {
+                    let fork = Machine::fork_from(&snaps[snap % snaps.len()]).expect("fork");
+                    admit(&mut machines, snap + 1, fork);
+                }
+                Op::RoundTrip { snap } => {
+                    let s = snap % snaps.len();
+                    snaps[s] = Snapshot::from_bytes(&snaps[s].to_bytes()).expect("decodes");
+                }
+            }
+            for (i, machine) in machines.iter().enumerate() {
+                prop_assert_eq!(
+                    machine.arch_digest(),
+                    unhashed_digest(machine),
+                    "machine {} after step {}: {:?}", i, step, op
+                );
+            }
+            for (i, snap) in snaps.iter().enumerate() {
+                let fork = Machine::fork_from(snap).expect("fork");
+                prop_assert_eq!(fork.arch_digest(), snap.digest(), "snapshot {} after step {}", i, step);
+            }
+        }
     }
 }
 
