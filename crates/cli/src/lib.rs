@@ -27,8 +27,7 @@ use regvault_compiler::{compile, verify as compiler_verify, CompileConfig};
 use regvault_isa::{asm, disasm, KeyReg, Reg};
 use regvault_kernel::ProtectionConfig;
 use regvault_sim::{
-    hwcost, run_lockstep, run_tiered_lockstep, FaultKind, FaultPlan, Machine, MachineConfig,
-    ReproBundle,
+    hwcost, run_lockstep, FaultKind, FaultPlan, Machine, MachineConfig, ReproBundle,
 };
 use regvault_verifier::callgraph::CallGraphStats;
 use regvault_verifier::{
@@ -122,12 +121,12 @@ pub fn cmd_run(source: &str, max_steps: u64) -> Result<String, CliError> {
 /// kernel privilege. `reference` selects the reference datapath.
 pub(crate) fn boot_bare_machine(source: &str, reference: bool) -> Result<Machine, CliError> {
     let program = asm::assemble(source).map_err(|e| e.to_string())?;
-    Ok(boot_bare_image(program.bytes(), 0, reference))
+    boot_bare_image(program.bytes(), 0, reference)
 }
 
 /// [`boot_bare_machine`] for an assembled image whose entry is `entry`
 /// bytes past its load address.
-fn boot_bare_image(image: &[u8], entry: u64, reference: bool) -> Machine {
+fn boot_bare_image(image: &[u8], entry: u64, reference: bool) -> Result<Machine, CliError> {
     let mut machine = Machine::new(MachineConfig {
         reference_datapath: reference,
         ..MachineConfig::default()
@@ -146,13 +145,13 @@ fn boot_bare_image(image: &[u8], entry: u64, reference: bool) -> Machine {
     {
         machine
             .write_key_register(*key, 0x1000 + i as u64, 0x2000 + i as u64)
-            .expect("general key");
+            .map_err(|e| e.to_string())?;
     }
     machine.load_program(0x8000_0000, image);
     machine.memory_mut().map_region(0x7000_0000, 0x10000);
     machine.hart_mut().set_reg(Reg::Sp, 0x7000_F000);
     machine.hart_mut().set_pc(0x8000_0000 + entry);
-    machine
+    Ok(machine)
 }
 
 /// Parses one `--flip INSTRET:ADDR:BIT` specification (addr may be hex).
@@ -210,7 +209,9 @@ pub fn cmd_record(
         Ok(()) => "break".to_owned(),
         Err(e) => e.to_string(),
     };
-    let log = machine.stop_recording().expect("recording was started");
+    let log = machine
+        .stop_recording()
+        .ok_or("the recording was lost before the run ended")?;
     let digest = machine.arch_digest();
     let bundle = ReproBundle {
         meta: vec![
@@ -270,7 +271,10 @@ pub fn cmd_replay(bundle_bytes: &[u8]) -> Result<String, CliError> {
     ))
 }
 
-/// Co-runs the optimized and reference datapaths over `source` in lockstep.
+/// Co-runs the optimized and reference datapaths over `source` in
+/// lockstep: the optimized machine runs through the superblock tier, so the
+/// SWAR datapath is checked inside superblocks too, and the OK line counts
+/// its superblock entries.
 ///
 /// # Errors
 ///
@@ -283,9 +287,10 @@ pub fn cmd_divergence(source: &str, max_steps: u64, interval: u64) -> Result<Str
     let outcome = run_lockstep(&mut fast, &mut reference, max_steps, interval);
     match outcome.divergence {
         None => Ok(format!(
-            "lockstep OK: {} instructions, datapaths architecturally identical \
-             (digest {:#018x})\n",
+            "lockstep OK: {} instructions, {} superblock entries, datapaths \
+             architecturally identical (digest {:#018x})\n",
             outcome.steps,
+            fast.superblock_stats().hits,
             fast.arch_digest()
         )),
         Some(divergence) => Err(format!(
@@ -327,13 +332,12 @@ pub fn cmd_divergence_tiers(max_steps: u64) -> Result<String, CliError> {
     for workload in corpus {
         let name = workload.name();
         let (image, entry) = workload.program();
-        let mut tiered = boot_bare_image(&image, entry, false);
-        let mut interp = boot_bare_image(&image, entry, false);
-        interp.set_superblock_tier(false);
+        let mut tiered = boot_bare_image(&image, entry, false)?;
+        let mut interp = boot_bare_image(&image, entry, false)?;
         let mut steps = 0u64;
         let mut syscalls = 0u64;
         while steps < max_steps {
-            let outcome = run_tiered_lockstep(&mut tiered, &mut interp, max_steps - steps, 256);
+            let outcome = run_lockstep(&mut tiered, &mut interp, max_steps - steps, 256);
             steps += outcome.steps;
             if let Some(divergence) = outcome.divergence {
                 return Err(format!(

@@ -128,8 +128,7 @@ impl NaiveClb {
             self.touch(found);
             return false;
         }
-        let mut evicted = false;
-        let index = if self.entries.len() < capacity {
+        let (index, evicted) = if self.entries.len() < capacity {
             self.entries.push(NaiveEntry {
                 ksel: 0,
                 tweak: 0,
@@ -137,15 +136,15 @@ impl NaiveClb {
                 ciphertext: 0,
                 last_used: 0,
             });
-            self.entries.len() - 1
+            (self.entries.len() - 1, false)
         } else {
-            evicted = true;
-            self.entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("capacity > 0 implies at least one entry")
+            // Full: replace the least recently used entry. At capacity 0
+            // there is none, and the cache holds nothing.
+            let Some(lru) = (0..self.entries.len()).min_by_key(|&i| self.entries[i].last_used)
+            else {
+                return false;
+            };
+            (lru, true)
         };
         self.entries[index] = NaiveEntry {
             ksel,
@@ -441,6 +440,16 @@ mod tests {
         assert_eq!(clb.lookup_encrypt(1, 2, 3), None);
         assert_eq!(clb.stats().misses, 1);
         assert_eq!(clb.occupancy(), 0);
+    }
+
+    #[test]
+    fn naive_zero_capacity_holds_nothing_on_its_own() {
+        // `Clb::insert` returns before reaching the naive cache at capacity
+        // 0; the naive cache must not rely on that.
+        let mut naive = NaiveClb::default();
+        assert!(!naive.insert(0, 1, 2, 3, 4), "nothing to evict");
+        assert!(naive.entries.is_empty());
+        assert_eq!(naive.lookup(1, 2, 3, false), None);
     }
 
     #[test]

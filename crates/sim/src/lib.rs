@@ -88,9 +88,7 @@ pub use engine::{CryptoEngine, CryptoResult, IntegrityError, KeyRegFile, Watchdo
 pub use error::{ExceptionCause, SimError};
 pub use fault::{AppliedFault, FaultEffect, FaultKind, FaultPlan, FaultSpec};
 pub use hart::{Hart, Privilege};
-pub use lockstep::{
-    arch_divergence, run_lockstep, run_tiered_lockstep, Divergence, LockstepOutcome,
-};
+pub use lockstep::{arch_divergence, run_lockstep, Divergence, LockstepOutcome};
 pub use machine::{Event, Machine, MachineConfig};
 pub use mem::{Memory, PAGE_SIZE};
 pub use memo::memo_counts;

@@ -1,31 +1,44 @@
-//! Lockstep differential execution: co-run the optimized datapath against
-//! the reference datapath and localize the first divergent instruction.
+//! Lockstep differential execution: co-run a machine on the optimized
+//! paths against a single-stepping reference and localize the first
+//! divergent instruction.
 //!
-//! PR 2 replaced the cell-level QARMA implementation with a SWAR core and
-//! the linear-scan CLB with a hash-indexed intrusive-LRU one. Both rewrites
-//! are *supposed* to be architecturally invisible; this module is the
-//! machinery that hunts the case where they are not. [`run_lockstep`]
-//! single-steps two machines — one built with
-//! `MachineConfig::reference_datapath = true`, one without — through the
-//! same program, comparing:
+//! Two optimizations stand between the simulator and the `cre`/`crd`
+//! semantics it models, and both must be architecturally invisible: the
+//! SWAR QARMA core with the flat CLB (against `qarma::reference` and the
+//! naive CLB, [`MachineConfig::reference_datapath`]), and the superblock
+//! tier (against the interpreter). [`run_lockstep`] checks both with one
+//! executor. `fast` advances one [`Machine::step_tier`] epoch at a time —
+//! a chain of whole superblocks, or one interpreter step — and `reference`
+//! is single-stepped with [`Machine::step`], which never enters the tier.
+//! It compares
 //!
-//! * the step outcome (event/error) after **every** instruction (cheap), and
-//! * the full [`Machine::arch_digest`] every `interval` instructions
-//!   (hashes all of memory — the expensive check).
+//! * every step's outcome (event/error); the interior steps of a
+//!   superblock chain must be quiet `Ok(None)`;
+//! * pc, privilege, GPRs and the architectural counters after every epoch
+//!   (cheap);
+//! * the full [`Machine::arch_digest`] at the first epoch end at least
+//!   `interval` steps after the last one, and at the end (hashes all of
+//!   memory), checkpointing both machines whenever the digests agree. A
+//!   chain of superblocks may run past an interval; it is never split.
 //!
-//! On any mismatch it restores both machines from the snapshots taken at
-//! the last agreeing checkpoint and re-executes the window one instruction
-//! at a time, digesting after each, which pins the divergence to the exact
-//! first instruction whose architectural effects differ. The re-execution
-//! is sound because both machines are deterministic from a snapshot — the
-//! same property the record/replay layer rests on.
+//! Every mismatch takes one path: both machines are rewound to the last
+//! checkpoint and single-stepped with a digest after each step. Both are
+//! deterministic from a snapshot — the property record/replay rests on —
+//! so a datapath divergence reproduces and is pinned to its exact first
+//! instruction. One that does not reproduce came from the tier, which the
+//! rewind never enters (`restore` drops every superblock), and is reported
+//! against the forward pass's superblock chain: its entry pc and
+//! architectural step range.
+//!
+//! [`MachineConfig::reference_datapath`]: crate::MachineConfig::reference_datapath
 
 use crate::{
     error::SimError,
     machine::{Event, Machine},
+    snapshot::Snapshot,
 };
 
-/// A localized divergence between the two datapaths.
+/// A localized divergence between the two machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// 1-based count of the instruction whose effects first differed
@@ -143,16 +156,31 @@ pub fn arch_divergence(fast: &Machine, reference: &Machine) -> Option<String> {
     None
 }
 
-/// Co-runs `fast` and `reference` for up to `max_steps` instructions,
-/// comparing step outcomes every instruction and architectural digests
-/// every `interval` instructions (clamped to ≥ 1). Stops at the first
-/// event either machine reports (breakpoint, exception, syscall — the
-/// bare-metal terminal conditions) or when `max_steps` is reached, with a
-/// final digest comparison either way.
+/// What one step reported: the event (if any) or the error.
+type StepOutcome = Result<Option<Event>, SimError>;
+
+/// Both machines as they were at the last step whose digests agreed.
+struct Checkpoint {
+    fast: Snapshot,
+    reference: Snapshot,
+    step: u64,
+}
+
+/// Co-runs `fast` and `reference` for up to `max_steps` instructions (see
+/// the module docs): `fast` through the superblock tier one epoch at a
+/// time, `reference` one [`Machine::step`] at a time. Step outcomes are
+/// compared every instruction, pc/privilege/GPRs/counters every epoch, and
+/// digests once per `interval` instructions (clamped to ≥ 1) at an epoch
+/// end. Stops at the first event either machine reports (breakpoint,
+/// exception, syscall, timer, watchdog — the bare-metal terminal
+/// conditions) or when `max_steps` is reached, with a final digest
+/// comparison either way.
 ///
 /// On mismatch, both machines are rewound to the last agreeing checkpoint
-/// and single-stepped to the exact first divergent instruction; the
-/// machines are left in their post-divergence states for inspection.
+/// and single-stepped to the exact first divergent instruction, where they
+/// are left for inspection. A divergence the rewind does not reproduce is
+/// reported where the forward pass saw it, with the superblock chain (or
+/// step window) it lies in.
 pub fn run_lockstep(
     fast: &mut Machine,
     reference: &mut Machine,
@@ -160,278 +188,143 @@ pub fn run_lockstep(
     interval: u64,
 ) -> LockstepOutcome {
     let interval = interval.max(1);
-    let mut ckpt_fast = fast.snapshot();
-    let mut ckpt_reference = reference.snapshot();
-    let mut ckpt_step: u64 = 0;
+    let mut ckpt = Checkpoint {
+        fast: fast.snapshot(),
+        reference: reference.snapshot(),
+        step: 0,
+    };
     let mut step: u64 = 0;
+    let mut next_digest = interval;
+    let mut terminal = false;
 
     loop {
-        if step >= max_steps {
-            if fast.arch_digest() != reference.arch_digest() {
-                return bisect(
-                    fast,
-                    reference,
-                    &ckpt_fast,
-                    &ckpt_reference,
-                    ckpt_step,
-                    step,
-                );
+        if terminal || step >= max_steps || step >= next_digest {
+            // A snapshot carries its digest, so the checkpoint costs no
+            // second hash.
+            let (fast_now, reference_now) = (fast.snapshot(), reference.snapshot());
+            if fast_now.digest() != reference_now.digest() {
+                let window = format!("in steps {}..={step}: ", ckpt.step + 1);
+                let seen = divergence(step, &window, None, fast, reference);
+                return rewind(fast, reference, &ckpt, seen);
             }
-            return LockstepOutcome {
-                steps: step,
-                divergence: None,
-            };
-        }
-
-        let fast_result = fast.step();
-        let reference_result = reference.step();
-        step += 1;
-
-        let fast_text = format!("{fast_result:?}");
-        let reference_text = format!("{reference_result:?}");
-        if fast_text != reference_text {
-            // The visible outcomes differ at this step; an earlier silent
-            // state divergence may have caused it, so bisect the window.
-            let mut outcome = bisect(
-                fast,
-                reference,
-                &ckpt_fast,
-                &ckpt_reference,
-                ckpt_step,
-                step,
-            );
-            if outcome.divergence.is_none() {
-                outcome.divergence = Some(Divergence {
-                    step,
-                    detail: format!("step outcome: fast={fast_text} reference={reference_text}"),
-                });
-                outcome.steps = step;
-            }
-            return outcome;
-        }
-
-        let terminal = !matches!(fast_result, Ok(None));
-        if terminal || step.is_multiple_of(interval) {
-            if fast.arch_digest() != reference.arch_digest() {
-                return bisect(
-                    fast,
-                    reference,
-                    &ckpt_fast,
-                    &ckpt_reference,
-                    ckpt_step,
-                    step,
-                );
-            }
-            if terminal {
+            if terminal || step >= max_steps {
                 return LockstepOutcome {
                     steps: step,
                     divergence: None,
                 };
             }
-            ckpt_fast = fast.snapshot();
-            ckpt_reference = reference.snapshot();
-            ckpt_step = step;
-        }
-    }
-}
-
-/// Re-executes the window `[ckpt_step, limit]` from the checkpoints one
-/// instruction at a time, digesting after each, and returns the exact first
-/// divergent step. `fast`/`reference` are left at the divergence point.
-fn bisect(
-    fast: &mut Machine,
-    reference: &mut Machine,
-    ckpt_fast: &crate::snapshot::Snapshot,
-    ckpt_reference: &crate::snapshot::Snapshot,
-    ckpt_step: u64,
-    limit: u64,
-) -> LockstepOutcome {
-    fast.restore(ckpt_fast);
-    reference.restore(ckpt_reference);
-    let mut step = ckpt_step;
-    while step < limit.max(ckpt_step + 1) {
-        let fast_result = fast.step();
-        let reference_result = reference.step();
-        step += 1;
-        let fast_text = format!("{fast_result:?}");
-        let reference_text = format!("{reference_result:?}");
-        if fast_text != reference_text {
-            return LockstepOutcome {
-                steps: step,
-                divergence: Some(Divergence {
-                    step,
-                    detail: format!("step outcome: fast={fast_text} reference={reference_text}"),
-                }),
+            ckpt = Checkpoint {
+                fast: fast_now,
+                reference: reference_now,
+                step,
             };
+            next_digest = step + interval;
         }
-        if fast.arch_digest() != reference.arch_digest() {
-            let detail = arch_divergence(fast, reference)
-                .unwrap_or_else(|| "digest mismatch (state diff inconclusive)".into());
-            return LockstepOutcome {
-                steps: step,
-                divergence: Some(Divergence { step, detail }),
-            };
-        }
-        if !matches!(fast_result, Ok(None)) {
-            break;
-        }
-    }
-    // The window replayed cleanly — the divergence the caller saw did not
-    // reproduce (should be impossible for a deterministic machine; surface
-    // it rather than panicking).
-    LockstepOutcome {
-        steps: step,
-        divergence: Some(Divergence {
-            step,
-            detail: "divergence did not reproduce during bisection".into(),
-        }),
-    }
-}
 
-/// Cheap per-epoch agreement check for [`run_tiered_lockstep`]: pc,
-/// privilege, all GPRs, and the architectural counters. Memory, CSRs, keys
-/// and CLB state are covered by the full digests at interval boundaries
-/// (and almost every realistic tier bug corrupts a register or counter
-/// within the same epoch anyway).
-fn quick_agree(tiered: &Machine, interp: &Machine) -> bool {
-    tiered.hart().pc() == interp.hart().pc()
-        && tiered.hart().privilege() == interp.hart().privilege()
-        && tiered.hart().regs() == interp.hart().regs()
-        && tiered.stats().arch_counts() == interp.stats().arch_counts()
-}
-
-fn divergence_detail(tiered: &Machine, interp: &Machine) -> String {
-    arch_divergence(tiered, interp)
-        .unwrap_or_else(|| "digest mismatch (state diff inconclusive)".into())
-}
-
-/// Co-runs the superblock tier against the single-step interpreter and
-/// localizes the first divergence.
-///
-/// `tiered` advances one *epoch* at a time via [`Machine::step_tier`] — a
-/// chain of whole superblocks or one interpreter step — and `interp`
-/// (which should have the tier disabled) is driven through the same
-/// number of architectural steps. Every intermediate step of a block epoch must be
-/// an uneventful `Ok(None)` on the interpreter, every final outcome must
-/// match, and after every epoch the cheap architectural state (pc,
-/// privilege, GPRs, counters) must agree; full digests (memory, CSRs,
-/// keys, CLB) run every `interval` architectural steps and at the end.
-/// Stops at the first event either machine reports or at `max_steps`.
-///
-/// Because blocks execute atomically, a divergence inside a chain is
-/// reported against it — the pc it was entered at, the architectural step
-/// range, and the first differing state component — while single-step
-/// epochs pin the exact instruction, exactly like [`run_lockstep`].
-pub fn run_tiered_lockstep(
-    tiered: &mut Machine,
-    interp: &mut Machine,
-    max_steps: u64,
-    interval: u64,
-) -> LockstepOutcome {
-    let interval = interval.max(1);
-    let mut step: u64 = 0;
-    let mut next_digest = interval;
-
-    loop {
-        if step >= max_steps {
-            break;
-        }
-        let entry_pc = tiered.hart().pc();
-        let (consumed, outcome): (u64, Result<Option<Event>, SimError>) =
-            match tiered.step_tier(max_steps - step) {
-                Ok((n, event)) => (n, Ok(event)),
-                Err(err) => (1, Err(err)),
-            };
-
-        for k in 0..consumed {
-            let interp_result = interp.step();
-            let last = k + 1 == consumed;
-            let expected_text = if last {
-                format!("{outcome:?}")
+        let entry_pc = fast.hart().pc();
+        let (consumed, outcome): (u64, StepOutcome) = match fast.step_tier(max_steps - step) {
+            Ok((n, event)) => (n, Ok(event)),
+            Err(err) => (1, Err(err)),
+        };
+        let first = step + 1;
+        let chain = move || {
+            if consumed > 1 {
+                format!(
+                    "in superblocks entered at {entry_pc:#x}, steps {first}..={}: ",
+                    first + consumed - 1
+                )
             } else {
-                // Interior of a superblock: the machine proved no event
-                // can land here, so the interpreter must agree.
-                format!("{:?}", Ok::<Option<Event>, SimError>(None))
-            };
-            let interp_text = format!("{interp_result:?}");
-            if interp_text != expected_text {
-                let at = step + k + 1;
-                let context = if consumed > 1 {
-                    format!(
-                        " (inside superblocks entered at {entry_pc:#x}, insn {} of {consumed})",
-                        k + 1
-                    )
-                } else {
-                    String::new()
-                };
-                return LockstepOutcome {
-                    steps: at,
-                    divergence: Some(Divergence {
-                        step: at,
-                        detail: format!(
-                            "step outcome{context}: tiered={expected_text} interp={interp_text}"
-                        ),
-                    }),
-                };
+                String::new()
+            }
+        };
+
+        for k in 1..=consumed {
+            // Inside a chain the machine proved no event can land, so the
+            // reference must be quiet there too.
+            let expected = if k == consumed { &outcome } else { &Ok(None) };
+            let got = reference.step();
+            if got != *expected {
+                let seen = divergence(step + k, &chain(), Some((expected, &got)), fast, reference);
+                return rewind(fast, reference, &ckpt, seen);
             }
         }
         step += consumed;
 
-        if !quick_agree(tiered, interp) {
-            let detail = divergence_detail(tiered, interp);
-            let detail = if consumed > 1 {
-                format!(
-                    "inside superblocks entered at {entry_pc:#x} (arch steps {}..={step}): {detail}",
-                    step - consumed + 1
-                )
-            } else {
-                detail
-            };
+        let (fh, rh) = (fast.hart(), reference.hart());
+        if fh.pc() != rh.pc()
+            || fh.privilege() != rh.privilege()
+            || fh.regs() != rh.regs()
+            || fast.stats().arch_counts() != reference.stats().arch_counts()
+        {
+            let seen = divergence(step, &chain(), None, fast, reference);
+            return rewind(fast, reference, &ckpt, seen);
+        }
+        terminal = outcome != Ok(None);
+    }
+}
+
+/// A divergence at `step`: the differing outcomes if there are any, else
+/// the first differing state component, after `context`.
+fn divergence(
+    step: u64,
+    context: &str,
+    outcomes: Option<(&StepOutcome, &StepOutcome)>,
+    fast: &Machine,
+    reference: &Machine,
+) -> Divergence {
+    let what = match outcomes {
+        Some((f, r)) => format!("step outcome: fast={f:?} reference={r:?}"),
+        None => arch_divergence(fast, reference)
+            .unwrap_or_else(|| "digest mismatch (state diff inconclusive)".into()),
+    };
+    Divergence {
+        step,
+        detail: format!("{context}{what}"),
+    }
+}
+
+/// Rewinds both machines to `ckpt` and single-steps them up to the step
+/// where the forward pass saw `seen`, comparing outcomes and digests after
+/// every step. Returns the exact first divergent step, or `seen` when the
+/// window replays cleanly — a divergence only the tier produces.
+fn rewind(
+    fast: &mut Machine,
+    reference: &mut Machine,
+    ckpt: &Checkpoint,
+    seen: Divergence,
+) -> LockstepOutcome {
+    fast.restore(&ckpt.fast);
+    reference.restore(&ckpt.reference);
+    let mut step = ckpt.step;
+    while step < seen.step {
+        let (f, r) = (fast.step(), reference.step());
+        step += 1;
+        let found = if f != r {
+            Some(divergence(step, "", Some((&f, &r)), fast, reference))
+        } else if fast.arch_digest() != reference.arch_digest() {
+            Some(divergence(step, "", None, fast, reference))
+        } else {
+            None
+        };
+        if found.is_some() {
             return LockstepOutcome {
                 steps: step,
-                divergence: Some(Divergence { step, detail }),
+                divergence: found,
             };
         }
-
-        let terminal = !matches!(outcome, Ok(None));
-        if terminal || step >= next_digest {
-            if tiered.arch_digest() != interp.arch_digest() {
-                return LockstepOutcome {
-                    steps: step,
-                    divergence: Some(Divergence {
-                        step,
-                        detail: format!(
-                            "within the last {interval} steps: {}",
-                            divergence_detail(tiered, interp)
-                        ),
-                    }),
-                };
-            }
-            if terminal {
-                return LockstepOutcome {
-                    steps: step,
-                    divergence: None,
-                };
-            }
-            next_digest = step + interval;
+        if f != Ok(None) {
+            break;
         }
     }
-
-    if tiered.arch_digest() != interp.arch_digest() {
-        return LockstepOutcome {
-            steps: step,
-            divergence: Some(Divergence {
-                step,
-                detail: format!(
-                    "within the last {interval} steps: {}",
-                    divergence_detail(tiered, interp)
-                ),
-            }),
-        };
-    }
     LockstepOutcome {
-        steps: step,
-        divergence: None,
+        steps: seen.step,
+        divergence: Some(Divergence {
+            step: seen.step,
+            detail: format!(
+                "{} (single-stepping from step {} does not reproduce it)",
+                seen.detail, ckpt.step
+            ),
+        }),
     }
 }
 
@@ -441,20 +334,23 @@ mod tests {
     use crate::machine::MachineConfig;
     use regvault_isa::KeyReg;
 
-    fn pair(program: &str) -> (Machine, Machine) {
+    /// `program` at `0x8000_0000` on a machine with keys A and B set.
+    fn machine(program: &str, reference_datapath: bool) -> Machine {
         let image = regvault_isa::asm::assemble(program).unwrap();
-        let build = |reference: bool| {
-            let mut machine = Machine::new(MachineConfig {
-                reference_datapath: reference,
-                ..MachineConfig::default()
-            });
-            machine.load_program(0x8000_0000, image.bytes());
-            machine.write_key_register(KeyReg::A, 0x11, 0x22).unwrap();
-            machine.write_key_register(KeyReg::B, 0x33, 0x44).unwrap();
-            machine.hart_mut().set_pc(0x8000_0000);
-            machine
-        };
-        (build(false), build(true))
+        let mut machine = Machine::new(MachineConfig {
+            reference_datapath,
+            ..MachineConfig::default()
+        });
+        machine.load_program(0x8000_0000, image.bytes());
+        machine.write_key_register(KeyReg::A, 0x11, 0x22).unwrap();
+        machine.write_key_register(KeyReg::B, 0x33, 0x44).unwrap();
+        machine.hart_mut().set_pc(0x8000_0000);
+        machine
+    }
+
+    /// SWAR datapath against the reference datapath.
+    fn pair(program: &str) -> (Machine, Machine) {
+        (machine(program, false), machine(program, true))
     }
 
     const CRYPTO_LOOP: &str = "li   t1, 0x9000
@@ -472,28 +368,44 @@ loop:    addi a0, s1, 0x100
          bne  s1, s2, loop
          ebreak";
 
-    /// Tiered pair: same program, same keys; `tiered` runs the superblock
-    /// tier, `interp` is forced to pure single-stepping.
+    /// Two identical machines: the executor runs the first through the
+    /// tier and single-steps the second.
     fn tiered_pair(program: &str) -> (Machine, Machine) {
-        let image = regvault_isa::asm::assemble(program).unwrap();
-        let build = |superblocks: bool| {
-            let mut machine = Machine::new(MachineConfig {
-                superblock_tier: superblocks,
-                ..MachineConfig::default()
-            });
-            machine.load_program(0x8000_0000, image.bytes());
-            machine.write_key_register(KeyReg::A, 0x11, 0x22).unwrap();
-            machine.write_key_register(KeyReg::B, 0x33, 0x44).unwrap();
-            machine.hart_mut().set_pc(0x8000_0000);
-            machine
-        };
-        (build(true), build(false))
+        (machine(program, false), machine(program, false))
+    }
+
+    /// Ground truth for the localization tests: single-steps both machines
+    /// with a digest after every step and returns the first step whose
+    /// digests differ.
+    fn first_digest_split(fast: &mut Machine, reference: &mut Machine) -> Option<u64> {
+        for step in 1..10_000u64 {
+            let outcome = fast.step();
+            let _ = reference.step();
+            if fast.arch_digest() != reference.arch_digest() {
+                return Some(step);
+            }
+            if !matches!(outcome, Ok(None)) {
+                break;
+            }
+        }
+        None
+    }
+
+    /// A `MemWrite` of 0x9000 at instret 200.
+    fn memory_fault() -> crate::fault::FaultPlan {
+        crate::fault::FaultPlan::new().at(
+            200,
+            crate::fault::FaultKind::MemWrite {
+                addr: 0x9000,
+                value: 0x5555_5555,
+            },
+        )
     }
 
     #[test]
     fn tiered_agrees_with_interpreter_on_crypto_loop() {
         let (mut tiered, mut interp) = tiered_pair(CRYPTO_LOOP);
-        let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 20_000, 64);
+        let outcome = run_lockstep(&mut tiered, &mut interp, 20_000, 64);
         assert!(outcome.agreed(), "divergence: {:?}", outcome.divergence);
         assert!(outcome.steps > 100);
         let sb = tiered.superblock_stats();
@@ -504,24 +416,19 @@ loop:    addi a0, s1, 0x100
     #[test]
     fn tiered_divergence_is_localized() {
         // A fault only the tiered machine receives corrupts data memory at
-        // instret 200. The fault precheck forces single-stepping around the
-        // due point, so with interval=1 the harness pins the exact step.
+        // instret 200, mid-loop with the tier hot. The forward pass sees it
+        // at the next digest, 64 steps apart at most; the rewind pins the
+        // exact step single-stepping finds.
+        let (mut truth_tiered, mut truth_interp) = tiered_pair(CRYPTO_LOOP);
+        truth_tiered.set_fault_plan(memory_fault());
+        let expected_step =
+            first_digest_split(&mut truth_tiered, &mut truth_interp).expect("fault must diverge");
+
         let (mut tiered, mut interp) = tiered_pair(CRYPTO_LOOP);
-        tiered.set_fault_plan(crate::fault::FaultPlan::new().at(
-            200,
-            crate::fault::FaultKind::MemWrite {
-                addr: 0x9000,
-                value: 0x5555_5555,
-            },
-        ));
-        let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 10_000, 1);
+        tiered.set_fault_plan(memory_fault());
+        let outcome = run_lockstep(&mut tiered, &mut interp, 10_000, 64);
         let divergence = outcome.divergence.expect("must diverge");
-        // The key-register setup already retired 4 instructions, so the
-        // fault (instret 200) lands a few lockstep steps before 200.
-        assert!(
-            (190..=260).contains(&divergence.step),
-            "fault at instret 200 should surface shortly after: {divergence:?}"
-        );
+        assert_eq!(divergence.step, expected_step);
         assert!(
             divergence.detail.contains("memory at") || divergence.detail.contains("0x9000"),
             "detail should blame memory: {}",
@@ -534,7 +441,7 @@ loop:    addi a0, s1, 0x100
         let (mut tiered, mut interp) = tiered_pair(CRYPTO_LOOP);
         tiered.arm_watchdog(137);
         interp.arm_watchdog(137);
-        let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 10_000, 64);
+        let outcome = run_lockstep(&mut tiered, &mut interp, 10_000, 64);
         // Both must report Timeout on exactly the same architectural step;
         // any off-by-one in the block budget precheck shows up as a step
         // outcome mismatch instead.
@@ -547,6 +454,10 @@ loop:    addi a0, s1, 0x100
         let outcome = run_lockstep(&mut fast, &mut reference, 10_000, 64);
         assert!(outcome.agreed(), "divergence: {:?}", outcome.divergence);
         assert!(outcome.steps > 100);
+        // The SWAR datapath also ran inside superblocks, against the
+        // single-stepped reference datapath.
+        let sb = fast.superblock_stats();
+        assert!(sb.hits > 0, "the tier never engaged: {sb:?}");
     }
 
     #[test]
@@ -558,22 +469,11 @@ loop:    addi a0, s1, 0x100
             .engine_mut()
             .key_file_mut()
             .tamper(KeyReg::B.ksel(), 0x4, 0);
-        let mut expected_step = None;
-        for step in 1..10_000u64 {
-            let a = truth_fast.step();
-            let _ = truth_reference.step();
-            if truth_fast.arch_digest() != truth_reference.arch_digest() {
-                expected_step = Some(step);
-                break;
-            }
-            if !matches!(a, Ok(None)) {
-                break;
-            }
-        }
         // Key B is never used by the program, so tampering it diverges at
         // the very first digest (the key register itself differs) — which
-        // the bisector must report as step 1's state.
-        let expected_step = expected_step.expect("tamper must diverge");
+        // the rewind must report as step 1's state.
+        let expected_step =
+            first_digest_split(&mut truth_fast, &mut truth_reference).expect("tamper must diverge");
 
         let (mut fast, mut reference) = pair(CRYPTO_LOOP);
         fast.engine_mut()
@@ -595,30 +495,12 @@ loop:    addi a0, s1, 0x100
         // fault that only it receives: the lockstep executor must localize
         // the divergence to the exact step where the fault fired.
         let (mut truth_fast, mut truth_reference) = pair(CRYPTO_LOOP);
-        let plan = crate::fault::FaultPlan::new().at(
-            200,
-            crate::fault::FaultKind::MemWrite {
-                addr: 0x9000,
-                value: 0x5555_5555,
-            },
-        );
-        truth_fast.set_fault_plan(plan.clone());
-        let mut expected_step = None;
-        for step in 1..10_000u64 {
-            let a = truth_fast.step();
-            let _ = truth_reference.step();
-            if truth_fast.arch_digest() != truth_reference.arch_digest() {
-                expected_step = Some(step);
-                break;
-            }
-            if !matches!(a, Ok(None)) {
-                break;
-            }
-        }
-        let expected_step = expected_step.expect("fault must diverge");
+        truth_fast.set_fault_plan(memory_fault());
+        let expected_step =
+            first_digest_split(&mut truth_fast, &mut truth_reference).expect("fault must diverge");
 
         let (mut fast, mut reference) = pair(CRYPTO_LOOP);
-        fast.set_fault_plan(plan);
+        fast.set_fault_plan(memory_fault());
         let outcome = run_lockstep(&mut fast, &mut reference, 10_000, 64);
         let divergence = outcome.divergence.expect("must diverge");
         assert_eq!(divergence.step, expected_step);

@@ -689,9 +689,9 @@ impl Machine {
     /// produced.
     ///
     /// This is the dispatch loop under [`Machine::run`]; it is public so
-    /// differential harnesses ([`crate::lockstep::run_tiered_lockstep`])
-    /// can drive the tier directly and align it against a single-stepping
-    /// reference.
+    /// that [`crate::run_lockstep`] can drive the tier one epoch at a time
+    /// and align it against a reference single-stepped with
+    /// [`Machine::step`], which never enters the tier.
     ///
     /// # Errors
     ///

@@ -192,8 +192,10 @@ impl ReproBundle {
         if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let found = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
+        let Some((payload, tail)) = bytes.split_last_chunk::<8>() else {
+            return Err(SnapshotError::Truncated);
+        };
+        let found = u64::from_le_bytes(*tail);
         let expected = fnv64(payload);
         if expected != found {
             return Err(SnapshotError::BadChecksum { expected, found });

@@ -4,7 +4,8 @@
 //!
 //! 1. **Differential**: random loop-heavy guest programs must leave a
 //!    tiered machine and a pure single-step interpreter in identical
-//!    architectural state (registers, memory, CSRs, keys, CLB, counters).
+//!    architectural state (registers, memory, CSRs, keys, CLB, counters),
+//!    co-run by `run_lockstep`.
 //! 2. **Self-modifying code, cold path**: a store into the page holding an
 //!    active superblock must invalidate the trace *before its next entry*,
 //!    so the patched instruction semantics take effect on the very next
@@ -20,37 +21,47 @@
 
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg, Reg};
-use regvault_sim::{arch_divergence, run_tiered_lockstep, Machine, MachineConfig, PAGE_SIZE};
+use regvault_sim::{arch_divergence, run_lockstep, Machine, MachineConfig, SimError, PAGE_SIZE};
 
 const CODE_BASE: u64 = 0x8000_0000;
 const DATA: [&str; 4] = ["t0", "t1", "t2", "t3"];
 
-/// A tiered machine and a single-step interpreter with identical keys.
+/// Two identical machines with key A set: `run_lockstep` drives the
+/// first through the tier and single-steps the second.
 fn pair() -> (Machine, Machine) {
-    let mut tiered = Machine::new(MachineConfig::default());
-    let mut interp = Machine::new(MachineConfig {
-        superblock_tier: false,
-        ..MachineConfig::default()
-    });
-    for machine in [&mut tiered, &mut interp] {
+    let build = || {
+        let mut machine = Machine::new(MachineConfig::default());
         machine
             .write_key_register(KeyReg::A, 0x1111, 0x2222)
             .unwrap();
-    }
-    (tiered, interp)
+        machine
+    };
+    (build(), build())
 }
 
-/// Assemble `source`, run it to `ebreak` on both datapaths, and return the
-/// finished machines.
+/// Assemble `source`, run it to `ebreak` through the tier and on the
+/// interpreter in lockstep, and return the finished machines.
 fn run_both(source: &str) -> (Machine, Machine) {
     let program = asm::assemble(source).expect("assembles");
     let (mut tiered, mut interp) = pair();
     for machine in [&mut tiered, &mut interp] {
         machine.load_program(CODE_BASE, program.bytes());
         machine.hart_mut().set_pc(CODE_BASE);
-        machine.run_until_break(8_000_000).expect("terminates");
     }
+    let outcome = run_lockstep(&mut tiered, &mut interp, 8_000_000, 4096);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_stopped_at_ebreak(&tiered);
     (tiered, interp)
+}
+
+/// `ebreak` leaves the pc on itself.
+fn assert_stopped_at_ebreak(machine: &Machine) {
+    let pc = machine.hart().pc();
+    assert_eq!(
+        machine.memory().read_u32(pc),
+        Ok(encode("ebreak")),
+        "terminates"
+    );
 }
 
 /// Encoding of a single assembly instruction.
@@ -352,20 +363,17 @@ fn mid_trace_self_store_side_exits_and_invalidates() {
     );
 }
 
-/// A tiered machine and an interpreter with `source` loaded at
-/// [`CODE_BASE`] and the pc on its first instruction.
+/// Two identical machines with `source` loaded at [`CODE_BASE`] and the pc
+/// on its first instruction, for `run_lockstep` (or a single-step probe).
 fn lockstep_pair(source: &str, config: MachineConfig) -> (Machine, Machine) {
     let program = asm::assemble(source).expect("assembles");
-    let build = |superblock_tier: bool| {
-        let mut machine = Machine::new(MachineConfig {
-            superblock_tier,
-            ..config
-        });
+    let build = || {
+        let mut machine = Machine::new(config);
         machine.load_program(CODE_BASE, program.bytes());
         machine.hart_mut().set_pc(CODE_BASE);
         machine
     };
-    (build(true), build(false))
+    (build(), build())
 }
 
 /// Absolute address of `label` in `source` assembled at [`CODE_BASE`].
@@ -400,7 +408,7 @@ fn fault_after_followed_jump_reports_interpreter_pc_and_tval() {
          blt  t6, s1, loop
          ebreak";
     let (mut tiered, mut interp) = lockstep_pair(source, MachineConfig::default());
-    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    let outcome = run_lockstep(&mut tiered, &mut interp, 100_000, 1);
     assert!(outcome.agreed(), "{outcome:?}");
     assert_eq!(tiered.hart().pc(), label_pc(source, "next"));
     assert_eq!(tiered.stats().exceptions, 1);
@@ -460,7 +468,7 @@ fn exits_after_followed_jump_take_the_interpreter_pc() {
 
     for (source, steps) in [(csr_stop, 100_000), (cap_stop, 5_000), (smc_stop, 100_000)] {
         let (mut tiered, mut interp) = lockstep_pair(&source, MachineConfig::default());
-        let outcome = run_tiered_lockstep(&mut tiered, &mut interp, steps, 1);
+        let outcome = run_lockstep(&mut tiered, &mut interp, steps, 1);
         assert!(outcome.agreed(), "{source}: {outcome:?}");
         let stats = tiered.superblock_stats();
         assert!(stats.hits >= 10, "{source}: the trace ran hot: {stats:?}");
@@ -507,7 +515,7 @@ fn timer_between_chained_blocks_lands_at_interpreter_instret() {
         ..MachineConfig::default()
     };
     let (mut tiered, mut interp) = lockstep_pair(source, config);
-    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    let outcome = run_lockstep(&mut tiered, &mut interp, 100_000, 1);
     assert!(outcome.agreed(), "{outcome:?}");
     assert_eq!(tiered.stats().timer_interrupts, 1);
     assert_eq!(tiered.stats().instret, instret + 1);
@@ -556,7 +564,7 @@ fn self_looping_block_stops_for_timer_watchdog_and_fault() {
         ..MachineConfig::default()
     };
     let (mut tiered, mut interp) = lockstep_pair(source, config);
-    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    let outcome = run_lockstep(&mut tiered, &mut interp, 100_000, 1);
     assert!(outcome.agreed(), "{outcome:?}");
     assert_eq!(tiered.stats().timer_interrupts, 1);
     assert_eq!(tiered.stats().cycles, interp.stats().cycles);
@@ -566,10 +574,13 @@ fn self_looping_block_stops_for_timer_watchdog_and_fault() {
     let (mut tiered, mut interp) = lockstep_pair(source, MachineConfig::default());
     for machine in [&mut tiered, &mut interp] {
         machine.arm_watchdog(instret);
-        assert!(matches!(
-            machine.run(1_000_000),
-            Err(regvault_sim::SimError::Timeout { .. })
-        ));
+    }
+    let outcome = run_lockstep(&mut tiered, &mut interp, 1_000_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    // An expired watchdog refuses every further step: the run stopped on
+    // the timeout.
+    for machine in [&mut tiered, &mut interp] {
+        assert!(matches!(machine.step(), Err(SimError::Timeout { .. })));
     }
     assert_eq!(tiered.stats().instret, instret);
     assert_eq!(tiered.arch_digest(), interp.arch_digest());
@@ -585,8 +596,10 @@ fn self_looping_block_stops_for_timer_watchdog_and_fault() {
                 value: 7,
             },
         ));
-        machine.run_until_break(1_000_000).unwrap();
     }
+    let outcome = run_lockstep(&mut tiered, &mut interp, 1_000_000, 1);
+    assert!(outcome.agreed(), "{outcome:?}");
+    assert_stopped_at_ebreak(&tiered);
     let applied = tiered.fault_plan().unwrap().applied();
     assert_eq!(applied.len(), 1);
     assert_eq!(applied[0].instret, instret);
@@ -634,7 +647,7 @@ fn jump_to_another_page_ends_the_trace() {
     assert_eq!(label_pc(&source, "far"), CODE_BASE + PAGE_SIZE);
 
     let (mut tiered, mut interp) = lockstep_pair(&source, MachineConfig::default());
-    let outcome = run_tiered_lockstep(&mut tiered, &mut interp, 100_000, 1);
+    let outcome = run_lockstep(&mut tiered, &mut interp, 100_000, 1);
     assert!(outcome.agreed(), "{outcome:?}");
     assert_eq!(
         tiered.hart().reg(Reg::T2),

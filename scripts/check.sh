@@ -110,9 +110,11 @@ target/release/regvault-cli record "$scratch/replay_smoke.s" \
 target/release/regvault-cli replay "$scratch/smoke.bundle" \
     | grep -q "bit-for-bit"
 
-echo "==> 10k-step lockstep divergence check (SWAR datapath vs reference)"
+echo "==> 10k-step lockstep divergence check (SWAR datapath in the tier vs reference)"
+# The count of superblock entries must be non-zero: the check must not
+# fall back to comparing the interpreter alone.
 target/release/regvault-cli divergence "$scratch/replay_smoke.s" 10000 256 \
-    | grep -q "lockstep OK"
+    | grep -Eq "^lockstep OK: [0-9]+ instructions, [1-9][0-9]* superblock entries"
 
 echo "==> superblock tier lockstep sweep (tier vs interpreter, all guests)"
 target/release/regvault-cli divergence --tiers 200000 \
