@@ -2,8 +2,8 @@
 //! chaos recovery (micro-restore vs cold boot).
 //!
 //! Runs the scenario of `regvault-cli fleet` three ways — a calm fleet (no
-//! chaos), a chaotic fleet recovering by re-forking the warm snapshot
-//! (micro-restore), and the same chaotic fleet recovering by full cold
+//! chaos), a chaotic fleet recovering by restoring each killed instance in
+//! place from the warm snapshot (micro-restore), and the same chaotic fleet recovering by full cold
 //! boots — and writes `BENCH_fleet.json` at the repository root. Each run
 //! object is the deterministic part of the CLI's `fleet --json` report
 //! (the host wall-clock numbers are printed, not written) and passes the

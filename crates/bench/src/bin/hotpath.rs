@@ -1,6 +1,6 @@
 //! Host-speed ratio guard for the simulator's hot paths.
 //!
-//! Running it is the check: it takes no flags, writes no file, prints seven
+//! Running it is the check: it takes no flags, writes no file, prints eight
 //! ratios next to their floors, and exits 1 when any ratio falls below its
 //! floor. Each ratio compares two configurations of this build measured in
 //! the same process, interleaved round by round and taken between the best
@@ -18,6 +18,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use regvault_cli::args::parse_env;
+use regvault_isa::KeyReg;
 use regvault_kernel::ProtectionConfig;
 use regvault_qarma::{reference::Reference, Key, Qarma64};
 use regvault_server::fleet::warm_image;
@@ -41,10 +42,10 @@ struct Guard {
     floor: f64,
 }
 
-/// The seven guards, in the order of [`Ratios`]. The range in each comment
+/// The eight guards, in the order of [`Ratios`]. The range in each comment
 /// was measured on a 2-vCPU VM (best of 16 rounds, 8 invocations); its low
 /// end is at least 1.3x the floor, so host noise does not trip it.
-const GUARDS: [Guard; 7] = [
+const GUARDS: [Guard; 8] = [
     // 4.3–5.0x, every block under its own tweak. The SWAR core transforms
     // the whole 64-bit state with table lookups where the reference walks
     // 16 cells one at a time; a datapath that fell back to cell-level code
@@ -103,16 +104,32 @@ const GUARDS: [Guard; 7] = [
         name: "syscall FULL+plan/FULL steps/s",
         floor: 0.5,
     },
-    // 9.8–13.7x (15 runs). The restore gate's `arch_digest` of a fresh fork
+    // 54.6–62.4x (8 runs). The restore gate's `arch_digest` of a fresh fork
     // of the fleet's 66-page warm image, with every page read in full (a
     // fork of the image decoded from bytes, whose pages start unhashed)
     // against every page's hash memoised by the capture (a plain
-    // `fork_from`). With the memo never kept, both sides read every page
-    // and it measured 1.73–1.83x, all of it the decoded side's pages being
+    // `fork_from`). The memoised side is only the fixed-size fields and
+    // the page sum, one word step each; while they went through a
+    // byte-serial chain and a sort of the page list, the ratio read
+    // 7.0–13.7. With the memo never kept, both sides read every page and
+    // it measured 1.73–1.83x, all of it the decoded side's pages being
     // fresh allocations that miss the cache.
     Guard {
         name: "restore digest unhashed/memoised ns",
         floor: 4.0,
+    },
+    // 9.6–10.6x (8 runs). The fleet's micro-restore of a killed instance,
+    // each dirtied as a kill dirties it (a store to its code page and a
+    // key-register write) and gated on its digest: a fresh `fork_from` of
+    // the warm image against an in-place `restore` of the killed machine.
+    // The fork fills a new decode cache and superblock table (64 KiB each)
+    // and re-inserts every page; the restore replaces the one dirty page
+    // and clears only the entries the instance filled. A restore that
+    // reallocated both tables and re-inserted every page, as a fork does,
+    // measured 1.23–1.24x.
+    Guard {
+        name: "micro-restore fork/in-place ns",
+        floor: 2.0,
     },
 ];
 
@@ -122,8 +139,14 @@ const FAULT_PLAN_LEN: u64 = 256;
 /// Fresh forks digested per timed restore-digest batch.
 const DIGEST_FORKS: usize = 8;
 
+/// Micro-restores per timed batch.
+const MICRO_RESTORES: usize = 64;
+
+/// The fleet handler's code page, which a chaos kill overwrites.
+const FLEET_TEXT: u64 = 0x8000_0000;
+
 /// One value per entry of [`GUARDS`].
-type Ratios = [f64; 7];
+type Ratios = [f64; 8];
 
 /// `Ok` when every ratio reaches its floor; otherwise the failing guards,
 /// by name. A NaN ratio fails.
@@ -185,6 +208,30 @@ fn digests_per_sec(digest: u64, fork: impl Fn() -> Machine) -> f64 {
     DIGEST_FORKS as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Micro-restores per second of one batch of [`MICRO_RESTORES`]: each
+/// dirties the machine as a chaos kill does, recovers it with `recover`,
+/// and checks the recovered machine digests as `warm`.
+fn restores_per_sec(warm: &Snapshot, recover: impl Fn(&mut Machine)) -> f64 {
+    let mut machine = Machine::fork_from(warm).expect("fork");
+    let start = Instant::now();
+    for _ in 0..MICRO_RESTORES {
+        machine
+            .memory_mut()
+            .write_u64(FLEET_TEXT, 0xDEAD_DEAD_DEAD_DEAD)
+            .expect("code page is mapped");
+        machine
+            .write_key_register(KeyReg::A, 0, 0)
+            .expect("software key registers are writable");
+        recover(&mut machine);
+        assert_eq!(
+            machine.arch_digest(),
+            warm.digest(),
+            "restored image digest"
+        );
+    }
+    MICRO_RESTORES as f64 / start.elapsed().as_secs_f64()
+}
+
 /// [`FAULT_PLAN_LEN`] faults, each due at an instret no run reaches.
 fn far_future_plan() -> FaultPlan {
     (0..FAULT_PLAN_LEN).fold(FaultPlan::new(), |plan, i| {
@@ -218,7 +265,7 @@ fn measure_ratios() -> Ratios {
         Machine::fork_from(&decoded).expect("fork")
     };
     let fork_memoised = || Machine::fork_from(&warm).expect("fork");
-    let mut best = [0.0f64; 12];
+    let mut best = [0.0f64; 14];
     for _ in 0..ROUNDS {
         let round = [
             blocks_per_sec(|block, tweak| reference.encrypt(block, tweak)),
@@ -233,12 +280,14 @@ fn measure_ratios() -> Ratios {
             steps_per_sec(syscall, full, machine, Some(&plan)),
             digests_per_sec(warm.digest(), fork_unhashed),
             digests_per_sec(warm.digest(), fork_memoised),
+            restores_per_sec(&warm, |m| *m = Machine::fork_from(&warm).expect("fork")),
+            restores_per_sec(&warm, |m| m.restore(&warm)),
         ];
         for (best, rate) in best.iter_mut().zip(round) {
             *best = best.max(rate);
         }
     }
-    let [reference, swar, dhry2_on, dhry2_off, spec_on, spec_off, off, full, rekey, armed, unhashed, memoised] =
+    let [reference, swar, dhry2_on, dhry2_off, spec_on, spec_off, off, full, rekey, armed, unhashed, memoised, forked, in_place] =
         best;
     [
         swar / reference,
@@ -248,6 +297,7 @@ fn measure_ratios() -> Ratios {
         rekey / full,
         armed / full,
         memoised / unhashed,
+        in_place / forked,
     ]
 }
 

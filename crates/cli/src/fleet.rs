@@ -40,7 +40,7 @@ pub(crate) const FLAGS: &[Flag<FleetArgs>] = &[
         |a, v| set(&mut a.config.workers, num(v)?)),
     Flag::value("--chaos", "K", "mean requests between kills (0: no chaos)",
         |a, v| set(&mut a.config.chaos_kill_interval, num(v)?)),
-    Flag::switch("--cold", "recover kills by cold boot, not re-fork",
+    Flag::switch("--cold", "recover kills by cold boot, not in-place restore",
         |a, _| set(&mut a.config.micro_restore, false)),
     Flag::switch("--json", "machine-readable JSON", |a, _| set(&mut a.json, true)),
     Flag::switch("--smoke", "short chaos run, gated on accounting and recovery",

@@ -15,11 +15,13 @@
 //!   instance in O(mapped-page *pointers*): no page contents are copied
 //!   until an instance actually writes (copy-on-first-write).
 //! * **Chaos** — a seeded schedule kills instances mid-request. Recovery
-//!   is either a **micro-restore** (re-fork from the warm snapshot; the
-//!   virtual-time penalty scales with the dirty pages being discarded) or
-//!   a **cold boot** (full reassemble + boot + warm-up at a fixed large
-//!   penalty), and a restore-integrity check compares the fork's
-//!   architectural digest against the warm image before trusting it.
+//!   is either a **micro-restore** (the killed machine is restored in
+//!   place from the warm snapshot, which replaces only its dirty pages;
+//!   the virtual-time penalty scales with the dirty pages being
+//!   discarded) or a **cold boot** (full reassemble + boot + warm-up at a
+//!   fixed large penalty), and a restore-integrity check compares the
+//!   restored machine's architectural digest against the warm image
+//!   before trusting it.
 //!
 //! Instances are driven across a work-stealing thread pool with
 //! positional merge: workers race for instance indices but results land
@@ -120,8 +122,11 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Chaos: mean requests between instance kills. 0 disables chaos.
     pub chaos_kill_interval: u64,
-    /// Recovery mode under chaos: `true` re-forks from the warm snapshot
-    /// (micro-restore), `false` cold-boots a fresh machine.
+    /// Recovery mode under chaos: `true` restores the killed machine in
+    /// place from the warm snapshot (micro-restore: `Machine::restore`
+    /// replaces only the pages the instance dirtied and clears only the
+    /// decode and superblock entries it filled, then the restored machine
+    /// must digest as the warm image), `false` cold-boots a fresh machine.
     pub micro_restore: bool,
 }
 
@@ -156,7 +161,7 @@ pub struct FleetScenario {
     pub shed: u64,
     /// Chaos kills delivered.
     pub kills: u64,
-    /// Recoveries via re-fork from the warm snapshot.
+    /// Recoveries via an in-place restore from the warm snapshot.
     pub micro_restores: u64,
     /// Recoveries via full cold boot.
     pub cold_boots: u64,
@@ -392,9 +397,8 @@ fn run_instance(index: usize, cfg: &FleetConfig, warm: &Snapshot) -> InstanceRep
             let _ = machine.write_key_register(KeyReg::A, 0, 0);
 
             let penalty = if cfg.micro_restore {
-                let restored = Machine::fork_from(warm).expect("re-fork");
-                if restored.arch_digest() == warm.digest() {
-                    machine = restored;
+                machine.restore(warm);
+                if machine.arch_digest() == warm.digest() {
                     r.micro_restores += 1;
                     MICRO_RESTORE_BASE + MICRO_RESTORE_PER_PAGE * dirty
                 } else {

@@ -15,6 +15,8 @@ use regvault_isa::Insn;
 /// Number of direct-mapped entries. Power of two; 2048 entries cover an
 /// 8 KiB working set of code, larger than every bundled workload loop.
 const ENTRIES: usize = 2048;
+// `DecodeCache::filled` holds entry indices as `u16`.
+const _: () = assert!(ENTRIES <= 1 << 16);
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -28,12 +30,26 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCache {
     entries: Vec<Option<Entry>>,
+    /// Index of every entry filled since the last [`Self::clear`], each
+    /// once, so a clear costs O(filled) instead of O([`ENTRIES`]).
+    filled: Vec<u16>,
 }
 
 impl DecodeCache {
     pub(crate) fn new() -> Self {
         Self {
             entries: vec![None; ENTRIES],
+            filled: Vec::new(),
+        }
+    }
+
+    /// Empties every filled entry (snapshot restore). Required, not
+    /// hygiene: generations are per-machine counters, so a restored page
+    /// can carry a generation this machine already decoded other bytes
+    /// under, and a kept entry would then hit on stale code.
+    pub(crate) fn clear(&mut self) {
+        for i in self.filled.drain(..) {
+            self.entries[usize::from(i)] = None;
         }
     }
 
@@ -57,7 +73,11 @@ impl DecodeCache {
     /// replaced.
     #[inline(always)]
     pub(crate) fn put(&mut self, pc: u64, gen: u64, insn: Insn) {
-        self.entries[Self::index(pc)] = Some(Entry { pc, gen, insn });
+        let i = Self::index(pc);
+        if self.entries[i].is_none() {
+            self.filled.push(i as u16);
+        }
+        self.entries[i] = Some(Entry { pc, gen, insn });
     }
 }
 
@@ -87,5 +107,21 @@ mod tests {
         cache.put(0x1000 + stride, 1, nop());
         assert_eq!(cache.get(0x1000, 1), None, "evicted by the aliasing pc");
         assert_eq!(cache.get(0x1000 + stride, 1), Some(nop()));
+    }
+
+    #[test]
+    fn clear_empties_every_filled_entry() {
+        let mut cache = DecodeCache::new();
+        let stride = (ENTRIES as u64) << 2;
+        let pcs = [0x1000, 0x1000 + stride, 0x2004, 0x8000_0000];
+        for pc in pcs {
+            cache.put(pc, 3, nop());
+        }
+        assert_eq!(cache.filled.len(), 3, "a refilled entry is listed once");
+        cache.clear();
+        assert!(cache.entries.iter().all(Option::is_none));
+        assert!(cache.filled.is_empty());
+        cache.put(0x2004, 3, nop());
+        assert_eq!(cache.get(0x2004, 3), Some(nop()), "usable after a clear");
     }
 }

@@ -332,7 +332,7 @@ fn rewind(
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
-    use regvault_isa::KeyReg;
+    use regvault_isa::{KeyReg, Reg};
 
     /// `program` at `0x8000_0000` on a machine with keys A and B set.
     fn machine(program: &str, reference_datapath: bool) -> Machine {
@@ -411,6 +411,50 @@ loop:    addi a0, s1, 0x100
         let sb = tiered.superblock_stats();
         assert!(sb.hits > 0, "the tier never engaged: {sb:?}");
         assert!(sb.insns > sb.hits, "blocks should retire multiple insns");
+    }
+
+    /// Every width stored and loaded 4 bytes below the top of the address
+    /// space, where a `u64` runs on into page 0: effective addresses are
+    /// modulo 2^64 in the interpreter and inside superblocks alike.
+    #[test]
+    fn accesses_at_the_top_of_the_address_space_wrap_in_both_tiers() {
+        const TOP_LOOP: &str = "li   t0, -4
+         li   s2, 40
+loop:    li   a0, 0x1122334455667788
+         sd   a0, 0(t0)
+         ld   a1, 0(t0)
+         li   a0, 0xaabbccdd
+         sw   a0, 0(t0)
+         lwu  a2, 0(t0)
+         li   a0, 0xeeff
+         sh   a0, 0(t0)
+         lhu  a3, 0(t0)
+         li   a0, 0x42
+         sb   a0, 0(t0)
+         lbu  a4, 0(t0)
+         ld   a5, -3(zero)
+         ld   a6, 0(t0)
+         addi s2, s2, -1
+         bnez s2, loop
+         ebreak";
+        let (mut tiered, mut interp) = tiered_pair(TOP_LOOP);
+        let outcome = run_lockstep(&mut tiered, &mut interp, 20_000, 16);
+        assert!(outcome.agreed(), "divergence: {:?}", outcome.divergence);
+        assert!(tiered.superblock_stats().hits > 0, "the tier never engaged");
+        let regs = [Reg::A1, Reg::A2, Reg::A3, Reg::A4, Reg::A5, Reg::A6];
+        let want = [
+            0x1122_3344_5566_7788,
+            0xAABB_CCDD,
+            0xEEFF,
+            0x42,
+            // `-3(zero)` is one byte above `t0`: 0xEE 0xBB 0xAA, then page 0.
+            0x0011_2233_44AA_BBEE,
+            0x1122_3344_AABB_EE42,
+        ];
+        for machine in [&tiered, &interp] {
+            assert_eq!(regs.map(|r| machine.hart().reg(r)), want);
+            assert_eq!(machine.memory().read_u32(0).unwrap(), 0x1122_3344);
+        }
     }
 
     #[test]

@@ -133,7 +133,9 @@ impl Page {
 /// The page table is a hash map under the simulator's FxHash (the page walk
 /// runs at least once per emulated instruction), and multi-byte accesses
 /// that stay within one page — the overwhelmingly common case — are served
-/// with a single probe and a slice copy instead of a byte loop.
+/// with a single probe and a slice copy instead of a byte loop. Addresses
+/// are taken modulo 2^64, as RISC-V's effective address is: an access that
+/// runs past the top of the address space continues at address 0.
 ///
 /// Page contents are reference-counted ([`Arc`]): cloning a `Memory`,
 /// capturing a snapshot, or forking a machine from one shares every page
@@ -207,15 +209,21 @@ impl Memory {
         self.pages.get(&page_no).map(|page| page.gen)
     }
 
-    /// Pre-maps (zero-fills) the page range covering `[start, start + len)`.
+    /// Pre-maps (zero-fills) the page range covering `[start, start + len)`,
+    /// addresses taken modulo 2^64 like every other access: a region that
+    /// runs past the top of the address space continues at page 0.
     pub fn map_region(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
         }
-        let first = start >> PAGE_SHIFT;
-        let last = (start + len - 1) >> PAGE_SHIFT;
-        for page in first..=last {
+        let last = start.wrapping_add(len - 1) >> PAGE_SHIFT;
+        let mut page = start >> PAGE_SHIFT;
+        loop {
             self.pages.entry(page).or_insert_with(Page::zeroed);
+            if page == last {
+                break;
+            }
+            page = (page + 1) & (u64::MAX >> PAGE_SHIFT);
         }
     }
 
@@ -292,7 +300,7 @@ impl Memory {
             out.copy_from_slice(&page.data[offset..offset + N]);
         } else {
             for (i, byte) in out.iter_mut().enumerate() {
-                *byte = self.read_u8(addr + i as u64)?;
+                *byte = self.read_u8(addr.wrapping_add(i as u64))?;
             }
         }
         Ok(out)
@@ -306,7 +314,7 @@ impl Memory {
             data[offset..offset + bytes.len()].copy_from_slice(bytes);
         } else {
             for (i, &byte) in bytes.iter().enumerate() {
-                self.write_u8(addr + i as u64, byte)?;
+                self.write_u8(addr.wrapping_add(i as u64), byte)?;
             }
         }
         Ok(())
@@ -380,7 +388,7 @@ impl Memory {
             let take = room.min(rest.len());
             let data = self.page_data_mut(at);
             data[offset..offset + take].copy_from_slice(&rest[..take]);
-            at += take as u64;
+            at = at.wrapping_add(take as u64);
             rest = &rest[take..];
         }
     }
@@ -411,27 +419,55 @@ impl Memory {
     /// serialized form canonical). The contents come back as `Arc` handles
     /// so a snapshot capture shares pages instead of copying them.
     pub(crate) fn page_entries(&self) -> Vec<(u64, u64, &Arc<PageData>)> {
-        let mut pages: Vec<_> = self
-            .pages
-            .iter()
-            .map(|(&no, page)| (no, page.gen, &page.data))
-            .collect();
+        let mut pages: Vec<_> = self.pages().collect();
         pages.sort_unstable_by_key(|&(no, _, _)| no);
         pages
     }
 
-    /// Drops every mapped page (snapshot restore starts from empty).
-    pub(crate) fn clear(&mut self) {
-        self.pages.clear();
+    /// Every mapped page as `(page_number, write_generation, contents)`, in
+    /// no particular order: for digests and counts that need no order.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = (u64, u64, &Arc<PageData>)> {
+        self.pages
+            .iter()
+            .map(|(&no, page)| (no, page.gen, &page.data))
     }
 
-    /// Installs a page wholesale, including its write generation (snapshot
-    /// restore — generations must survive the round-trip or the decode
-    /// cache's lazy invalidation would resurrect stale entries). The `Arc`
-    /// is shared, not copied: a restored or forked machine references the
-    /// snapshot's pages until it writes to them.
-    pub(crate) fn restore_page(&mut self, page_no: u64, gen: u64, data: Arc<PageData>) {
-        self.pages.insert(page_no, Page { gen, data });
+    /// Makes the page table equal `pages` (sorted by page number, as a
+    /// snapshot holds them), write generations included: generations must
+    /// survive the round-trip or the decode cache's lazy invalidation would
+    /// resurrect stale entries. Only a page whose contents (`Arc`) or
+    /// generation differ is replaced, and a page `pages` lacks is unmapped,
+    /// so reloading a snapshot into a machine forked from it costs one probe
+    /// per page and touches only what the machine changed since. The `Arc`
+    /// is shared, not copied: the machine references the snapshot's pages
+    /// until it writes to them.
+    pub(crate) fn load_pages(&mut self, pages: &[(u64, u64, Arc<PageData>)]) {
+        debug_assert!(pages.is_sorted_by(|a, b| a.0 < b.0), "page list not sorted");
+        for (no, gen, data) in pages {
+            match self.pages.get_mut(no) {
+                Some(page) => {
+                    if page.gen != *gen || !Arc::ptr_eq(&page.data, data) {
+                        page.gen = *gen;
+                        page.data = Arc::clone(data);
+                    }
+                }
+                None => {
+                    self.pages.insert(
+                        *no,
+                        Page {
+                            gen: *gen,
+                            data: Arc::clone(data),
+                        },
+                    );
+                }
+            }
+        }
+        // Every page of `pages` is mapped now, so any extra is one the
+        // machine mapped since.
+        if self.pages.len() > pages.len() {
+            self.pages
+                .retain(|no, _| pages.binary_search_by_key(no, |p| p.0).is_ok());
+        }
     }
 }
 
@@ -587,6 +623,94 @@ mod tests {
         assert_eq!(mem.read_u64(0x1000).unwrap(), 1);
         assert_eq!(fork.read_u64(0x1000).unwrap(), 99);
         assert_eq!(fork.read_u64(0x2000).unwrap(), 2);
+    }
+
+    /// 4 bytes below the top of the address space: `u8`, `u16` and `u32`
+    /// fit below it, and a `u64` runs on into page 0.
+    const NEAR_TOP: u64 = u64::MAX - 3;
+
+    #[test]
+    fn every_width_at_the_top_of_the_address_space_wraps_to_page_0() {
+        let mut mem = Memory::new();
+        mem.write_u64(NEAR_TOP, 0x1122_3344_5566_7788).unwrap();
+        assert_eq!(mem.read_u64(NEAR_TOP).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(mem.read_u32(0).unwrap(), 0x1122_3344, "high half at 0");
+        assert_eq!(mem.mapped_pages(), 2);
+        mem.write_u32(NEAR_TOP, 0xAABB_CCDD).unwrap();
+        assert_eq!(mem.read_u32(NEAR_TOP).unwrap(), 0xAABB_CCDD);
+        mem.write_u16(NEAR_TOP, 0xEEFF).unwrap();
+        assert_eq!(mem.read_u16(NEAR_TOP).unwrap(), 0xEEFF);
+        mem.write_u8(NEAR_TOP, 0x42).unwrap();
+        assert_eq!(mem.read_u8(NEAR_TOP).unwrap(), 0x42);
+        assert_eq!(mem.read_u64(NEAR_TOP).unwrap(), 0x1122_3344_AABB_EE42);
+        assert_eq!(
+            mem.read_array::<8>(NEAR_TOP).unwrap().to_vec(),
+            mem.read_vec(NEAR_TOP, 8).unwrap()
+        );
+        // A read that would run into an unmapped page 0 faults, whatever
+        // wraps.
+        let mut top_only = Memory::new();
+        top_only.write_u32(NEAR_TOP, 1).unwrap();
+        assert_eq!(top_only.read_u32(NEAR_TOP).unwrap(), 1);
+        assert_eq!(
+            top_only.read_u64(NEAR_TOP).unwrap_err(),
+            ExceptionCause::LoadAccessFault
+        );
+    }
+
+    #[test]
+    fn slices_and_regions_wrap_past_the_top() {
+        let mut mem = Memory::new();
+        mem.write_slice(NEAR_TOP, b"regvault");
+        assert_eq!(mem.read_vec(NEAR_TOP, 8).unwrap(), b"regvault");
+        assert_eq!(mem.read_vec(0, 4).unwrap(), b"ault");
+        let mut mapped = Memory::new();
+        mapped.map_region(u64::MAX - PAGE_SIZE, 3 * PAGE_SIZE);
+        // The last two pages of the address space, then pages 0 and 1.
+        assert_eq!(mapped.mapped_pages(), 4);
+        assert!(mapped.is_mapped(u64::MAX) && mapped.is_mapped(PAGE_SIZE));
+        assert!(!mapped.is_mapped(2 * PAGE_SIZE));
+    }
+
+    /// `mem`'s pages as a snapshot holds them.
+    fn image(mem: &Memory) -> Vec<(u64, u64, Arc<PageData>)> {
+        mem.page_entries()
+            .into_iter()
+            .map(|(no, gen, data)| (no, gen, Arc::clone(data)))
+            .collect()
+    }
+
+    #[test]
+    fn load_pages_replaces_only_what_differs() {
+        let mut base = Memory::new();
+        for page in 1..=4 {
+            base.write_u64(page * PAGE_SIZE, page).unwrap();
+        }
+        let saved = image(&base);
+        let mut mem = base.clone();
+        mem.write_u64(PAGE_SIZE, 99).unwrap(); // new contents
+        mem.write_u64(9 * PAGE_SIZE, 9).unwrap(); // a page the image lacks
+        let kept = Arc::clone(&mem.pages[&2].data);
+        mem.load_pages(&saved);
+        assert_eq!(mem.mapped_pages(), 4);
+        assert!(!mem.is_mapped(9 * PAGE_SIZE));
+        assert_eq!(mem.read_u64(PAGE_SIZE).unwrap(), 1);
+        assert_eq!(image(&mem), saved, "contents and generations");
+        assert_eq!(mem.shared_pages_with(&base), 4);
+        assert!(
+            Arc::ptr_eq(&mem.pages[&2].data, &kept),
+            "an equal page is kept"
+        );
+        // A page whose bytes are shared but whose generation moved gets the
+        // saved generation back.
+        let gen = mem.page_gen(3).unwrap();
+        mem.pages.get_mut(&3).unwrap().gen += 5;
+        mem.load_pages(&saved);
+        assert_eq!(mem.page_gen(3), Some(gen));
+        // Loading into an empty memory maps exactly the image.
+        let mut empty = Memory::new();
+        empty.load_pages(&saved);
+        assert_eq!(image(&empty), saved);
     }
 
     #[test]

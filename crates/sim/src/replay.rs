@@ -25,11 +25,12 @@ use crate::fault::{FaultKind, FaultPlan, FaultSpec};
 use crate::snapshot::{fnv64, put_fault_kind, Reader, Snapshot, SnapshotError};
 
 const MAGIC: [u8; 4] = *b"RVRB";
-/// Version 2: `expected_digest` is an [`crate::Machine::arch_digest`] over
-/// lane-hashed pages (snapshot format version 3 onward). A version-1 bundle is
-/// refused with [`SnapshotError::BadVersion`] rather than replayed into a
-/// false "diverged" against a digest of the old function.
-const VERSION: u16 = 2;
+/// Version 3: `expected_digest` is an [`crate::Machine::arch_digest`] of
+/// word-step fields and an order-independent page sum (snapshot format
+/// version 6 onward). An older bundle is refused with
+/// [`SnapshotError::BadVersion`] rather than replayed into a false
+/// "diverged" against a digest of an old function.
+const VERSION: u16 = 3;
 
 /// One recorded nondeterministic input: a fault that fired at a specific
 /// retired-instruction count.

@@ -16,10 +16,11 @@
 //! cycle/retirement counters — and deliberately excludes microarchitectural
 //! bookkeeping (decode-cache hit counters, page write generations) so the
 //! optimized and reference datapaths digest identically when they agree.
-//! The on-disk checksum is byte-serial FNV-1a; the digest hashes page
+//! The on-disk checksum is byte-serial FNV-1a. The digest hashes page
 //! contents with a word-at-a-time lane hash (`page_hash`), memoised in
-//! each shared page until the next write, and folds the fixed-size fields
-//! through the same FNV-1a chain.
+//! each shared page until the next write, folds the pages in an
+//! order-independent sum, and absorbs every other field in one FNV-1a word
+//! step.
 
 use crate::clb::ClbStats;
 use crate::cost::CostModel;
@@ -34,12 +35,13 @@ use regvault_qarma::Key;
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"RVSP";
-/// Version 5 added the simulator's and the kernel's counters to the
-/// statistics block (key invalidations, rekeys, per-key QARMA ops, the
-/// scheduler counters, the timeslice anchor and the two histograms).
-/// Only the current version decodes: any other is
-/// [`SnapshotError::BadVersion`].
-const VERSION: u16 = 5;
+/// Version 6 records an [`Machine::arch_digest`] that absorbs each field in
+/// one word step and folds pages in an order-independent sum; the layout
+/// is version 5's (which added the simulator's and the kernel's counters
+/// to the statistics block). Only the current version decodes: any other
+/// is [`SnapshotError::BadVersion`], so a stored digest of an older
+/// function is never compared against the current one.
+const VERSION: u16 = 6;
 
 /// FNV-1a 64-bit running hash — the snapshot and bundle checksum, and the
 /// chain [`Machine::arch_digest`] folds its fields through. Not
@@ -59,13 +61,10 @@ impl Fnv {
         }
     }
 
-    pub(crate) fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
-    }
-
     /// One FNV-1a step over a whole word: xor, then multiply by the odd
-    /// prime. For a fixed state it is a bijection of the word, so two
-    /// different words always leave different states.
+    /// prime. For a fixed state it is a bijection of the word, and for a
+    /// fixed word a bijection of the state, so changing any one absorbed
+    /// word always changes the result.
     fn write_word(&mut self, word: u64) {
         self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
     }
@@ -96,6 +95,8 @@ const LANE_SEEDS: [u64; PAGE_LANES] = [
 const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Brings the well-mixed high product bits back down to the low ones.
 const LANE_ROT: u32 = 29;
+/// Start state of each page's term in [`Machine::arch_digest`]'s page sum.
+const PAGE_NO_SEED: u64 = 0x4528_21E6_38D0_1377;
 
 /// One lane step. For a fixed word it is a bijection of the state, and for
 /// a fixed state a bijection of the word: xor, odd multiply and rotate are
@@ -536,9 +537,13 @@ impl Snapshot {
         }
         let digest = r.u64()?;
         let page_count = r.u32()? as usize;
-        let mut pages = Vec::with_capacity(page_count.min(65536));
+        let mut pages: Vec<(u64, u64, Arc<PageData>)> = Vec::with_capacity(page_count.min(65536));
         for _ in 0..page_count {
             let no = r.u64()?;
+            // Restore and the page diffs binary-search the list.
+            if pages.last().is_some_and(|&(prev, _, _)| prev >= no) {
+                return Err(SnapshotError::BadEncoding("page order"));
+            }
             let gen = r.u64()?;
             // Unhashed: an image read from disk is read in full by its
             // first digest, never trusted through a stored hash.
@@ -768,18 +773,22 @@ impl Machine {
         }
     }
 
-    /// Restores the machine to `snapshot`'s state, replacing everything:
-    /// hart, memory, crypto engine (keys + CLB contents + datapath
-    /// flavour), statistics, timer, watchdog, and fault plan. The decode
-    /// cache is cleared (it is derived state; page write generations are
-    /// restored so its lazy invalidation stays sound).
+    /// Restores the machine to `snapshot`'s state, in place, replacing
+    /// everything: hart, memory, crypto engine (keys + CLB contents +
+    /// datapath flavour), statistics, timer, watchdog, and fault plan. The
+    /// result is the machine [`Machine::fork_from`] would build, at the
+    /// cost of the state that differs: only pages whose contents or
+    /// generation changed since are replaced, and the decode cache and
+    /// superblock tier clear only the entries they filled.
+    ///
+    /// Clearing that derived state is required for correctness. Page write
+    /// generations are per-machine counters, so a restored page can carry
+    /// a generation under which this machine already decoded, or built a
+    /// trace from, other bytes; a kept entry would pass its generation
+    /// check and run stale code.
     pub fn restore(&mut self, snapshot: &Snapshot) {
-        self.icache = crate::icache::DecodeCache::new();
-        // The superblock tier is derived state too: drop its traces and
-        // profile. Page generations are restored below, so even a kept
-        // trace would be validated correctly — clearing is belt and braces
-        // plus counter hygiene.
-        self.sb = crate::superblock::SuperblockCache::default();
+        self.icache.clear();
+        self.sb.clear();
         self.sb_boundary = true;
         self.load_state(snapshot);
     }
@@ -794,10 +803,7 @@ impl Machine {
             snapshot.privilege,
             &snapshot.csrs,
         );
-        self.mem.clear();
-        for (no, gen, data) in &snapshot.pages {
-            self.mem.restore_page(*no, *gen, Arc::clone(data));
-        }
+        self.mem.load_pages(&snapshot.pages);
         let rebuild = self.engine.is_reference() != snapshot.reference_datapath
             || self.engine.clb().capacity() != snapshot.clb_capacity;
         if rebuild {
@@ -842,9 +848,9 @@ impl Machine {
     /// pays only for the pages it actually dirties. `Machine` is `Send`,
     /// so forks can be handed straight to worker threads.
     ///
-    /// The decode cache and superblock profile are built once, by
-    /// [`Machine::new`]; unlike [`Machine::restore`] there is no old
-    /// derived state to throw away.
+    /// The decode cache and superblock profile are allocated by
+    /// [`Machine::new`], so a fork costs two table fills more than
+    /// [`Machine::restore`] of a machine that already exists.
     ///
     /// # Errors
     ///
@@ -873,11 +879,10 @@ impl Machine {
     /// base pages the machine still shares count as clean.
     #[must_use]
     pub fn cow_dirty_pages(&self, base: &Snapshot) -> usize {
-        let entries = self.mem.page_entries();
-        entries
-            .iter()
+        self.mem
+            .pages()
             .filter(
-                |&&(no, _, data)| match base.pages.binary_search_by_key(&no, |p| p.0) {
+                |&(no, _, data)| match base.pages.binary_search_by_key(&no, |p| p.0) {
                     Ok(i) => !Arc::ptr_eq(&base.pages[i].2, data),
                     Err(_) => true,
                 },
@@ -900,33 +905,38 @@ impl Machine {
     /// history digest identically even when one runs the reference datapath
     /// — which is precisely what the lockstep executor checks.
     ///
-    /// Fields go through an FNV-1a chain. Each page enters the chain as its
-    /// number plus a word-at-a-time lane hash of its contents, absorbed in
-    /// one bijective word step — so any single changed memory word changes
-    /// the digest with certainty. The lane hash is memoised in the shared
-    /// page (`PageData::hash`): it is computed at most once per page
-    /// version, the write that creates a version clears it, and every
-    /// holder of the page reuses it. A fresh fork of a digested snapshot
-    /// therefore costs O(pages) lookups, and only pages written since, or
-    /// read from disk by [`Snapshot::from_bytes`], are read in full.
+    /// Every field but the pages goes through an FNV-1a chain, one word
+    /// step per field (a bijection of the field), so any single changed
+    /// field changes the digest with certainty. The pages enter as their
+    /// count plus a wrapping sum of one term per page, `lane_step(lane_step(
+    /// seed, page number), page hash)`, where the page hash is a
+    /// word-at-a-time lane hash of the contents. Each term is a bijection
+    /// of the page hash and of the page number, so a changed memory word or
+    /// a moved page changes the sum with certainty, and the sum needs no
+    /// page order. The page hash is memoised in the shared page
+    /// (`PageData::hash`): it is computed at most once per page version,
+    /// the write that creates a version clears it, and every holder of the
+    /// page reuses it. A fresh fork of a digested snapshot therefore costs
+    /// O(pages) lookups, and only pages written since, or read from disk by
+    /// [`Snapshot::from_bytes`], are read in full.
     #[must_use]
     pub fn arch_digest(&self) -> u64 {
         let mut h = Fnv::new();
         for reg in self.hart.regs() {
-            h.write_u64(reg);
+            h.write_word(reg);
         }
-        h.write_u64(self.hart.pc());
-        h.write(&[match self.hart.privilege() {
+        h.write_word(self.hart.pc());
+        h.write_word(match self.hart.privilege() {
             Privilege::User => 0,
             Privilege::Kernel => 1,
-        }]);
+        });
         for (addr, value) in self.hart.csr_entries() {
-            h.write(&addr.to_le_bytes());
-            h.write_u64(value);
+            h.write_word(u64::from(addr));
+            h.write_word(value);
         }
         for key in self.engine.key_file().raw_keys() {
-            h.write_u64(key.w0());
-            h.write_u64(key.k0());
+            h.write_word(key.w0());
+            h.write_word(key.k0());
         }
         // Rekey epochs are architectural: they change which effective tweak
         // every subsequent cre/crd uses, so two machines can only claim the
@@ -934,14 +944,14 @@ impl Machine {
         // without the mitigation, so digests stay comparable there.
         let (epochs, nonce_ctr) = self.engine.epoch_state();
         for epoch in epochs {
-            h.write_u64(epoch);
+            h.write_word(epoch);
         }
-        h.write_u64(nonce_ctr);
+        h.write_word(nonce_ctr);
         for (ksel, tweak, pt, ct) in self.engine.clb().entries_lru_to_mru() {
-            h.write(&[ksel]);
-            h.write_u64(tweak);
-            h.write_u64(pt);
-            h.write_u64(ct);
+            h.write_word(u64::from(ksel));
+            h.write_word(tweak);
+            h.write_word(pt);
+            h.write_word(ct);
         }
         let clb_stats = self.engine.clb().stats();
         for value in [
@@ -950,19 +960,24 @@ impl Machine {
             clb_stats.evictions,
             clb_stats.invalidations,
         ] {
-            h.write_u64(value);
+            h.write_word(value);
         }
         // No page is skipped, shared or not: each contributes its memoised
         // hash, recomputed only after a write or a decode from bytes.
-        for (no, _gen, data) in self.mem.page_entries() {
-            h.write_u64(no);
-            h.write_word(data.hash());
-        }
+        let (count, sum) = self
+            .mem
+            .pages()
+            .fold((0u64, 0u64), |(count, sum), (no, _, data)| {
+                let term = lane_step(lane_step(PAGE_NO_SEED, no), data.hash());
+                (count + 1, sum.wrapping_add(term))
+            });
+        h.write_word(count);
+        h.write_word(sum);
         for count in self.stats.class_counts() {
-            h.write_u64(count);
+            h.write_word(count);
         }
         for (_, count) in self.stats.arch_counts() {
-            h.write_u64(count);
+            h.write_word(count);
         }
         h.finish()
     }
@@ -972,6 +987,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
+    use crate::mem::Memory;
     use regvault_isa::KeyReg;
 
     fn busy_machine() -> Machine {
@@ -1051,6 +1067,53 @@ mod tests {
             assert_eq!(
                 Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], version)),
                 Err(SnapshotError::BadVersion(version))
+            );
+        }
+    }
+
+    /// Both formats whose digests came from the previous `arch_digest`: a
+    /// version-5 snapshot and a version-2 bundle. Each is refused rather
+    /// than compared against a digest of the current function.
+    #[test]
+    fn previous_digest_formats_are_refused() {
+        let snap = busy_machine().snapshot();
+        let bytes = snap.to_bytes();
+        assert_eq!(
+            Snapshot::from_bytes(&relabel(&bytes[..bytes.len() - 8], 5)),
+            Err(SnapshotError::BadVersion(5))
+        );
+        let bundle = crate::replay::ReproBundle {
+            meta: vec![],
+            snapshot: Some(snap.clone()),
+            log: crate::replay::EventLog::new(1, None),
+            expected_digest: snap.digest(),
+            steps: 0,
+            outcome: "ok".into(),
+        };
+        let bytes = bundle.to_bytes();
+        assert_eq!(
+            crate::replay::ReproBundle::from_bytes(&relabel(&bytes[..bytes.len() - 8], 2)),
+            Err(SnapshotError::BadVersion(2))
+        );
+        assert_eq!(crate::replay::ReproBundle::from_bytes(&bytes), Ok(bundle));
+    }
+
+    /// Restore and the page diffs binary-search the page list, so a
+    /// stream whose pages are out of order or repeated does not decode.
+    #[test]
+    fn unordered_pages_are_refused() {
+        let mut machine = busy_machine();
+        machine.memory_mut().write_u64(0x4_0000, 1).unwrap();
+        let snap = machine.snapshot();
+        assert!(snap.page_count() >= 2);
+        let mut swapped = snap.clone();
+        swapped.pages.swap(0, 1);
+        let mut repeated = snap.clone();
+        repeated.pages[1].0 = repeated.pages[0].0;
+        for bad in [swapped, repeated] {
+            assert_eq!(
+                Snapshot::from_bytes(&bad.to_bytes()),
+                Err(SnapshotError::BadEncoding("page order"))
             );
         }
     }
@@ -1248,6 +1311,114 @@ mod tests {
         assert!(machine.memory().is_mapped(PAGE_ADDR + PAGE_BYTES as u64));
         assert!(!machine.memory().is_mapped(PAGE_ADDR));
         assert_ne!(machine.arch_digest(), snap.digest());
+    }
+
+    /// The page sum needs no order: two machines that map and fill the
+    /// same pages in opposite orders digest equal, although their page
+    /// tables were built differently, and each digests as its own image.
+    #[test]
+    fn mapping_order_does_not_change_the_digest() {
+        let pages: Vec<u64> = (0..40u64).map(|i| 0x1_0000 + i * 0x3000).collect();
+        let fill = |order: &mut dyn Iterator<Item = &u64>| {
+            let mut machine = Machine::new(MachineConfig::default());
+            for &addr in order {
+                machine.memory_mut().write_u64(addr, addr ^ 0x5A5A).unwrap();
+            }
+            machine
+        };
+        let forward = fill(&mut pages.iter());
+        let backward = fill(&mut pages.iter().rev());
+        assert_eq!(forward.arch_digest(), backward.arch_digest());
+        assert_eq!(forward.snapshot(), backward.snapshot());
+        // A machine missing one of the pages, or holding one more, differs.
+        let fewer = fill(&mut pages[1..].iter());
+        assert_ne!(fewer.arch_digest(), forward.arch_digest());
+        let mut more = fill(&mut pages.iter());
+        more.memory_mut().map_region(0x100_0000, 1);
+        assert_ne!(more.arch_digest(), forward.arch_digest());
+    }
+
+    /// `restore` must clear the decode cache and the superblock tier.
+    /// Generations are per-machine counters: machine A rewrites code page P
+    /// from generation g to g + 1 and runs it hot, while a fork of A's
+    /// earlier image writes other code to P, also reaching g + 1, and is
+    /// captured as S1. A decode or a trace A kept would pass its generation
+    /// check after `A.restore(&S1)` and run A's code instead of S1's. A
+    /// kept warming profile is caught too: A's chain ended at its `ebreak`,
+    /// which cannot start a trace, where S1's code has a buildable tail, so
+    /// a restored A warmed like a fork must build the same traces.
+    #[test]
+    fn restore_clears_derived_state_that_a_reused_generation_would_revive() {
+        const TEXT: u64 = 0x8000_0000;
+        // Both programs set every register they use, and differ in every
+        // word one of them executes, so any one stale decode or trace shows.
+        let code_a = regvault_isa::asm::assemble(
+            "li   s2, 24
+             li   a0, 0
+loop:        addi a0, a0, 3
+             xori a0, a0, 0x55
+             addi s2, s2, -1
+             bnez s2, loop
+             ebreak",
+        )
+        .unwrap();
+        let code_b = regvault_isa::asm::assemble(
+            "li   s2, 40
+             li   a0, 7
+loop:        xori a0, a0, 0x2a
+             addi a0, a0, 5
+             addi s2, s2, -2
+             blt  zero, s2, loop
+             addi a0, a0, 1
+             xori a0, a0, 0x11
+             addi a0, a0, 2
+             ebreak",
+        )
+        .unwrap();
+        let mut base = Machine::new(MachineConfig::default());
+        base.load_program(TEXT, &[0x13; 64]);
+        base.hart_mut().set_pc(TEXT);
+        let s0 = base.snapshot();
+        let page = Memory::page_number(TEXT);
+        let g = base.mem.page_gen(page).unwrap();
+
+        let mut a = Machine::fork_from(&s0).unwrap();
+        a.load_program(TEXT, code_a.bytes());
+        assert_eq!(a.mem.page_gen(page), Some(g + 1));
+        // Run A's code hot: blocks at the entry and at the loop head.
+        for _ in 0..20 {
+            a.hart_mut().set_pc(TEXT);
+            a.run_until_break(10_000).unwrap();
+        }
+        assert!(
+            a.superblock_stats().cached >= 2,
+            "{:?}",
+            a.superblock_stats()
+        );
+
+        let mut b = Machine::fork_from(&s0).unwrap();
+        b.load_program(TEXT, code_b.bytes());
+        let s1 = b.snapshot();
+        assert_eq!(b.mem.page_gen(page), Some(g + 1), "the same generation");
+
+        a.restore(&s1);
+        assert_eq!(
+            a.superblock_stats(),
+            crate::superblock::SuperblockStats::default()
+        );
+        let mut warmed = [a.clone(), Machine::fork_from(&s1).unwrap()];
+        for machine in &mut warmed {
+            for _ in 0..20 {
+                machine.hart_mut().set_pc(TEXT);
+                machine.run_until_break(10_000).unwrap();
+            }
+        }
+        let [restored, forked] = warmed;
+        assert_eq!(restored.superblock_stats(), forked.superblock_stats());
+        assert_eq!(restored.arch_digest(), forked.arch_digest());
+        let mut fresh = Machine::fork_from(&s1).unwrap();
+        let outcome = crate::lockstep::run_lockstep(&mut a, &mut fresh, 100_000, 64);
+        assert!(outcome.agreed(), "divergence: {:?}", outcome.divergence);
     }
 
     #[test]

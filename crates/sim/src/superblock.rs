@@ -74,6 +74,8 @@ const MIN_OPS: usize = 3;
 /// older boundary's state and block, which costs at worst a re-warm or a
 /// redundant rebuild, never correctness.
 const SLOTS: usize = 1 << 12;
+// `SuperblockCache::touched` holds slot indices as `u16`.
+const _: () = assert!(SLOTS <= 1 << 16);
 /// Slot count for boundaries where translation failed: never retry.
 const UNBUILDABLE: u32 = u32::MAX;
 /// Slot block index when the slot's pc has no translated block.
@@ -294,6 +296,9 @@ pub(crate) struct SuperblockCache {
     /// block pay for the tier anyway. A slot is 16 bytes and `Copy`, so
     /// building a machine allocates no more than the table itself.
     slots: Vec<Slot>,
+    /// Index of every slot claimed since the last [`Self::clear`], each
+    /// once, so a clear costs O(touched) instead of O([`SLOTS`]).
+    touched: Vec<u16>,
     /// The translated blocks, each owned by the slot of its entry pc.
     blocks: Vec<Superblock>,
     pub(crate) hits: u64,
@@ -303,14 +308,24 @@ pub(crate) struct SuperblockCache {
     pub(crate) invalidations: u64,
 }
 
-/// One direct-mapped slot. The tag `1` is unreachable (pcs are 4-aligned),
-/// so fresh slots never match.
+/// One direct-mapped slot. The tag `1` is no 4-aligned pc, so a fresh slot
+/// matches no fetched pc; only a probe at the misaligned pc 1 itself hits
+/// one. A fresh slot is the only one whose count is 0: claiming a slot
+/// sets it to 1, which is how [`SuperblockCache::enter`] tells a first
+/// claim it must record for [`SuperblockCache::clear`].
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     pc: u64,
     count: u32,
     block: u32,
 }
+
+/// A slot no boundary has claimed.
+const FRESH: Slot = Slot {
+    pc: 1,
+    count: 0,
+    block: NO_BLOCK,
+};
 
 /// The slot a boundary pc maps to.
 fn slot_of(pc: u64) -> usize {
@@ -320,14 +335,8 @@ fn slot_of(pc: u64) -> usize {
 impl Default for SuperblockCache {
     fn default() -> Self {
         Self {
-            slots: vec![
-                Slot {
-                    pc: 1,
-                    count: 0,
-                    block: NO_BLOCK,
-                };
-                SLOTS
-            ],
+            slots: vec![FRESH; SLOTS],
+            touched: Vec::new(),
             blocks: Vec::new(),
             hits: 0,
             insns: 0,
@@ -362,6 +371,19 @@ impl SuperblockCache {
         self.invalidations = 0;
     }
 
+    /// Drops every block, profile and counter (snapshot restore): the
+    /// touched slots go back to [`FRESH`]. Required, not hygiene: a
+    /// restored page can carry a generation this machine already built a
+    /// block under from other bytes, and a kept block would pass its
+    /// generation check and run stale code.
+    pub(crate) fn clear(&mut self) {
+        for i in self.touched.drain(..) {
+            self.slots[usize::from(i)] = FRESH;
+        }
+        self.blocks.clear();
+        self.reset_counters();
+    }
+
     /// The entry probe at boundary `pc`: one slot access, which bumps the
     /// warming count. Returns the index of a valid block for `pc`,
     /// translating it on the visit that crosses the hot threshold; `None`
@@ -373,6 +395,9 @@ impl SuperblockCache {
         let slot = self.slots[i];
         if slot.pc != pc {
             // Collision or first visit: evict the older boundary's state.
+            if slot.count == 0 {
+                self.touched.push(i as u16);
+            }
             self.evict(i);
             self.slots[i] = Slot {
                 pc,
@@ -393,6 +418,10 @@ impl SuperblockCache {
         }
         if slot.count == UNBUILDABLE {
             return None;
+        }
+        if slot.count == 0 {
+            // A fresh slot probed at the pc of its tag: claimed here.
+            self.touched.push(i as u16);
         }
         let count = slot.count + 1;
         self.slots[i].count = count;
@@ -1212,5 +1241,41 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
         consumed: retired,
         event: None,
         side_exit: false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clear_returns_every_touched_slot_to_fresh() {
+        let program = regvault_isa::asm::assemble(
+            "loop: addi a0, a0, 1
+                   addi a1, a1, 2
+                   addi a2, a2, 3
+                   j    loop",
+        )
+        .unwrap();
+        let mut mem = Memory::new();
+        mem.write_slice(0x1000, program.bytes());
+        let cost = CostModel::default();
+        let mut cache = SuperblockCache::default();
+        for _ in 0..HOT_THRESHOLD {
+            let _ = cache.enter(0x1000, &mem, &cost);
+        }
+        let _ = cache.enter(0x2000, &mem, &cost);
+        // The tag of a fresh slot, probed as a pc, claims that slot too.
+        let _ = cache.enter(FRESH.pc, &mem, &cost);
+        assert_eq!(cache.stats().cached, 1);
+        assert_eq!(cache.touched.len(), 3);
+        cache.clear();
+        assert!(cache.touched.is_empty());
+        assert!(cache
+            .slots
+            .iter()
+            .all(|slot| (slot.pc, slot.count, slot.block) == (FRESH.pc, 0, NO_BLOCK)));
+        assert_eq!(cache.stats(), SuperblockStats::default());
+        assert_eq!(cache.enter(0x1000, &mem, &cost), None, "re-warms from cold");
     }
 }

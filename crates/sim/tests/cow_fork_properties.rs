@@ -5,29 +5,32 @@
 //!   sees exactly its own writes, under any interleaving;
 //! * a fork that never writes stays bit-for-bit identical to the parent
 //!   image (its architectural digest equals the snapshot's);
-//! * a micro-rebooted machine (re-forked from the warm snapshot after
-//!   running and being corrupted) is indistinguishable from a machine
-//!   freshly restored from the same snapshot: identical step results and
-//!   architectural digests over a 10k-step lockstep run;
+//! * a micro-rebooted machine (restored in place from the warm snapshot
+//!   after running and being corrupted) is indistinguishable from a
+//!   machine freshly forked from the same snapshot: identical step results
+//!   and architectural digests over a 10k-step lockstep run;
 //! * microarchitectural state (superblock tier, decode cache) resets
 //!   across a restore and re-warms without architectural effect;
 //! * the per-page hash memo never goes stale: under any interleaving of
 //!   stores, clones, snapshots, restores, forks and byte round trips, every
 //!   machine digests exactly as a fork of its own image decoded from bytes
-//!   (whose pages start unhashed).
+//!   (whose pages start unhashed);
+//! * an in-place restore is a fork: after any history of stores (code
+//!   pages and new pages included), tier runs, clones and snapshots,
+//!   `restore(&s)` leaves exactly the machine `fork_from(&s)` builds, and
+//!   the two then co-run in lockstep.
 
 use proptest::prelude::*;
 use regvault_isa::{asm, KeyReg, Reg};
-use regvault_sim::{Machine, MachineConfig, Snapshot, PAGE_SIZE};
+use regvault_sim::{run_lockstep, Machine, MachineConfig, Snapshot, SuperblockStats, PAGE_SIZE};
 
 const TEXT_BASE: u64 = 0x8000_0000;
 const DATA_BASE: u64 = 0x9000;
 const DATA_SLOTS: u64 = 256;
 
-/// A warm parent: keys programmed, data region mapped and zeroed, a
-/// crypto round-trip loop loaded and run once to the break.
-fn warm_machine(seed: u64, iters: u64) -> Machine {
-    let program = asm::assemble(&format!(
+/// The crypto round-trip loop, `iters` rounds of `step` each.
+fn round_trip_loop(iters: u64, step: u64) -> Vec<u8> {
+    asm::assemble(&format!(
         "li   t1, 0x9000
          li   s0, 0x9000
          li   s2, {iters}
@@ -36,12 +39,20 @@ loop:
          sd   a0, 0(s0)
          ld   a1, 0(s0)
          crdak a1, a1, t1, [3:0]
-         addi a0, a1, 1
+         addi a0, a1, {step}
          addi s2, s2, -1
          blt  zero, s2, loop
          ebreak"
     ))
-    .expect("loop assembles");
+    .expect("loop assembles")
+    .bytes()
+    .to_vec()
+}
+
+/// A warm parent: keys programmed, data region mapped and zeroed, a
+/// crypto round-trip loop loaded and run once to the break.
+fn warm_machine(seed: u64, iters: u64) -> Machine {
+    let program = round_trip_loop(iters, 1);
     let mut machine = Machine::new(MachineConfig {
         seed,
         ..MachineConfig::default()
@@ -55,7 +66,7 @@ loop:
             .write_u64(DATA_BASE + slot * 8, 0)
             .expect("data region maps");
     }
-    machine.load_program(TEXT_BASE, program.bytes());
+    machine.load_program(TEXT_BASE, &program);
     machine.hart_mut().set_pc(TEXT_BASE);
     machine
 }
@@ -285,11 +296,144 @@ proptest! {
     }
 }
 
+/// One step of the restore-equivalence property below. Machine and
+/// snapshot indices wrap around their pool's current size.
+#[derive(Debug, Clone)]
+enum RestoreOp {
+    /// A store to a data page, a page the warm image lacks, or the code
+    /// page's tail.
+    Store {
+        who: usize,
+        addr: u64,
+        value: u64,
+    },
+    /// Rewrites the code page with another loop.
+    Code {
+        who: usize,
+        iters: u64,
+        step: u64,
+    },
+    /// Runs the code page's loop through the superblock tier.
+    Run {
+        who: usize,
+        payload: u64,
+    },
+    Clone {
+        who: usize,
+    },
+    Snapshot {
+        who: usize,
+    },
+    /// The checked operation.
+    Restore {
+        who: usize,
+        snap: usize,
+    },
+}
+
+fn restore_op() -> impl Strategy<Value = RestoreOp> {
+    let who = 0..POOL;
+    let addr = prop_oneof![
+        (0..2 * PAGE_SIZE / 8).prop_map(|slot| DATA_BASE + slot * 8),
+        (0..3u64, 0..PAGE_SIZE / 8).prop_map(|(page, slot)| 0x4_0000 + page * PAGE_SIZE + slot * 8),
+        (PAGE_SIZE / 16..PAGE_SIZE / 8).prop_map(|slot| TEXT_BASE + slot * 8),
+    ];
+    prop_oneof![
+        (who.clone(), addr, any::<u64>()).prop_map(|(who, addr, value)| RestoreOp::Store {
+            who,
+            addr,
+            value
+        }),
+        (who.clone(), 2..24u64, 1..4u64).prop_map(|(who, iters, step)| RestoreOp::Code {
+            who,
+            iters,
+            step
+        }),
+        (who.clone(), any::<u64>()).prop_map(|(who, payload)| RestoreOp::Run { who, payload }),
+        who.clone().prop_map(|who| RestoreOp::Clone { who }),
+        who.clone().prop_map(|who| RestoreOp::Snapshot { who }),
+        (who.clone(), 0..POOL).prop_map(|(who, snap)| RestoreOp::Restore { who, snap }),
+    ]
+}
+
+/// Sets `machine` to run the code page's loop from its entry on `payload`.
+fn start(machine: &mut Machine, payload: u64) {
+    machine.hart_mut().set_pc(TEXT_BASE);
+    machine.hart_mut().set_reg(Reg::A0, payload & 0x0FFF_FFFF);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `restore(&s)` in place equals `fork_from(&s)`: the same digest (the
+    /// recorded one), the same snapshot (page set, generations, contents
+    /// and every other field), every page shared with `s`, no superblock
+    /// state left, and the two machines then co-run from the loop entry,
+    /// the restored one through the tier, without a divergence.
+    #[test]
+    fn in_place_restore_equals_a_fork(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(restore_op(), 1..24),
+    ) {
+        let mut parent = warm_machine(seed, 6);
+        parent.run_until_break(10_000).expect("warm run");
+        let mut machines = vec![parent];
+        let mut snaps = vec![machines[0].snapshot()];
+        for (step, op) in ops.iter().enumerate() {
+            let pick = |who: usize| who % machines.len();
+            match *op {
+                RestoreOp::Store { who, addr, value } => {
+                    let m = pick(who);
+                    machines[m].memory_mut().write_u64(addr, value).expect("store");
+                }
+                RestoreOp::Code { who, iters, step } => {
+                    let m = pick(who);
+                    machines[m].load_program(TEXT_BASE, &round_trip_loop(iters, step));
+                }
+                RestoreOp::Run { who, payload } => {
+                    let m = pick(who);
+                    start(&mut machines[m], payload);
+                    // A store into the code page's tail may have left the
+                    // loop anything; the run only has to stop.
+                    let _ = machines[m].run(5_000);
+                }
+                RestoreOp::Clone { who } => {
+                    let clone = machines[pick(who)].clone();
+                    admit(&mut machines, who + 1, clone);
+                }
+                RestoreOp::Snapshot { who } => {
+                    let snap = machines[pick(who)].snapshot();
+                    admit(&mut snaps, who, snap);
+                }
+                RestoreOp::Restore { who, snap } => {
+                    let (m, s) = (pick(who), &snaps[snap % snaps.len()]);
+                    machines[m].restore(s);
+                    let mut fork = Machine::fork_from(s).expect("fork");
+                    let restored = &mut machines[m];
+                    prop_assert_eq!(restored.arch_digest(), s.digest(), "step {}", step);
+                    prop_assert_eq!(fork.arch_digest(), s.digest());
+                    prop_assert_eq!(restored.snapshot(), fork.snapshot(), "step {}", step);
+                    prop_assert_eq!(restored.cow_dirty_pages(s), 0);
+                    prop_assert_eq!(
+                        restored.memory().shared_pages_with(fork.memory()),
+                        s.page_count()
+                    );
+                    prop_assert_eq!(restored.superblock_stats(), SuperblockStats::default());
+                    start(restored, seed);
+                    start(&mut fork, seed);
+                    let outcome = run_lockstep(restored, &mut fork, 5_000, 64);
+                    prop_assert!(outcome.agreed(), "step {}: {:?}", step, outcome.divergence);
+                }
+            }
+        }
+    }
+}
+
 /// The micro-reboot regression: a machine that ran past the warm point,
-/// got corrupted, and was re-forked from the warm snapshot must be
-/// bit-for-bit equivalent to a machine freshly restored from that same
-/// snapshot — identical step results and architectural digests over a
-/// 10k-step lockstep run.
+/// got corrupted, and was restored in place from the warm snapshot (as
+/// the fleet's micro-restore does) must be bit-for-bit equivalent to a
+/// machine freshly forked from that same snapshot — identical step results
+/// and architectural digests over a 10k-step lockstep run.
 #[test]
 fn micro_reboot_is_bit_for_bit_equivalent_to_fresh_restore() {
     let mut parent = warm_machine(7, 4_000);
@@ -306,8 +450,13 @@ fn micro_reboot_is_bit_for_bit_equivalent_to_fresh_restore() {
         .expect("corrupt code page");
     let _ = crashed.write_key_register(KeyReg::A, 0, 0);
 
-    // Micro-reboot: discard the wreck, re-fork the warm image.
-    let mut rebooted = Machine::fork_from(&warm).expect("micro-reboot fork");
+    // Micro-reboot: restore the wreck in place from the warm image.
+    assert!(
+        crashed.superblock_stats().hits > 0,
+        "the wreck ran in the tier"
+    );
+    crashed.restore(&warm);
+    let mut rebooted = crashed;
     assert_eq!(
         rebooted.arch_digest(),
         warm.digest(),
@@ -317,8 +466,8 @@ fn micro_reboot_is_bit_for_bit_equivalent_to_fresh_restore() {
     let sb = rebooted.superblock_stats();
     assert_eq!(sb.hits, 0, "superblock tier resets across restore");
 
-    // The reference: a fresh boot-to-snapshot machine.
-    let mut fresh = Machine::fork_from(&warm).expect("fresh restore");
+    // The reference: a fresh fork of the warm image.
+    let mut fresh = Machine::fork_from(&warm).expect("fresh fork");
 
     let mut steps = 0u64;
     while steps < 10_000 {

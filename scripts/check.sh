@@ -140,7 +140,7 @@ grep -q '"traceEvents"' "$scratch/trace.json"
 target/release/regvault-cli metrics "$scratch/replay_smoke.s" --json \
     | grep -q '"clb_hits"'
 
-echo "==> hotpath ratio guard (SWAR/reference QARMA, dhry2 and SPEC tier on/off, FULL/off, rekey/FULL, armed plan/FULL, restore digest unhashed/memoised)"
+echo "==> hotpath ratio guard (SWAR/reference QARMA, dhry2 and SPEC tier on/off, FULL/off, rekey/FULL, armed plan/FULL, restore digest unhashed/memoised, micro-restore fork/in-place)"
 target/release/hotpath
 
 # The committed BENCH_*.json are exact: delete them, regenerate all six,
