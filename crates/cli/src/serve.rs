@@ -112,8 +112,9 @@ pub fn report_json(r: &ServeReport) -> Value {
 }
 
 /// The per-run gate of a serve run: it completed, the accounting identity
-/// holds, every tenant ends recovered or explicitly quarantined, something
-/// was served, and an armed fault injector actually fired.
+/// holds, every tenant ends recovered or explicitly quarantined, the warm
+/// image passed every micro-reboot integrity check, something was served,
+/// and an armed fault injector actually fired.
 ///
 /// # Errors
 ///
@@ -131,6 +132,8 @@ pub fn gate(r: &ServeReport, faults_armed: bool) -> Result<(), CliError> {
         Err("accounting identity violated".to_owned())
     } else if !supervision_closed {
         Err("tenant in unknown supervision state".to_owned())
+    } else if r.micro_reboot_mismatches > 0 {
+        Err("warm image failed integrity check".to_owned())
     } else if r.served == 0 {
         Err("no request was served".to_owned())
     } else if faults_armed && r.faults_injected == 0 {
@@ -288,6 +291,10 @@ mod tests {
         .run();
         assert_eq!(gate(&report, false), Ok(()));
         assert!(gate(&report, true).unwrap_err().contains("never fired"));
+        report.micro_reboot_mismatches = 1;
+        assert!(gate(&report, false)
+            .unwrap_err()
+            .contains("warm image failed integrity check"));
         report.served += 1;
         assert!(gate(&report, false).unwrap_err().contains("accounting"));
     }

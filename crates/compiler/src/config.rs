@@ -9,7 +9,7 @@ use regvault_isa::KeyReg;
 /// (§2.4.3): swapping a ciphertext produced under the function-pointer key
 /// into a return-address slot decrypts with the wrong key and yields
 /// garbage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyPolicy {
     /// Per-thread return-address key (reloaded on context switch, §3.1.1).
     pub return_addr: KeyReg,

@@ -15,7 +15,7 @@ use regvault_sim::MachineConfig;
 /// assert!(full.cip && full.spill);
 /// assert_eq!(ProtectionConfig::ra_only().label(), "RA");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct ProtectionConfig {
     /// Return-address randomization (config "RA").
     pub ra: bool,
@@ -34,7 +34,7 @@ pub struct ProtectionConfig {
 
 /// Wrapper so `ProtectionConfig` can derive `Default`/`Eq` while reusing the
 /// compiler's [`KeyPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct KeyPolicyConfig(pub KeyPolicy);
 
 impl ProtectionConfig {

@@ -70,9 +70,9 @@ impl CredField {
 }
 
 /// A table of per-thread cred objects living in guest memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct CredStore {
-    base: u64,
+    pub(crate) base: u64,
     slots: u32,
 }
 

@@ -45,7 +45,7 @@ pub enum FileOp {
 }
 
 /// A `file_operations`-style table of function pointers in guest memory.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct FileOpsTable {
     base: u64,
 }
@@ -127,35 +127,37 @@ pub const MAX_FILES: usize = 16;
 const MAX_FDS: usize = 32;
 const PIPE_CAPACITY: u64 = 4096;
 
-#[derive(Debug, Clone)]
-struct File {
+#[derive(Debug, Clone, Hash)]
+pub(crate) struct File {
     name: String,
     buf: u64,
     capacity: u64,
-    size: u64,
+    pub(crate) size: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum FdKind {
+#[derive(Debug, Clone, Copy, Hash)]
+pub(crate) enum FdKind {
     File { index: usize, offset: u64 },
     PipeRead(usize),
     PipeWrite(usize),
 }
 
-#[derive(Debug, Clone)]
-struct Pipe {
+#[derive(Debug, Clone, Hash)]
+pub(crate) struct Pipe {
     buf: u64,
-    head: u64, // read position
-    tail: u64, // write position
+    /// Read position.
+    pub(crate) head: u64,
+    /// Write position.
+    tail: u64,
 }
 
 /// The in-memory filesystem: files, descriptors, pipes, and the dispatch
 /// tables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MiniFs {
-    files: Vec<File>,
-    fds: Vec<Option<FdKind>>,
-    pipes: Vec<Pipe>,
+    pub(crate) files: Vec<File>,
+    pub(crate) fds: Vec<Option<FdKind>>,
+    pub(crate) pipes: Vec<Pipe>,
     /// The regular-file operations table.
     pub file_ops: FileOpsTable,
     /// The pipe operations table.

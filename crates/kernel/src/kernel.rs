@@ -1,8 +1,12 @@
 //! The kernel proper: boot, syscall dispatch, interrupts, user execution.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use rand::{Rng, SeedableRng};
 use regvault_isa::{ByteRange, KeyReg, Reg};
-use regvault_sim::{Event, Machine, ModelledPath, Privilege, SchedEvent, TraceEvent, TrapCause};
+use regvault_sim::{
+    Event, Machine, ModelledPath, Privilege, SchedEvent, Snapshot, TraceEvent, TrapCause,
+};
 
 use crate::config::{KernelConfig, ProtectionConfig};
 use crate::cred::{CredField, CredStore};
@@ -22,7 +26,7 @@ use crate::thread::{ThreadState, ThreadTable, MAX_THREADS};
 /// data is *detected* (integrity trap) and *contained* (the offending
 /// thread is quarantined), and the kernel keeps scheduling healthy threads
 /// instead of panicking.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RecoveryStats {
     /// Threads taken out of scheduling after a fault.
     pub quarantined: u64,
@@ -64,9 +68,10 @@ const KCALL_RA_BASE: u64 = KERNEL_TEXT_BASE + 0x10_0000;
 ///
 /// `Clone` is cheap: guest memory is copy-on-write at page granularity
 /// (see [`regvault_sim::Memory`]), so cloning a booted kernel shares every
-/// page until one side writes. The server's micro-reboot recovery keeps a
-/// warm post-boot clone around and swaps it in when a tenant kernel is
-/// corrupted, instead of paying a cold re-boot.
+/// page until one side writes. Recovery does not clone: it captures a
+/// [`KernelImage`] with [`Kernel::image`] and later rolls the same kernel
+/// back to it with [`Kernel::restore`], which replaces only the pages
+/// written since and refuses an image that no longer digests as captured.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     machine: Machine,
@@ -96,6 +101,61 @@ pub struct Kernel {
     /// Interrupted pc per thread while its signal handler runs.
     signal_return_pc: Vec<Option<u64>>,
     recovery: RecoveryStats,
+}
+
+/// Every field of [`Kernel`] but the machine: the kernel state kept on the
+/// host (allocator cursors, descriptor and thread tables, the rng, the
+/// resume pcs). [`Kernel::host_state`] and [`Kernel::restore`] destructure
+/// `Kernel` without a rest pattern, so a new field fails to compile until
+/// both copy it.
+#[derive(Debug, Clone, Hash)]
+struct HostState {
+    cfg: ProtectionConfig,
+    heap: Kmalloc,
+    creds: CredStore,
+    selinux: SelinuxState,
+    keyring: Keyring,
+    page_tables: PageTables,
+    fs: MiniFs,
+    threads: ThreadTable,
+    signals: SignalTable,
+    rng: rand::rngs::StdRng,
+    ops_table: u64,
+    ksp: u64,
+    saved_pc: Vec<u64>,
+    signal_return_pc: Vec<Option<u64>>,
+    recovery: RecoveryStats,
+}
+
+/// A whole-kernel restore point: a [`Snapshot`] of the machine, a copy of
+/// the host-side state, and one digest over both: the machine's
+/// [`arch_digest`](Machine::arch_digest) hashed together with every
+/// host-side field through their derived `Hash`.
+///
+/// Capture shares every guest page copy-on-write, so an image costs
+/// O(mapped pages) pointer clones, and the kernel it came from runs on
+/// unchanged.
+#[derive(Debug, Clone)]
+pub struct KernelImage {
+    snapshot: Snapshot,
+    host: HostState,
+    digest: u64,
+}
+
+impl KernelImage {
+    /// Mutable access to the machine part, for damage-injection tests. The
+    /// recorded digest stays, so a replaced snapshot that differs from the
+    /// captured one fails [`Kernel::restore`].
+    pub fn snapshot_mut(&mut self) -> &mut Snapshot {
+        &mut self.snapshot
+    }
+}
+
+/// One digest over the machine's `arch_digest` and the host-side state.
+fn kernel_digest(arch_digest: u64, host: &HostState) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (arch_digest, host).hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Kernel {
@@ -208,6 +268,117 @@ impl Kernel {
     #[must_use]
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
+    }
+
+    /// Captures a [`KernelImage`] of the whole kernel: a machine snapshot,
+    /// a copy of the host-side state, and one digest of both.
+    #[must_use]
+    pub fn image(&self) -> KernelImage {
+        let snapshot = self.machine.snapshot();
+        let host = self.host_state();
+        KernelImage {
+            digest: kernel_digest(snapshot.digest(), &host),
+            snapshot,
+            host,
+        }
+    }
+
+    /// Restores the kernel to `image` in place: [`Machine::restore`] for the
+    /// machine (the tracer stays installed), a copy for the host-side
+    /// state. The result then has to digest as the image did at capture.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::IntegrityViolation`] when the restored kernel does not
+    /// digest as the image: the image was damaged after capture. The kernel
+    /// then holds that damaged state and must not be run.
+    pub fn restore(&mut self, image: &KernelImage) -> Result<(), KernelError> {
+        let Kernel {
+            machine,
+            cfg,
+            heap,
+            creds,
+            selinux,
+            keyring,
+            page_tables,
+            fs,
+            threads,
+            signals,
+            rng,
+            ops_table,
+            ksp,
+            saved_pc,
+            signal_return_pc,
+            recovery,
+        } = self;
+        let host = &image.host;
+        machine.restore(&image.snapshot);
+        *cfg = host.cfg;
+        heap.clone_from(&host.heap);
+        creds.clone_from(&host.creds);
+        selinux.clone_from(&host.selinux);
+        keyring.clone_from(&host.keyring);
+        page_tables.clone_from(&host.page_tables);
+        fs.clone_from(&host.fs);
+        threads.clone_from(&host.threads);
+        signals.clone_from(&host.signals);
+        rng.clone_from(&host.rng);
+        *ops_table = host.ops_table;
+        *ksp = host.ksp;
+        saved_pc.clone_from(&host.saved_pc);
+        signal_return_pc.clone_from(&host.signal_return_pc);
+        *recovery = host.recovery;
+        if self.digest() == image.digest {
+            Ok(())
+        } else {
+            Err(KernelError::IntegrityViolation {
+                what: "kernel image",
+            })
+        }
+    }
+
+    /// Digest of the whole kernel, as a [`KernelImage`] records it.
+    fn digest(&self) -> u64 {
+        kernel_digest(self.machine.arch_digest(), &self.host_state())
+    }
+
+    /// A copy of every field but the machine.
+    fn host_state(&self) -> HostState {
+        let Kernel {
+            machine: _,
+            cfg,
+            heap,
+            creds,
+            selinux,
+            keyring,
+            page_tables,
+            fs,
+            threads,
+            signals,
+            rng,
+            ops_table,
+            ksp,
+            saved_pc,
+            signal_return_pc,
+            recovery,
+        } = self;
+        HostState {
+            cfg: *cfg,
+            heap: heap.clone(),
+            creds: creds.clone(),
+            selinux: selinux.clone(),
+            keyring: keyring.clone(),
+            page_tables: page_tables.clone(),
+            fs: fs.clone(),
+            threads: threads.clone(),
+            signals: signals.clone(),
+            rng: rng.clone(),
+            ops_table: *ops_table,
+            ksp: *ksp,
+            saved_pc: saved_pc.clone(),
+            signal_return_pc: signal_return_pc.clone(),
+            recovery: *recovery,
+        }
     }
 
     /// Draws kernel-internal randomness (key generation).
@@ -1023,6 +1194,125 @@ mod tests {
             ..KernelConfig::default()
         })
         .expect("boot")
+    }
+
+    /// Guest scratch for the image tests' syscall arguments.
+    const NAME: u64 = 0x20_0000;
+    const DATA: u64 = NAME + 0x100;
+    const OUT: u64 = NAME + 0x200;
+
+    /// A kernel whose host-side fields all hold post-boot state: an open
+    /// file, a pipe with unread bytes, a key, a second thread and a
+    /// mapped page.
+    fn busy_kernel() -> Kernel {
+        let mut k = kernel(ProtectionConfig::full());
+        let mem = k.machine_mut().memory_mut();
+        mem.write_slice(NAME, b"data");
+        mem.write_slice(DATA, b"0123456789abcdef");
+        syscall_round(&mut k);
+        k
+    }
+
+    /// A syscall sequence that moves the fd table, file sizes, pipe heads,
+    /// the keyring, the thread table, the page tables and the rng; returns
+    /// every result in order.
+    fn syscall_round(k: &mut Kernel) -> Vec<Result<u64, KernelError>> {
+        let mut call = |num: Sysno, args: [u64; 3]| k.dispatch(num as u64, args);
+        let mut out = Vec::new();
+        let fd = call(Sysno::Open, [NAME, 4, 0]);
+        out.push(fd.clone());
+        let fd = fd.unwrap_or(u64::MAX);
+        out.push(call(Sysno::Write, [fd, DATA, 16]));
+        out.push(call(Sysno::Stat, [fd, 0, 0]));
+        let pair = call(Sysno::Pipe, [0; 3]);
+        out.push(pair.clone());
+        let pair = pair.unwrap_or(u64::MAX);
+        out.push(call(Sysno::Write, [pair & 0xFFFF_FFFF, DATA, 8]));
+        out.push(call(Sysno::Read, [pair >> 32, OUT, 3]));
+        let serial = call(Sysno::AddKey, [DATA, 0, 0]);
+        out.push(serial.clone());
+        out.push(call(Sysno::AesEncrypt, [serial.unwrap_or(0), DATA, OUT]));
+        out.push(call(Sysno::Mmap, [0x5000_0000, 0, 0]));
+        out.push(k.spawn_service_thread().map(u64::from));
+        out.push(k.dispatch(Sysno::Yield as u64, [0; 3]));
+        out.push(k.dispatch(Sysno::Getpid as u64, [0; 3]));
+        out
+    }
+
+    #[test]
+    fn in_place_restore_equals_a_clone_of_the_image() {
+        let mut k = busy_kernel();
+        let image = k.image();
+        let mut twin = k.clone();
+        assert_eq!(image.digest, k.digest());
+
+        let first = syscall_round(&mut k);
+        assert!(first.iter().all(Result::is_ok), "{first:?}");
+        assert_ne!(k.digest(), image.digest, "the round moved the kernel");
+        k.restore(&image).expect("an undamaged image restores");
+        assert_eq!(k.digest(), image.digest);
+        assert_eq!(k.digest(), twin.digest());
+
+        let again = syscall_round(&mut k);
+        assert_eq!(again, first, "the restored kernel replays the round");
+        assert_eq!(again, syscall_round(&mut twin));
+        assert_eq!(k.digest(), twin.digest());
+    }
+
+    #[test]
+    fn a_damaged_image_fails_the_restore() {
+        type Damage = fn(&mut HostState);
+        let damages: [(&str, Damage); 18] = [
+            ("cfg", |h| h.cfg.ra = !h.cfg.ra),
+            ("heap", |h| {
+                h.heap.alloc(8, 8);
+            }),
+            ("creds", |h| h.creds.base += 8),
+            ("selinux", |h| h.selinux.base += 8),
+            ("keyring", |h| h.keyring.count += 1),
+            ("page_tables", |h| h.page_tables.next_page += 4096),
+            ("fs file size", |h| h.fs.files[0].size += 1),
+            ("fs fd table", |h| {
+                let fd =
+                    h.fs.fds
+                        .iter()
+                        .position(Option::is_some)
+                        .expect("an open fd");
+                h.fs.fds[fd] = None;
+            }),
+            ("fs pipe head", |h| h.fs.pipes[0].head += 1),
+            ("threads current", |h| h.threads.current ^= 1),
+            ("threads states", |h| {
+                h.threads.states[1] = ThreadState::Dead
+            }),
+            ("signals", |h| h.signals.base += 8),
+            ("rng", |h| {
+                h.rng.gen::<u64>();
+            }),
+            ("ops_table", |h| h.ops_table += 8),
+            ("ksp", |h| h.ksp -= 16),
+            ("saved_pc", |h| h.saved_pc[0] ^= 4),
+            ("signal_return_pc", |h| {
+                h.signal_return_pc[0] = Some(KERNEL_TEXT_BASE)
+            }),
+            ("recovery", |h| h.recovery.quarantined += 1),
+        ];
+        let violation = Err(KernelError::IntegrityViolation {
+            what: "kernel image",
+        });
+        for (field, damage) in damages {
+            let mut k = busy_kernel();
+            let mut image = k.image();
+            damage(&mut image.host);
+            assert_eq!(k.restore(&image), violation, "damaged {field}");
+        }
+
+        // The machine part: a snapshot from after the capture.
+        let mut k = busy_kernel();
+        let mut image = k.image();
+        k.dispatch(Sysno::Null as u64, [0; 3]).unwrap();
+        *image.snapshot_mut() = k.machine().snapshot();
+        assert_eq!(k.restore(&image), violation, "damaged snapshot");
     }
 
     #[test]

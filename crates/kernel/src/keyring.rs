@@ -26,11 +26,11 @@ use crate::pfield;
 pub const ENTRY_SIZE: u64 = 24;
 
 /// A table of kernel keys in guest memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Keyring {
     base: u64,
     capacity: u32,
-    count: u32,
+    pub(crate) count: u32,
 }
 
 impl Keyring {

@@ -44,7 +44,7 @@ pub const KERNEL_TEXT_BASE: u64 = 0xFFFF_FFFF_8000_0000;
 /// assert!(b >= a + 24);
 /// assert_eq!(b % 8, 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Kmalloc {
     next: u64,
 }

@@ -75,6 +75,6 @@ pub mod trap;
 
 pub use config::{KernelConfig, ProtectionConfig};
 pub use error::KernelError;
-pub use kernel::{FailOver, Kernel, RecoveryStats};
+pub use kernel::{FailOver, Kernel, KernelImage, RecoveryStats};
 pub use rotate::RotationReport;
 pub use syscall::Sysno;

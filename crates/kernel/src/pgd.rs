@@ -28,10 +28,10 @@ pub const PT_PAGE_SIZE: u64 = ENTRIES * 8;
 pub const PTE_VALID: u64 = 1;
 
 /// Arena-backed page-table allocator plus the root PGD.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct PageTables {
     pgd_base: u64,
-    next_page: u64,
+    pub(crate) next_page: u64,
     arena_end: u64,
 }
 

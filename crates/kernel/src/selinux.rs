@@ -31,9 +31,9 @@ pub const POLICY_ID_OFFSET: u64 = 24;
 pub const STATE_SIZE: u64 = 32;
 
 /// The global `selinux_state` object in guest memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SelinuxState {
-    base: u64,
+    pub(crate) base: u64,
 }
 
 impl SelinuxState {

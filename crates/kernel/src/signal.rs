@@ -28,9 +28,9 @@ pub const NUM_SIGNALS: u64 = 8;
 /// +0                pending bitmask (u64, plain)
 /// +8 .. +8+8*N      handler pointers (protected like fn ptrs)
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SignalTable {
-    base: u64,
+    pub(crate) base: u64,
 }
 
 const ENTRY_SIZE: u64 = 8 + 8 * NUM_SIGNALS;

@@ -32,7 +32,7 @@ mod ti {
 }
 
 /// Thread states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ThreadState {
     Free = 0,
@@ -48,10 +48,10 @@ pub enum ThreadState {
 
 /// The thread table: `thread_info` objects in guest memory plus scheduler
 /// bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ThreadTable {
     base: u64,
-    states: Vec<ThreadState>,
+    pub(crate) states: Vec<ThreadState>,
     /// The currently running thread.
     pub current: u32,
 }

@@ -130,7 +130,7 @@ pub mod rngs {
 
     /// Deterministic xoshiro256** generator (stand-in for `rand`'s
     /// `StdRng`; same API, different — but fixed — stream).
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Hash)]
     pub struct StdRng {
         state: [u64; 4],
     }

@@ -1,7 +1,7 @@
 //! Snapshot-forked machine fleet: many instances from one warm image.
 //!
-//! The serve scenario (PR 6/this PR's micro-reboot work) runs one kernel
-//! with N tenant threads; this module asks the orthogonal scale question:
+//! The serve scenario ([`crate::supervisor`]) runs one kernel with N
+//! tenant threads; this module asks the orthogonal scale question:
 //! how cheaply can we stamp out N *whole machines* from a single warm
 //! post-boot snapshot, and how fast do they recover when chaos kills them?
 //!
@@ -622,27 +622,9 @@ mod tests {
         assert!(s.served > 0, "head-of-line requests still make it");
     }
 
-    /// FNV-1a 64, the snapshot stream checksum.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        })
-    }
-
     #[test]
     fn damaged_warm_image_fails_integrity_and_cold_boots() {
-        let warm = warm_image(1);
-        // Flip the last byte of the last page in the serialized image and
-        // re-checksum the stream: the recorded digest is kept, so the
-        // decoded snapshot claims the pristine image's digest.
-        let bytes = warm.to_bytes();
-        let mut payload = bytes[..bytes.len() - 8].to_vec();
-        *payload.last_mut().expect("page bytes") ^= 0x10;
-        let checksum = fnv1a(&payload);
-        payload.extend_from_slice(&checksum.to_le_bytes());
-        let damaged = Snapshot::from_bytes(&payload).expect("re-checksummed image decodes");
-        assert_eq!(damaged.digest(), warm.digest());
-
+        let damaged = crate::damaged_decode(&warm_image(1));
         let r = run_instance(0, &small(4), &damaged);
         assert!(r.kills > 0, "chaos schedule fired");
         assert_eq!(r.restore_mismatches, r.kills);

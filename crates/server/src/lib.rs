@@ -58,3 +58,26 @@ pub use tenant::{SupervisionPolicy, Tenant, TenantState};
 /// programming, warm-up): the supervisor's cold restart and the fleet's
 /// cold boot both charge it.
 pub(crate) const COLD_RESTART_PENALTY: u64 = 2_000_000;
+
+/// `snapshot` with the last byte of its last page flipped, decoded from a
+/// re-checksummed stream. The recorded digest is kept, so the decoded
+/// snapshot claims the pristine image's digest: the damage a restore
+/// integrity gate has to catch.
+#[cfg(test)]
+fn damaged_decode(snapshot: &regvault_sim::Snapshot) -> regvault_sim::Snapshot {
+    // FNV-1a 64, the snapshot stream checksum (its last 8 bytes).
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    let bytes = snapshot.to_bytes();
+    let mut payload = bytes[..bytes.len() - 8].to_vec();
+    *payload.last_mut().expect("page bytes") ^= 0x10;
+    let checksum = fnv1a(&payload);
+    payload.extend_from_slice(&checksum.to_le_bytes());
+    let damaged =
+        regvault_sim::Snapshot::from_bytes(&payload).expect("re-checksummed image decodes");
+    assert_eq!(damaged.digest(), snapshot.digest());
+    damaged
+}

@@ -17,10 +17,11 @@
 //!   transitions ([`Tenant::on_fault`]) — bounded-backoff respawns,
 //!   circuit breakers, and explicit load shedding;
 //! * **micro-reboot recovery**: systemic corruption that previously
-//!   forced a cold kernel reboot is instead cleared by swapping in a warm
-//!   post-boot clone of the kernel (cheap under copy-on-write page
-//!   sharing), gated by an architectural-digest integrity check that
-//!   escalates to a true cold restart on mismatch;
+//!   forced a cold kernel reboot is instead cleared by restoring the
+//!   kernel in place from a warm post-boot [`KernelImage`]
+//!   ([`Kernel::restore`] replaces only the pages written since), gated on
+//!   the image's whole-kernel digest (machine and host-side state); a
+//!   mismatch escalates to a true cold restart;
 //! * **deadline-aware admission control**: at dequeue, requests whose
 //!   queueing delay already exceeds a p99-derived budget are shed
 //!   explicitly, so fault storms degrade into bounded-latency service of
@@ -37,7 +38,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use regvault_kernel::cred::{EGID_OFFSET, EUID_OFFSET, GID_OFFSET, UID_OFFSET};
-use regvault_kernel::{Kernel, KernelConfig, KernelError, ProtectionConfig, Sysno};
+use regvault_kernel::{Kernel, KernelConfig, KernelError, KernelImage, ProtectionConfig, Sysno};
 use regvault_metrics::HistogramData;
 use regvault_sim::{FaultKind, FaultPlan, ModelledPath};
 
@@ -56,10 +57,12 @@ const SCRATCH_LEN: u64 = 0x1_0000;
 const SLOT_STRIDE: u64 = 0x100;
 /// Frontend staging area (requests out, responses in, provisioning data).
 const FRONT_SCRATCH: u64 = SCRATCH_BASE + 0xF000;
-/// Simulated-cycle penalty of a micro-reboot: swapping in the warm
-/// post-boot kernel image. Copy-on-write page sharing makes the clone
-/// O(mapped pages) pointer work instead of a boot + provisioning pass,
-/// so the modelled downtime is a small fraction of [`COLD_RESTART_PENALTY`].
+/// Simulated-cycle penalty of a micro-reboot: restoring the kernel in
+/// place from the warm post-boot image. The restore replaces only the
+/// pages written since capture (O(dirty pages)) instead of a boot +
+/// provisioning pass, so the modelled downtime is a small fraction of
+/// [`COLD_RESTART_PENALTY`]. It is flat, unlike the fleet's per-dirty-page
+/// micro-restore charge.
 const MICRO_REBOOT_PENALTY: u64 = 50_000;
 /// Latency samples required before the deadline shedder trusts its p99.
 /// Below this the estimate is noise and the shedder stays out of the way.
@@ -93,13 +96,13 @@ pub struct ServeConfig {
     pub policy: SupervisionPolicy,
     /// Kernel protection configuration.
     pub protection: ProtectionConfig,
-    /// Recover escalations by swapping in the warm post-boot kernel image
-    /// (micro-reboot) instead of a cold reboot. The warm image is captured
-    /// right after first provisioning; copy-on-write page sharing makes
-    /// both the capture and every restore O(mapped pages) pointer work. A
-    /// restore whose architectural digest no longer matches the capture
-    /// digest — or a second consecutive micro-reboot with no request
-    /// served in between — escalates to a cold restart anyway.
+    /// Recover escalations by restoring the kernel in place from the warm
+    /// post-boot [`KernelImage`] (micro-reboot) instead of a cold reboot.
+    /// The image is captured right after first provisioning, sharing every
+    /// page copy-on-write; a restore replaces only the pages written
+    /// since. A restored kernel that does not digest as the image — or a
+    /// second consecutive micro-reboot with no request served in between —
+    /// escalates to a cold restart anyway.
     pub micro_reboot: bool,
     /// Deadline-aware admission control: at dequeue, shed any request
     /// whose queueing delay already exceeds
@@ -140,15 +143,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// The warm post-boot kernel image micro-reboots restore from: a clone of
-/// the fully provisioned kernel (cheap — pages are shared copy-on-write)
-/// plus the host-side slot/thread mappings that go with it and the
-/// architectural digest that notarizes it.
+/// The warm post-boot image micro-reboots restore from: a [`KernelImage`]
+/// of the fully provisioned kernel (it carries its own digest) plus the
+/// supervisor's slot/thread mappings that go with it.
 #[derive(Debug, Clone)]
 struct WarmImage {
-    kernel: Kernel,
-    /// `arch_digest` at capture; every restore is re-verified against it.
-    digest: u64,
+    image: KernelImage,
     slots: Vec<Option<SlotRes>>,
     frontend_tid: u32,
     tenant_tids: Vec<Option<u32>>,
@@ -229,8 +229,9 @@ pub struct ServeReport {
     /// Micro-reboots: escalations recovered by restoring the warm
     /// post-boot image instead of cold-rebooting.
     pub micro_reboots: u64,
-    /// Micro-reboot attempts whose restored image failed the
-    /// architectural-digest integrity check and escalated to cold restart.
+    /// Micro-reboot attempts whose restored kernel failed the warm image's
+    /// digest check (machine and host-side state) and escalated to a cold
+    /// restart.
     pub micro_reboot_mismatches: u64,
     /// Circuit-breaker trips across all tenants.
     pub breaker_opens: u64,
@@ -397,9 +398,9 @@ impl Supervisor {
 
     /// Mutable access to the supervised kernel — the pre-run
     /// instrumentation hook (the leakage campaign installs its memory
-    /// oracle on the machine here). Note a cold restart mid-run boots a
-    /// fresh kernel and drops any installed tracer; fault-free runs keep
-    /// it for the whole scenario.
+    /// oracle on the machine here). A micro-reboot restores the kernel in
+    /// place and keeps an installed tracer; a cold restart boots a fresh
+    /// kernel and drops it.
     pub fn kernel_mut(&mut self) -> &mut Kernel {
         &mut self.kernel
     }
@@ -490,16 +491,13 @@ impl Supervisor {
     /// Captures the warm post-boot image micro-reboots restore from. Runs
     /// right after first provisioning succeeds and *before* the first
     /// fault is armed, so the image carries no fault plan and a known-good
-    /// architectural digest.
+    /// digest.
     fn capture_warm_image(&mut self) {
         if !self.cfg.micro_reboot {
             return;
         }
-        // Cheap: cloning the kernel shares every guest page copy-on-write.
-        let kernel = self.kernel.clone();
         self.warm = Some(WarmImage {
-            digest: kernel.machine().arch_digest(),
-            kernel,
+            image: self.kernel.image(),
             slots: self.slots.clone(),
             frontend_tid: self.frontend_tid,
             tenant_tids: self.tenants.iter().map(|t| t.tid).collect(),
@@ -510,46 +508,40 @@ impl Supervisor {
     /// enabled and trustworthy, cold restart otherwise. Every escalation
     /// site funnels through here.
     fn restart_tenancy(&mut self) {
+        // Read before a restore rewinds the kernel's cycle counter.
+        let failed_at = self.now();
         // Two micro-reboots with no served request in between: the warm
         // image is not clearing the problem, stop retrying it.
-        if self.cfg.micro_reboot && self.micro_streak < 2 && self.micro_reboot() {
+        if self.cfg.micro_reboot && self.micro_streak < 2 && self.micro_reboot(failed_at) {
             return;
         }
-        self.cold_restart();
+        self.cold_restart(failed_at);
     }
 
-    /// Swaps in the warm post-boot kernel image: bounded downtime
-    /// ([`MICRO_REBOOT_PENALTY`] vs [`COLD_RESTART_PENALTY`]), no
+    /// Restores the kernel in place from the warm post-boot image: bounded
+    /// downtime ([`MICRO_REBOOT_PENALTY`] vs [`COLD_RESTART_PENALTY`]), no
     /// re-provisioning, lost work bounded to the in-flight request.
-    /// Returns `false` — escalate — if no warm image exists or the
-    /// restored image fails its digest integrity check.
-    fn micro_reboot(&mut self) -> bool {
+    /// Returns `false` — escalate — if no warm image exists or the restored
+    /// kernel fails the image's digest check (the image was damaged; the
+    /// kernel now holds that damage, which only a cold restart clears).
+    fn micro_reboot(&mut self, failed_at: u64) -> bool {
         let Some(warm) = &self.warm else {
             return false;
         };
-        let kernel = warm.kernel.clone();
-        let digest = warm.digest;
-        let slots = warm.slots.clone();
-        let frontend_tid = warm.frontend_tid;
-        let tenant_tids = warm.tenant_tids.clone();
-        // Integrity gate: the clone must digest exactly as captured. CoW
-        // isolation makes silent drift impossible by construction, so a
-        // mismatch means the image itself is damaged — never restore it.
-        if kernel.machine().arch_digest() != digest {
+        if self.kernel.restore(&warm.image).is_err() {
             self.counts.micro_reboot_mismatches += 1;
             return false;
         }
         self.counts.micro_reboots += 1;
         self.micro_streak += 1;
         self.failover_streak = 0;
-        // Keep the virtual clock monotone: after the swap, `now()` lands
+        // Keep the virtual clock monotone: after the restore, `now()` lands
         // exactly `MICRO_REBOOT_PENALTY` past the moment of failure.
-        let warm_cycles = kernel.machine().stats().cycles;
-        self.cycle_base = (self.now() + MICRO_REBOOT_PENALTY).saturating_sub(warm_cycles);
-        self.kernel = kernel;
-        self.frontend_tid = frontend_tid;
-        self.slots = slots;
-        for (slot, warm_tid) in tenant_tids.iter().enumerate().take(self.cfg.tenants) {
+        let warm_cycles = self.kernel.machine().stats().cycles;
+        self.cycle_base = (failed_at + MICRO_REBOOT_PENALTY).saturating_sub(warm_cycles);
+        self.frontend_tid = warm.frontend_tid;
+        self.slots.clone_from(&warm.slots);
+        for (slot, warm_tid) in warm.tenant_tids.iter().enumerate().take(self.cfg.tenants) {
             if self.tenants[slot].is_terminal() {
                 // Terminal quarantine survives every flavour of reboot.
                 self.slots[slot] = None;
@@ -574,13 +566,14 @@ impl Supervisor {
     /// Total-loss path: reboot the kernel (fresh machine, fresh master
     /// key), charge a realistic downtime penalty to the virtual clock, and
     /// re-provision every non-terminal tenant. Host-side state — queues,
-    /// tenant accounting, counts — survives.
-    fn cold_restart(&mut self) {
+    /// tenant accounting, counts — survives. The downtime runs from
+    /// `failed_at`, read before any micro-reboot attempt rewound the kernel.
+    fn cold_restart(&mut self, failed_at: u64) {
         self.counts.cold_restarts += 1;
         self.failover_streak = 0;
         self.micro_streak = 0;
         let restarts = self.counts.cold_restarts;
-        self.cycle_base = self.now() + COLD_RESTART_PENALTY;
+        self.cycle_base = failed_at + COLD_RESTART_PENALTY;
         match Self::boot_kernel(&self.cfg, restarts) {
             Ok(kernel) => self.kernel = kernel,
             Err(_) => {
@@ -1218,6 +1211,10 @@ impl Supervisor {
 
 #[cfg(test)]
 mod tests {
+    use std::any::Any;
+
+    use regvault_sim::{TraceEvent, TraceRecord, Tracer};
+
     use super::*;
 
     fn run(cfg: ServeConfig) -> ServeReport {
@@ -1334,83 +1331,135 @@ mod tests {
         );
     }
 
-    #[test]
-    fn damaged_warm_image_fails_integrity_and_cold_restarts() {
+    /// A provisioned supervisor with its warm image captured (when
+    /// `micro_reboot`), idled 100k cycles past the capture so that a
+    /// failure's clock differs from the image's.
+    fn provisioned(micro_reboot: bool) -> Supervisor {
         let mut sup = Supervisor::new(ServeConfig {
             requests: 50,
             seed: 7,
+            micro_reboot,
             ..ServeConfig::default()
         })
         .expect("boot");
         // The start of a run: provision, then capture the restore point.
         sup.provision(true).expect("provision");
         sup.capture_warm_image();
+        sup.idle_advance(sup.now() + 100_000);
+        sup
+    }
+
+    /// Replaces the warm image's machine part with a damaged decode of it.
+    fn damage_warm_image(sup: &mut Supervisor) {
         let warm = sup
             .warm
             .as_mut()
             .expect("micro-reboot captures a warm image");
-        // Damage one word of the image itself (copy-on-write keeps the
-        // live kernel's page intact).
-        let memory = warm.kernel.machine_mut().memory_mut();
-        let addr = regvault_kernel::layout::KERNEL_HEAP_BASE;
-        let word = memory.read_u64(addr).expect("kernel heap is mapped");
-        memory
-            .write_u64(addr, !word)
-            .expect("kernel heap is writable");
+        let snapshot = warm.image.snapshot_mut();
+        *snapshot = crate::damaged_decode(snapshot);
+    }
 
+    /// Escalates `sup` and returns how far its clock moved past the failure.
+    fn escalate(sup: &mut Supervisor) -> u64 {
+        let failed_at = sup.now();
         sup.restart_tenancy();
+        sup.now() - failed_at
+    }
+
+    #[test]
+    fn damaged_warm_image_fails_integrity_and_cold_restarts() {
+        let mut sup = provisioned(true);
+        damage_warm_image(&mut sup);
+        let downtime = escalate(&mut sup);
         assert_eq!(sup.counts.micro_reboot_mismatches, 1);
         assert_eq!(sup.counts.micro_reboots, 0);
         assert_eq!(sup.counts.cold_restarts, 1);
         assert!(!sup.fatal, "the cold restart re-provisions");
+
+        // The rejected restore rewound the kernel's clock to the image's;
+        // the cold restart must still run from the failure.
+        let mut cold = provisioned(false);
+        assert_eq!(escalate(&mut cold), downtime);
+        assert_eq!(sup.now(), cold.now());
     }
 
-    /// The warm image's page hashes are memoised by its first digest. A
-    /// later write to a page the image no longer shares lands in place
-    /// (no copy), and must still clear that page's memo, or the gate would
-    /// pass a damaged image.
+    /// A pristine image restores once; damaged afterwards, it must fail
+    /// the gate on the next escalation, which then runs from the failure.
     #[test]
-    fn warm_image_damaged_in_place_after_a_micro_reboot_fails_integrity() {
-        let mut sup = Supervisor::new(ServeConfig {
-            requests: 50,
-            seed: 7,
-            ..ServeConfig::default()
-        })
-        .expect("boot");
-        sup.provision(true).expect("provision");
-        sup.capture_warm_image();
-        sup.restart_tenancy();
+    fn warm_image_damaged_after_a_micro_reboot_fails_integrity() {
+        let mut sup = provisioned(true);
+        assert_eq!(escalate(&mut sup), MICRO_REBOOT_PENALTY);
         assert_eq!(sup.counts.micro_reboots, 1, "the pristine image restores");
 
-        // The live kernel now shares every page with the warm image; its
-        // first store to the heap page copies that page out, so the image
-        // owns its own copy alone.
-        let addr = regvault_kernel::layout::KERNEL_HEAP_BASE;
-        let live = sup.kernel.machine_mut().memory_mut();
-        let word = live.read_u64(addr).expect("kernel heap is mapped");
-        live.write_u64(addr, word).expect("kernel heap is writable");
-        let warm = sup.warm.as_mut().expect("warm image");
-        let shared = warm
-            .kernel
-            .machine()
-            .memory()
-            .shared_pages_with(sup.kernel.machine().memory());
-        assert_eq!(
-            shared + 1,
-            warm.kernel.machine().memory().mapped_pages(),
-            "only the heap page is unshared"
-        );
-        warm.kernel
-            .machine_mut()
-            .memory_mut()
-            .write_u64(addr, !word)
-            .expect("kernel heap is writable");
-
-        sup.restart_tenancy();
+        sup.idle_advance(sup.now() + 100_000);
+        damage_warm_image(&mut sup);
+        let downtime = escalate(&mut sup);
         assert_eq!(sup.counts.micro_reboot_mismatches, 1);
         assert_eq!(sup.counts.micro_reboots, 1);
         assert_eq!(sup.counts.cold_restarts, 1);
         assert!(!sup.fatal, "the cold restart re-provisions");
+        assert_eq!(escalate(&mut provisioned(false)), downtime);
+    }
+
+    /// Counts the fault-injection events it sees.
+    #[derive(Debug, Clone, Default)]
+    struct FaultCounter(u64);
+
+    impl Tracer for FaultCounter {
+        fn emit(&mut self, record: TraceRecord) {
+            if matches!(record.event, TraceEvent::Fault { .. }) {
+                self.0 += 1;
+            }
+        }
+
+        fn boxed_clone(&self) -> Box<dyn Tracer> {
+            Box::new(self.clone())
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn a_tracer_survives_micro_reboots() {
+        let cfg = ServeConfig {
+            requests: 300,
+            fault_interval: 40_000,
+            seed: 7,
+            ..ServeConfig::default()
+        };
+        let untraced = run(cfg);
+        let mut sup = Supervisor::new(cfg).expect("boot");
+        sup.kernel_mut()
+            .machine_mut()
+            .install_tracer(Box::new(FaultCounter::default()));
+        let report = sup.run_instrumented();
+        assert!(report.micro_reboots >= 1, "{report:?}");
+        assert_eq!(report.cold_restarts, 0, "{report:?}");
+        let key = |r: &ServeReport| (r.served, r.failed, r.shed, r.cycles);
+        assert_eq!(key(&report), key(&untraced), "tracing changed the run");
+
+        let counted = sup
+            .kernel_mut()
+            .machine_mut()
+            .take_tracer()
+            .expect("the tracer is still installed")
+            .into_any()
+            .downcast::<FaultCounter>()
+            .expect("a fault counter")
+            .0;
+        // A fault traced just before a reboot is never polled into the
+        // report's count, so the trace may hold more.
+        assert!(
+            counted >= report.faults_injected,
+            "traced {counted} faults of {}",
+            report.faults_injected
+        );
     }
 
     #[test]

@@ -115,11 +115,30 @@ struct Page {
 }
 
 impl Page {
-    fn zeroed() -> Self {
+    /// A zero-filled page, in a spare allocation if there is one.
+    fn zeroed(spare: &mut Vec<Arc<PageData>>) -> Self {
         Self {
             gen: 0,
-            data: Arc::new(PageData::new([0; PAGE_BYTES])),
+            data: private_page(spare, &[0; PAGE_BYTES]),
         }
+    }
+}
+
+/// An unshared page holding `bytes`, in a spare allocation if there is one.
+fn private_page(spare: &mut Vec<Arc<PageData>>, bytes: &[u8; PAGE_BYTES]) -> Arc<PageData> {
+    if let Some(mut page) = spare.pop() {
+        if let Some(data) = Arc::get_mut(&mut page) {
+            *data.bytes_mut() = *bytes;
+            return page;
+        }
+    }
+    Arc::new(PageData::new(*bytes))
+}
+
+/// Keeps `page` for reuse if nothing else holds it.
+fn keep_spare(spare: &mut Vec<Arc<PageData>>, mut page: Arc<PageData>) {
+    if Arc::get_mut(&mut page).is_some() {
+        spare.push(page);
     }
 }
 
@@ -158,9 +177,27 @@ impl Page {
 /// let fork = mem.clone();
 /// assert_eq!(mem.shared_pages_with(&fork), 1); // CoW: bytes are shared
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Memory {
     pages: FxHashMap<u64, Page>,
+    /// Page allocations that [`Memory::load_pages`] replaced or unmapped
+    /// while this memory held them alone, reused by the next copy-on-write
+    /// copy or newly mapped page. Freed instead, the pages of a restore
+    /// (dozens for a serve micro-reboot) return to the allocator at once,
+    /// which can hand the top of its heap back to the OS and page-fault it
+    /// in again on the writes that follow. Bounded by the pages this memory
+    /// has held privately at once.
+    spare: Vec<Arc<PageData>>,
+}
+
+/// A clone shares every page and starts with no spare allocations.
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Self {
+            pages: self.pages.clone(),
+            spare: Vec::new(),
+        }
+    }
 }
 
 impl Memory {
@@ -219,7 +256,10 @@ impl Memory {
         let last = start.wrapping_add(len - 1) >> PAGE_SHIFT;
         let mut page = start >> PAGE_SHIFT;
         loop {
-            self.pages.entry(page).or_insert_with(Page::zeroed);
+            let spare = &mut self.spare;
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Page::zeroed(spare));
             if page == last {
                 break;
             }
@@ -231,11 +271,14 @@ impl Memory {
     /// touch, with its generation bumped. Copies the page contents first if
     /// they are shared with a snapshot or fork (copy-on-write).
     fn page_data_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES] {
-        let page = self
-            .pages
+        let Memory { pages, spare } = self;
+        let page = pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(Page::zeroed);
+            .or_insert_with(|| Page::zeroed(spare));
         page.gen += 1;
+        if Arc::strong_count(&page.data) > 1 {
+            page.data = private_page(spare, &page.data.bytes);
+        }
         Arc::make_mut(&mut page.data).bytes_mut()
     }
 
@@ -440,19 +483,24 @@ impl Memory {
     /// so reloading a snapshot into a machine forked from it costs one probe
     /// per page and touches only what the machine changed since. The `Arc`
     /// is shared, not copied: the machine references the snapshot's pages
-    /// until it writes to them.
+    /// until it writes to them. A replaced or unmapped page that only this
+    /// memory held is kept as a spare allocation.
     pub(crate) fn load_pages(&mut self, pages: &[(u64, u64, Arc<PageData>)]) {
         debug_assert!(pages.is_sorted_by(|a, b| a.0 < b.0), "page list not sorted");
+        let Memory {
+            pages: table,
+            spare,
+        } = self;
         for (no, gen, data) in pages {
-            match self.pages.get_mut(no) {
+            match table.get_mut(no) {
                 Some(page) => {
                     if page.gen != *gen || !Arc::ptr_eq(&page.data, data) {
                         page.gen = *gen;
-                        page.data = Arc::clone(data);
+                        keep_spare(spare, std::mem::replace(&mut page.data, Arc::clone(data)));
                     }
                 }
                 None => {
-                    self.pages.insert(
+                    table.insert(
                         *no,
                         Page {
                             gen: *gen,
@@ -464,9 +512,12 @@ impl Memory {
         }
         // Every page of `pages` is mapped now, so any extra is one the
         // machine mapped since.
-        if self.pages.len() > pages.len() {
-            self.pages
-                .retain(|no, _| pages.binary_search_by_key(no, |p| p.0).is_ok());
+        if table.len() > pages.len() {
+            let unmapped =
+                table.extract_if(|no, _| pages.binary_search_by_key(no, |p| p.0).is_err());
+            for (_, page) in unmapped {
+                keep_spare(spare, page.data);
+            }
         }
     }
 }
@@ -711,6 +762,43 @@ mod tests {
         let mut empty = Memory::new();
         empty.load_pages(&saved);
         assert_eq!(image(&empty), saved);
+    }
+
+    /// A restore keeps the private pages it drops, and the writes after it
+    /// copy and map into those allocations instead of new ones.
+    #[test]
+    fn load_pages_recycles_the_private_pages_it_drops() {
+        let mut base = Memory::new();
+        base.write_u64(PAGE_SIZE, 1).unwrap();
+        let saved = image(&base);
+        let mut mem = base.clone();
+        mem.write_u64(PAGE_SIZE, 2).unwrap(); // copy-on-write: private
+        mem.write_u64(9 * PAGE_SIZE, 9).unwrap(); // mapped since the image
+        let dropped = [&mem.pages[&1].data, &mem.pages[&9].data].map(Arc::as_ptr);
+        mem.load_pages(&saved);
+        assert_eq!(mem.spare.len(), 2, "both private pages are kept");
+        assert!(mem.clone().spare.is_empty(), "a clone shares no spares");
+
+        mem.write_u64(PAGE_SIZE + 8, 3).unwrap(); // copies the shared page
+        mem.map_region(5 * PAGE_SIZE, 1); // maps a zeroed page
+        assert!(mem.spare.is_empty());
+        let reused = [&mem.pages[&1].data, &mem.pages[&5].data].map(Arc::as_ptr);
+        assert!(reused.iter().all(|page| dropped.contains(page)));
+        assert_eq!(
+            mem.read_u64(PAGE_SIZE).unwrap(),
+            1,
+            "the copy holds the image's bytes"
+        );
+        assert_eq!(mem.read_u64(PAGE_SIZE + 8).unwrap(), 3);
+        assert!(
+            mem.pages[&5].data.iter().all(|&b| b == 0),
+            "a recycled page maps zeroed"
+        );
+        assert_eq!(
+            base.read_u64(PAGE_SIZE).unwrap(),
+            1,
+            "the image is untouched"
+        );
     }
 
     #[test]

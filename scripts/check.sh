@@ -57,7 +57,10 @@ else
 fi
 
 echo "==> serve smoke (short multi-tenant run under live faults)"
-target/release/regvault-cli serve --smoke > /dev/null
+# The run must micro-reboot at least once: the smoke has to exercise the
+# in-place kernel restore and its digest gate.
+target/release/regvault-cli serve --smoke \
+    | grep -Eq ", [1-9][0-9]* micro reboots,"
 
 echo "==> fleet smoke (snapshot-forked fleet under a chaos kill schedule)"
 target/release/regvault-cli fleet --smoke > /dev/null
