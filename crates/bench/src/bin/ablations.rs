@@ -7,8 +7,13 @@
 //! 3. chain-based interrupt context protection vs independent per-slot
 //!    tweaks (what the chain buys);
 //! 4. raised spill costs for sensitive registers (how many sensitive
-//!    values reach memory).
+//!    values reach memory);
+//! 5. the XOR-based DSR baseline vs the QARMA primitive;
+//! 6. sensitivity to the crypto-engine latency.
+//!
+//! Prints each study and writes the outcomes to `BENCH_ablations.json`.
 
+use regvault_bench::{json::Value, write_figure_json};
 use regvault_compiler::prelude::*;
 use regvault_compiler::regalloc::{self, Loc};
 use regvault_isa::{ByteRange, Reg};
@@ -17,22 +22,26 @@ use regvault_qarma::Key;
 use regvault_sim::{CostModel, CryptoEngine, MachineConfig};
 
 fn main() {
-    tweak_choice();
-    integrity_range();
-    chain_vs_independent();
-    spill_cost();
-    xor_dsr_vs_regvault();
-    crypto_latency_sensitivity();
+    let report = Value::obj([
+        ("tweak_choice", tweak_choice()),
+        ("integrity_range", integrity_range()),
+        ("chain_vs_independent", chain_vs_independent()),
+        ("spill_cost", spill_cost()),
+        ("xor_dsr_vs_regvault", xor_dsr_vs_regvault()),
+        ("crypto_latency", crypto_latency_sensitivity()),
+    ]);
+    write_figure_json("ablations", &report);
 }
 
 /// 1: encrypt the same pointer at two addresses; swap the ciphertexts.
-fn tweak_choice() {
+fn tweak_choice() -> Value {
     println!("=== Ablation 1: address tweak vs constant tweak ===");
     let mut engine = CryptoEngine::new(8, 1);
     engine.write_key(KeyReg::B, Key::new(7, 8));
     let (addr_a, addr_b) = (0x9000u64, 0x9008u64);
     let pointer = 0xFFFF_FFFF_8000_1000u64;
 
+    let mut rows = Vec::new();
     for (label, tweak_a, tweak_b) in [
         ("storage-address tweak", addr_a, addr_b),
         ("constant tweak", 0u64, 0u64),
@@ -59,16 +68,22 @@ fn tweak_choice() {
             }
         );
         let _ = ct_a;
+        rows.push(Value::obj([
+            ("tweak", Value::from(label)),
+            ("substitution_works", Value::from(hijacked)),
+        ]));
     }
     println!();
+    Value::arr(rows)
 }
 
 /// 2: how often does blind ciphertext corruption survive the zero check?
-fn integrity_range() {
+fn integrity_range() -> Value {
     println!("=== Ablation 2: integrity range [3:0] vs confidentiality-only [7:0] ===");
     let mut engine = CryptoEngine::new(0, 2);
     engine.write_key(KeyReg::D, Key::new(9, 10));
     let trials = 20_000u64;
+    let mut rows = Vec::new();
     for (label, range) in [
         ("[3:0] (integrity)", ByteRange::LOW32),
         ("[7:0] (conf only)", ByteRange::FULL),
@@ -87,13 +102,19 @@ fn integrity_range() {
              (expected ~{:.5} for 2^-32 per trial)",
             trials as f64 / 2f64.powi(32)
         );
+        rows.push(Value::obj([
+            ("range", Value::from(label)),
+            ("trials", Value::from(trials)),
+            ("undetected", Value::from(undetected)),
+        ]));
     }
     println!("  The 32-bit zero redundancy detects corruption w.p. 1 - 2^-32;");
     println!("  the full range detects nothing (it garbles instead).\n");
+    Value::arr(rows)
 }
 
 /// 3: CIP's chained tweaks vs independent per-slot address tweaks.
-fn chain_vs_independent() {
+fn chain_vs_independent() -> Value {
     println!("=== Ablation 3: chained vs independent interrupt-context tweaks ===");
     // Independent variant: each register encrypted with its own slot
     // address as tweak, no trailing zero. An attacker REORDERS two saved
@@ -154,19 +175,24 @@ fn chain_vs_independent() {
         .write_u64(frame, recorded)
         .unwrap();
     let outcome = regvault_kernel::trap::restore_context(kernel.machine_mut(), &cfg, key, frame);
-    println!(
-        "  chained tweaks     -> replayed slot 0: {}",
-        match outcome {
-            Err(KernelError::IntegrityViolation { .. }) => "detected by the chain's zero check",
-            Err(_) => "failed otherwise",
-            Ok(_) => "NOT DETECTED (unexpected)",
-        }
-    );
+    let chain = match outcome {
+        Err(KernelError::IntegrityViolation { .. }) => "detected by the chain's zero check",
+        Err(_) => "failed otherwise",
+        Ok(_) => "NOT DETECTED (unexpected)",
+    };
+    println!("  chained tweaks     -> replayed slot 0: {chain}");
     println!();
+    Value::obj([
+        (
+            "independent_replay_accepted",
+            Value::from(replayed == old_ra),
+        ),
+        ("chained_replay", Value::from(chain)),
+    ])
 }
 
 /// 4: raised spill costs — how many sensitive values reach memory.
-fn spill_cost() {
+fn spill_cost() -> Value {
     println!("=== Ablation 4: sensitive spill-cost raising ===");
     // A register-pressure module with both sensitive (decrypted) and
     // non-sensitive values alive simultaneously.
@@ -197,6 +223,7 @@ fn spill_cost() {
     f.ret(Some(acc));
     module.add_function(f.build());
 
+    let mut rows = Vec::new();
     for (label, config) in [
         ("spill protection OFF", CompileConfig::non_control()),
         ("spill protection ON ", CompileConfig::full()),
@@ -223,6 +250,11 @@ fn spill_cost() {
                 "written as plaintext"
             }
         );
+        rows.push(Value::obj([
+            ("protect_spills", Value::from(config.protect_spills)),
+            ("spills", Value::from(total_spills)),
+            ("sensitive_spills", Value::from(sensitive_spills)),
+        ]));
     }
     println!(
         "  With protection on, sensitive values are confined to caller-saved\n\
@@ -230,11 +262,12 @@ fn spill_cost() {
          \x20 spilled byte is ciphertext. Without protection nothing spills here,\n\
          \x20 yet any spill that pressure did force would be plaintext."
     );
+    Value::arr(rows)
 }
 
 /// 5: the XOR-based DSR baseline (DSR/HARD/CoDaRR) vs the QARMA primitive
 /// under a memory-disclosure attacker — the paper's §1/§5 motivation.
-fn xor_dsr_vs_regvault() {
+fn xor_dsr_vs_regvault() -> Value {
     use regvault_attacks::xor_dsr::{forge, recover_mask, XorDsr};
 
     println!("\n=== Ablation 5: XOR-based DSR baseline vs QARMA RegVault ===");
@@ -244,10 +277,10 @@ fn xor_dsr_vs_regvault() {
     let observed = dsr.randomize(0, 1000);
     let mask = recover_mask(1000, observed);
     let forged = forge(mask, 0);
+    let dsr_forged = dsr.derandomize(0, forged);
     println!(
         "  XOR DSR  -> leaked(1000) = {observed:#018x}; recovered mask; forged \
-         block decodes to uid {}",
-        dsr.derandomize(0, forged)
+         block decodes to uid {dsr_forged}"
     );
 
     let mut engine = CryptoEngine::new(0, 0xD5E);
@@ -268,17 +301,22 @@ fn xor_dsr_vs_regvault() {
          \x20 class forever, while QARMA's pseudo-random permutation gives the\n\
          \x20 attacker nothing transferable."
     );
+    Value::obj([
+        ("xor_dsr_forged_uid", Value::from(dsr_forged)),
+        ("regvault_forged_decodes_to", Value::from(decoded)),
+    ])
 }
 
 /// 6: sensitivity to the crypto-engine latency — the paper's 3-cycle QARMA
 /// against slower hypothetical engines (and a 1-cycle ideal).
-fn crypto_latency_sensitivity() {
+fn crypto_latency_sensitivity() -> Value {
     println!("\n=== Ablation 6: crypto-engine latency sensitivity ===");
     println!("  (getuid+null syscall mix, FULL protection)");
     println!(
         "  {:<22} {:>12} {:>12}",
         "QARMA latency", "CLB = 8", "CLB = 0"
     );
+    let mut rows = Vec::new();
     for miss_latency in [1u64, 3, 5, 8, 16] {
         let cost = CostModel {
             crypto_miss: miss_latency,
@@ -320,8 +358,14 @@ fn crypto_latency_sensitivity() {
                 ""
             }
         );
+        rows.push(Value::obj([
+            ("miss_cycles", Value::from(miss_latency)),
+            ("overhead_clb_8", Value::from(row[0])),
+            ("overhead_clb_0", Value::from(row[1])),
+        ]));
     }
     println!("  With the CLB the hot syscall working set hits the buffer and the");
     println!("  engine latency barely matters; without it, overhead scales with");
     println!("  the engine's cycle count — the CLB is what buys latency freedom.");
+    Value::arr(rows)
 }

@@ -57,7 +57,7 @@ const GUARDS: [Guard; 8] = [
     // 2.60–2.97x. dhry2 is a register-compute loop the superblock tier
     // covers almost entirely (~98% of its instructions): one 11-instruction
     // block that branches back to its own entry and re-runs without the
-    // slot probe. Dispatching fused traces instead of single steps keeps
+    // slot probe. Dispatching whole traces instead of single steps keeps
     // the 2x the tier was accepted on; a tier that stops entering or
     // churns its traces falls to about 1x. With the probe on every pass
     // and the interpreter's cheaper fault poll, it measured 1.98–2.27.

@@ -9,7 +9,7 @@
 //! | `fig5a_unixbench` | Figure 5a: UnixBench overheads |
 //! | `fig5b_lmbench` | Figure 5b: LMbench overheads |
 //! | `fig5c_spec` | Figure 5c: SPEC intspeed overheads |
-//! | `ablations` | design-choice ablations called out in DESIGN.md |
+//! | `ablations` | design-choice ablations called out in DESIGN.md (`BENCH_ablations.json`) |
 //! | `hotpath` | none: the host-speed ratio guard of DESIGN.md §8 |
 //!
 //! The `serve` and `fleet` binaries compare three configurations of the

@@ -161,14 +161,7 @@ impl CredStore {
         value: u32,
     ) -> Result<(), KernelError> {
         let addr = self.cred_addr(tid) + field.offset();
-        pfield::write_u32(
-            machine,
-            cfg,
-            cfg.key_policy().data,
-            addr,
-            value,
-            cfg.non_control,
-        )
+        pfield::write_u32(machine, cfg.key_policy().data, addr, value, cfg.non_control)
     }
 
     /// Writes the 64-bit session token (integrity-protected as two split

@@ -9,14 +9,12 @@
 use regvault_isa::{ByteRange, KeyReg};
 use regvault_sim::Machine;
 
-use crate::config::ProtectionConfig;
 use crate::error::KernelError;
 
 /// Writes a protected 32-bit value (`__rand_integrity` on 32-bit data):
 /// zero-extended, encrypted over `[3:0]`, stored as one block.
 pub(crate) fn write_u32(
     machine: &mut Machine,
-    cfg: &ProtectionConfig,
     key: KeyReg,
     addr: u64,
     value: u32,
@@ -28,7 +26,6 @@ pub(crate) fn write_u32(
     } else {
         machine.kernel_store_u64(addr, u64::from(value))?;
     }
-    let _ = cfg;
     Ok(())
 }
 
@@ -156,8 +153,7 @@ mod tests {
     #[test]
     fn protected_u32_round_trip() {
         let mut m = machine();
-        let cfg = ProtectionConfig::full();
-        write_u32(&mut m, &cfg, KeyReg::D, 0x9000, 1234, true).unwrap();
+        write_u32(&mut m, KeyReg::D, 0x9000, 1234, true).unwrap();
         assert_ne!(m.memory().read_u64(0x9000).unwrap(), 1234);
         assert_eq!(
             read_u32(&mut m, KeyReg::D, 0x9000, true, "x").unwrap(),
@@ -168,8 +164,7 @@ mod tests {
     #[test]
     fn corrupting_protected_u32_is_detected() {
         let mut m = machine();
-        let cfg = ProtectionConfig::full();
-        write_u32(&mut m, &cfg, KeyReg::D, 0x9000, 1234, true).unwrap();
+        write_u32(&mut m, KeyReg::D, 0x9000, 1234, true).unwrap();
         let ct = m.memory().read_u64(0x9000).unwrap();
         m.memory_mut().write_u64(0x9000, ct ^ 0x4).unwrap();
         assert!(matches!(
@@ -181,8 +176,7 @@ mod tests {
     #[test]
     fn unprotected_u32_accepts_corruption() {
         let mut m = machine();
-        let cfg = ProtectionConfig::off();
-        write_u32(&mut m, &cfg, KeyReg::D, 0x9000, 1234, false).unwrap();
+        write_u32(&mut m, KeyReg::D, 0x9000, 1234, false).unwrap();
         m.memory_mut().write_u64(0x9000, 0).unwrap();
         assert_eq!(read_u32(&mut m, KeyReg::D, 0x9000, false, "x").unwrap(), 0);
     }

@@ -71,7 +71,6 @@ impl SelinuxState {
     ) -> Result<(), KernelError> {
         pfield::write_u32(
             machine,
-            cfg,
             cfg.key_policy().data,
             self.base + offset,
             value,

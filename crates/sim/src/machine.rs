@@ -47,7 +47,7 @@ pub struct MachineConfig {
     /// of [`crate::lockstep`].
     pub reference_datapath: bool,
     /// Enable the superblock translation tier (on by default): hot basic
-    /// blocks are pre-translated into fused threaded-code traces and
+    /// blocks are pre-translated into threaded-code traces and
     /// dispatched whole. Architecturally invisible — the tier only enters
     /// a block when it can prove no timer, fault, watchdog or step-budget
     /// boundary lands inside it. Disable to force pure single-stepping

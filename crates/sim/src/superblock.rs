@@ -1,5 +1,4 @@
-//! Superblock translation tier: fused threaded-code traces over the decode
-//! cache.
+//! Superblock translation tier: threaded-code traces over the decode cache.
 //!
 //! The direct-mapped decoded-instruction cache ([`crate::icache`]) removes
 //! the *decode* cost from the hot path but still pays full per-instruction
@@ -7,14 +6,12 @@
 //! large `match` per retired instruction. This module adds a second tier
 //! above it. Hot basic-block boundaries (detected by retire counts at
 //! non-sequential pc updates) are pre-translated into *superblocks*:
-//! threaded-code arrays of monomorphized handlers ([`SbOp`]) with operands
-//! pre-extracted (immediates sign-extended, branch targets absolute, byte
-//! ranges validated) and common pairs of contiguous instructions fused
-//! (ALU-imm + conditional branch, address-gen + dependent load, `cre` +
-//! store of the ciphertext). A trace runs on through a direct jump
-//! (`jal x0`) to an aligned target on its own page, which retires as a
-//! taken jump, so the `j` stubs compiled code ends its blocks with do not
-//! cut it short. The machine dispatches a whole superblock with a single
+//! threaded-code arrays of monomorphized handlers ([`SbOp`]), one per
+//! instruction, with operands pre-extracted (immediates sign-extended,
+//! branch targets absolute, byte ranges validated). A trace runs on
+//! through a direct jump (`jal x0`) to an aligned target on its own page,
+//! which retires as a taken jump, so the `j` stubs compiled code ends its
+//! blocks with do not cut it short. The machine dispatches a whole superblock with a single
 //! bounds/budget check — see `Machine::step_tier` — so the per-instruction
 //! cost collapses to one handler match plus the architectural work itself;
 //! when a block exits cleanly, the machine chains straight into the next
@@ -42,11 +39,12 @@
 //! and its block; there is no block map beside it. Blocks are tagged with
 //! their page's write generation, exactly like decode-cache entries: the
 //! entry probe drops a block whose page generation moved (lazy
-//! invalidation — snapshot restore preserves generations, so restored
-//! machines never see stale traces). A store *inside* a block that hits
-//! the block's own page (self-modifying code) retires normally and then
-//! side-exits, so the stale tail is never executed and the next entry
-//! rebuilds from fresh bytes.
+//! invalidation). Generations are per-machine counters, so a restored page
+//! can carry one this machine already built a block under from other
+//! bytes: snapshot restore must clear the tier ([`SuperblockCache::clear`]).
+//! A store *inside* a block that hits the block's own page (self-modifying
+//! code) retires normally and then side-exits, so the stale tail is never
+//! executed and the next entry rebuilds from fresh bytes.
 
 use regvault_isa::{decode, AluOp, BranchOp, ByteRange, Insn, KeyReg, MemWidth, Reg};
 
@@ -83,7 +81,7 @@ const NO_BLOCK: u32 = u32::MAX;
 
 /// One pre-translated handler: operands extracted, immediates sign-extended
 /// to `u64`, branch targets absolute, byte ranges validated at build time.
-/// `Fused*` variants retire **two** architectural instructions.
+/// Every op retires exactly one architectural instruction.
 #[derive(Debug, Clone)]
 pub(crate) enum SbOp {
     /// `lui`/`auipc` collapse to a constant (`auipc`'s pc is static inside
@@ -173,51 +171,6 @@ pub(crate) enum SbOp {
         rs1: Reg,
         offset: u64,
     },
-    /// Fused ALU-imm + conditional branch (`addi s1,s1,1; blt s1,s2,loop`).
-    /// The branch operands are re-read after the ALU write, so aliasing
-    /// matches two single steps exactly.
-    FusedOpImmBranch {
-        op: AluOp,
-        rd: Reg,
-        rs1: Reg,
-        imm: u64,
-        bop: BranchOp,
-        brs1: Reg,
-        brs2: Reg,
-        taken: u64,
-        fallthrough: u64,
-    },
-    /// Fused address-gen + dependent load (`add t0,a0,a1; ld t1,0(t0)`).
-    FusedAddLoad {
-        rd: Reg,
-        rs1: Reg,
-        rs2: Reg,
-        width: MemWidth,
-        signed: bool,
-        lrd: Reg,
-        offset: u64,
-    },
-    /// Fused immediate address-gen + dependent load.
-    FusedAddiLoad {
-        rd: Reg,
-        rs1: Reg,
-        imm: u64,
-        width: MemWidth,
-        signed: bool,
-        lrd: Reg,
-        offset: u64,
-    },
-    /// Fused encrypt + store of the ciphertext (`cre a0,...; sd a0,0(s0)`).
-    FusedCreStore {
-        key: KeyReg,
-        rd: Reg,
-        rs: Reg,
-        rt: Reg,
-        range: ByteRange,
-        width: MemWidth,
-        srs1: Reg,
-        offset: u64,
-    },
 }
 
 /// A translated trace: the instructions one entry pc runs within one page,
@@ -230,17 +183,15 @@ pub(crate) struct Superblock {
     /// Page write generation at build time; a moved generation kills the
     /// block at the next entry probe.
     pub(crate) gen: u64,
-    /// Architectural instruction count (fused ops count as two).
-    pub(crate) len: u64,
     /// Worst-case cycle cost of the whole trace under the machine's cost
     /// model (branches taken, crypto missing); used for the timer check.
     pub(crate) max_cycles: u64,
     ops: Vec<SbOp>,
-    /// Exit pc table: `pcs[i]` is the pc of the trace's `i`-th
-    /// architectural instruction (`pcs[0]` is the entry) and `pcs[len]` the
-    /// pc after its last. Every exit that is not a control transfer — an
-    /// exception, a self-modifying store, running off the end — takes its
-    /// pc from here, since a followed jump breaks `entry + 4 * retired`.
+    /// Exit pc table: `pcs[i]` is the pc of `ops[i]` (`pcs[0]` is the
+    /// entry) and `pcs[ops.len()]` the pc after the last. Every exit that
+    /// is not a control transfer — an exception, a self-modifying store,
+    /// running off the end — takes its pc from here, since a followed jump
+    /// breaks `entry + 4 * retired`.
     pcs: Box<[u64]>,
 }
 
@@ -443,7 +394,7 @@ impl SuperblockCache {
     /// the machine's entry precheck.
     pub(crate) fn bounds(&self, index: usize) -> (u64, u64) {
         let block = &self.blocks[index];
-        (block.len, block.max_cycles)
+        (block.ops.len() as u64, block.max_cycles)
     }
 
     /// Borrows block `index` out of its slot for one run; [`Self::put_back`]
@@ -498,34 +449,6 @@ fn has_w_form(op: AluOp) -> bool {
     )
 }
 
-/// `true` if the instruction can live inside a trace. CSR accesses, traps,
-/// privilege returns and anything that would raise unconditionally
-/// (invalid W-forms, malformed byte ranges) end the trace instead — the
-/// interpreter handles them with full fidelity.
-fn translatable(insn: &Insn) -> bool {
-    match insn {
-        Insn::Lui { .. }
-        | Insn::Auipc { .. }
-        | Insn::Jal { .. }
-        | Insn::Jalr { .. }
-        | Insn::Branch { .. }
-        | Insn::Load { .. }
-        | Insn::Store { .. }
-        | Insn::OpImm { .. }
-        | Insn::Op { .. }
-        | Insn::Wfi
-        | Insn::Fence => true,
-        Insn::OpImmW { op, .. } | Insn::OpW { op, .. } => has_w_form(*op),
-        Insn::Cre { hi, lo, .. } | Insn::Crd { hi, lo, .. } => ByteRange::new(*hi, *lo).is_some(),
-        Insn::Csr { .. }
-        | Insn::CsrImm { .. }
-        | Insn::Ecall
-        | Insn::Ebreak
-        | Insn::Mret
-        | Insn::Sret => false,
-    }
-}
-
 /// Worst-case cycle cost of one instruction under `cost` (branch taken,
 /// crypto missing) — summed into `Superblock::max_cycles` for the timer
 /// entry check.
@@ -545,107 +468,11 @@ fn worst_cycles(insn: &Insn, cost: &CostModel) -> u64 {
     }
 }
 
-/// Tries to fuse `first` (at `pc`) with the following instruction. The
-/// `rd != zero` guards keep aliasing semantics identical to two single
-/// steps: a discarded x0 write must not feed the second half.
-fn try_fuse(first: Insn, second: Option<Insn>, pc: u64) -> Option<SbOp> {
-    match (first, second?) {
-        (
-            Insn::OpImm { op, rd, rs1, imm },
-            Insn::Branch {
-                op: bop,
-                rs1: brs1,
-                rs2: brs2,
-                offset,
-            },
-        ) => Some(SbOp::FusedOpImmBranch {
-            op,
-            rd,
-            rs1,
-            imm: imm as i64 as u64,
-            bop,
-            brs1,
-            brs2,
-            taken: (pc + 4).wrapping_add(offset as i64 as u64),
-            fallthrough: pc + 8,
-        }),
-        (
-            Insn::Op {
-                op: AluOp::Add,
-                rd,
-                rs1,
-                rs2,
-            },
-            Insn::Load {
-                width,
-                signed,
-                rd: lrd,
-                rs1: lbase,
-                offset,
-            },
-        ) if lbase == rd && rd != Reg::Zero => Some(SbOp::FusedAddLoad {
-            rd,
-            rs1,
-            rs2,
-            width,
-            signed,
-            lrd,
-            offset: offset as i64 as u64,
-        }),
-        (
-            Insn::OpImm {
-                op: AluOp::Add,
-                rd,
-                rs1,
-                imm,
-            },
-            Insn::Load {
-                width,
-                signed,
-                rd: lrd,
-                rs1: lbase,
-                offset,
-            },
-        ) if lbase == rd && rd != Reg::Zero => Some(SbOp::FusedAddiLoad {
-            rd,
-            rs1,
-            imm: imm as i64 as u64,
-            width,
-            signed,
-            lrd,
-            offset: offset as i64 as u64,
-        }),
-        (
-            Insn::Cre {
-                key,
-                rd,
-                rs,
-                rt,
-                hi,
-                lo,
-            },
-            Insn::Store {
-                width,
-                rs2,
-                rs1: srs1,
-                offset,
-            },
-        ) if rs2 == rd && rd != Reg::Zero => Some(SbOp::FusedCreStore {
-            key,
-            rd,
-            rs,
-            rt,
-            range: ByteRange::new(hi, lo)?,
-            width,
-            srs1,
-            offset: offset as i64 as u64,
-        }),
-        _ => None,
-    }
-}
-
-/// Lowers one instruction to its pre-extracted handler. `None` only for
-/// untranslatable instructions, which the scanner already filtered.
+/// Lowers one instruction to its pre-extracted handler. `None` if the
+/// instruction cannot live inside a trace: CSR accesses, traps, privilege
+/// returns and anything that would raise unconditionally (invalid W-forms,
+/// malformed byte ranges) end the trace instead — the interpreter handles
+/// them with full fidelity.
 fn lower(insn: Insn, pc: u64) -> Option<SbOp> {
     let next = pc + 4;
     Some(match insn {
@@ -710,7 +537,7 @@ fn lower(insn: Insn, pc: u64) -> Option<SbOp> {
             rs1,
             imm: imm as i64 as u64,
         },
-        Insn::OpImmW { op, rd, rs1, imm } => SbOp::OpImmW {
+        Insn::OpImmW { op, rd, rs1, imm } if has_w_form(op) => SbOp::OpImmW {
             op,
             rd,
             rs1,
@@ -723,7 +550,7 @@ fn lower(insn: Insn, pc: u64) -> Option<SbOp> {
             rs1,
             rs2,
         },
-        Insn::OpW { op, rd, rs1, rs2 } => SbOp::OpW {
+        Insn::OpW { op, rd, rs1, rs2 } if has_w_form(op) => SbOp::OpW {
             op,
             class: exec::class_of(op),
             rd,
@@ -759,7 +586,9 @@ fn lower(insn: Insn, pc: u64) -> Option<SbOp> {
             rt,
             range: ByteRange::new(hi, lo)?,
         },
-        Insn::Csr { .. }
+        Insn::OpImmW { .. }
+        | Insn::OpW { .. }
+        | Insn::Csr { .. }
         | Insn::CsrImm { .. }
         | Insn::Ecall
         | Insn::Ebreak
@@ -795,63 +624,44 @@ pub(crate) fn build(mem: &Memory, cost: &CostModel, entry_pc: u64) -> Option<Sup
     let page_no = Memory::page_number(entry_pc);
     let (_, gen) = mem.fetch_word(entry_pc).ok()?;
 
-    // `raw[i]` was fetched from `pcs[i]`; the loop leaves the pc after the
-    // last instruction in `pc`, which closes the table.
-    let mut raw: Vec<Insn> = Vec::new();
-    let mut pcs: Vec<u64> = Vec::new();
+    // `ops[i]` was lowered from the instruction at `pcs[i]`; the loop
+    // leaves the pc after the last instruction in `pc`, which closes the
+    // table.
+    let mut ops = Vec::new();
+    let mut pcs = Vec::new();
+    let mut max_cycles = 0u64;
     let mut pc = entry_pc;
-    while raw.len() < MAX_OPS && Memory::page_number(pc) == page_no {
+    while ops.len() < MAX_OPS && Memory::page_number(pc) == page_no {
         let Ok((word, _)) = mem.fetch_word(pc) else {
             break;
         };
         let Ok(insn) = decode::decode(word) else {
             break;
         };
-        if !translatable(&insn) {
+        let Some(op) = lower(insn, pc) else {
             break;
-        }
-        raw.push(insn);
+        };
         pcs.push(pc);
+        max_cycles += worst_cycles(&insn, cost);
         if let Some(target) = followed_jump(&insn, pc, page_no) {
+            ops.push(SbOp::Jump);
             pc = target;
             continue;
         }
+        ops.push(op);
         pc += 4;
         if is_terminator(&insn) {
             break;
         }
     }
-    if raw.len() < MIN_OPS {
+    if ops.len() < MIN_OPS {
         return None;
     }
     pcs.push(pc);
 
-    let mut ops = Vec::with_capacity(raw.len());
-    let mut max_cycles = 0u64;
-    let mut i = 0;
-    while i < raw.len() {
-        let (insn, at) = (raw[i], pcs[i]);
-        // Fusion pairs only contiguous instructions: the second half of a
-        // pair is addressed as `at + 4`.
-        let next = raw.get(i + 1).copied().filter(|_| pcs[i + 1] == at + 4);
-        if let Some(fused) = try_fuse(insn, next, at) {
-            max_cycles += worst_cycles(&insn, cost) + worst_cycles(&raw[i + 1], cost);
-            ops.push(fused);
-            i += 2;
-            continue;
-        }
-        max_cycles += worst_cycles(&insn, cost);
-        ops.push(match followed_jump(&insn, at, page_no) {
-            Some(_) => SbOp::Jump,
-            None => lower(insn, at)?,
-        });
-        i += 1;
-    }
-
     Some(Superblock {
         page_no,
         gen,
-        len: raw.len() as u64,
         max_cycles,
         ops,
         pcs: pcs.into_boxed_slice(),
@@ -930,59 +740,57 @@ fn store_value(
 /// exception, or a self-modifying store. `pc` is written only at exits.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
-    let mut retired: u64 = 0;
-
-    macro_rules! raise_at {
-        ($cause:expr, $tval:expr) => {{
-            m.hart.set_pc(block.pcs[retired as usize]);
-            let event = exec::raise(m, $cause, $tval);
-            return SbExit {
-                retired,
-                consumed: retired + 1,
-                event: Some(event),
-                side_exit: true,
-            };
-        }};
-    }
-    macro_rules! exit_to {
-        ($pc:expr) => {{
-            m.hart.set_pc($pc);
-            return SbExit {
-                retired,
-                consumed: retired,
-                event: None,
-                side_exit: false,
-            };
-        }};
-    }
-    // Store retired; if it rewrote the block's own page, stop before the
-    // (now stale) tail.
-    macro_rules! smc_check {
-        ($addr:expr, $width:expr) => {{
-            if touches(block.page_no, $addr, $width) {
-                m.hart.set_pc(block.pcs[retired as usize]);
+    for (i, op) in block.ops.iter().enumerate() {
+        // One op per instruction: `i` instructions retired before this one.
+        let retired = i as u64;
+        macro_rules! raise_at {
+            ($cause:expr, $tval:expr) => {{
+                m.hart.set_pc(block.pcs[i]);
+                let event = exec::raise(m, $cause, $tval);
                 return SbExit {
                     retired,
-                    consumed: retired,
-                    event: None,
+                    consumed: retired + 1,
+                    event: Some(event),
                     side_exit: true,
                 };
-            }
-        }};
-    }
+            }};
+        }
+        macro_rules! exit_to {
+            ($pc:expr) => {{
+                m.hart.set_pc($pc);
+                return SbExit {
+                    retired: retired + 1,
+                    consumed: retired + 1,
+                    event: None,
+                    side_exit: false,
+                };
+            }};
+        }
+        // Store retired; if it rewrote the block's own page, stop before
+        // the (now stale) tail.
+        macro_rules! smc_check {
+            ($addr:expr, $width:expr) => {{
+                if touches(block.page_no, $addr, $width) {
+                    m.hart.set_pc(block.pcs[i + 1]);
+                    return SbExit {
+                        retired: retired + 1,
+                        consumed: retired + 1,
+                        event: None,
+                        side_exit: true,
+                    };
+                }
+            }};
+        }
 
-    for op in &block.ops {
         match *op {
             SbOp::Const { rd, value } => {
                 m.hart.set_reg(rd, value);
                 exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
             }
             SbOp::OpImm { op, rd, rs1, imm } => {
                 let value = exec::alu64(op, m.hart.reg(rs1), imm);
                 m.hart.set_reg(rd, value);
                 exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
             }
             SbOp::OpImmW { op, rd, rs1, imm } => {
                 let Some(value) = exec::alu32(op, m.hart.reg(rs1), imm) else {
@@ -990,7 +798,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 };
                 m.hart.set_reg(rd, value);
                 exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
             }
             SbOp::Op {
                 op,
@@ -1002,7 +809,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 let value = exec::alu64(op, m.hart.reg(rs1), m.hart.reg(rs2));
                 m.hart.set_reg(rd, value);
                 exec::retire(m, class, false, false);
-                retired += 1;
             }
             SbOp::OpW {
                 op,
@@ -1016,7 +822,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 };
                 m.hart.set_reg(rd, value);
                 exec::retire(m, class, false, false);
-                retired += 1;
             }
             SbOp::Load {
                 width,
@@ -1030,7 +835,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                     Ok(value) => {
                         m.hart.set_reg(rd, value);
                         exec::retire(m, InsnClass::Load, false, false);
-                        retired += 1;
                     }
                     Err(cause) => raise_at!(cause, addr),
                 }
@@ -1047,12 +851,10 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                     raise_at!(cause, addr);
                 }
                 exec::retire(m, InsnClass::Store, false, false);
-                retired += 1;
                 smc_check!(addr, width);
             }
             SbOp::Nop => {
                 exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
             }
             SbOp::Cre {
                 key,
@@ -1070,7 +872,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 m.hart.set_reg(rd, result.value);
                 m.stats.encrypts += 1;
                 exec::retire(m, InsnClass::Crypto, false, result.clb_hit);
-                retired += 1;
             }
             SbOp::Crd {
                 key,
@@ -1089,7 +890,6 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                     Ok(result) => {
                         m.hart.set_reg(rd, result.value);
                         exec::retire(m, InsnClass::Crypto, false, result.clb_hit);
-                        retired += 1;
                     }
                     Err(_) => {
                         m.stats.integrity_failures += 1;
@@ -1106,18 +906,15 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
             } => {
                 let t = branch_taken(op, m.hart.reg(rs1), m.hart.reg(rs2));
                 exec::retire(m, InsnClass::Branch, t, false);
-                retired += 1;
                 exit_to!(if t { taken } else { fallthrough });
             }
             SbOp::Jal { rd, link, target } => {
                 m.hart.set_reg(rd, link);
                 exec::retire(m, InsnClass::Jump, true, false);
-                retired += 1;
                 exit_to!(target);
             }
             SbOp::Jump => {
                 exec::retire(m, InsnClass::Jump, true, false);
-                retired += 1;
             }
             SbOp::Jalr {
                 rd,
@@ -1129,105 +926,7 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
                 let target = m.hart.reg(rs1).wrapping_add(offset) & !1;
                 m.hart.set_reg(rd, link);
                 exec::retire(m, InsnClass::Jump, true, false);
-                retired += 1;
                 exit_to!(target);
-            }
-            SbOp::FusedOpImmBranch {
-                op,
-                rd,
-                rs1,
-                imm,
-                bop,
-                brs1,
-                brs2,
-                taken,
-                fallthrough,
-            } => {
-                let value = exec::alu64(op, m.hart.reg(rs1), imm);
-                m.hart.set_reg(rd, value);
-                exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
-                let t = branch_taken(bop, m.hart.reg(brs1), m.hart.reg(brs2));
-                exec::retire(m, InsnClass::Branch, t, false);
-                retired += 1;
-                exit_to!(if t { taken } else { fallthrough });
-            }
-            SbOp::FusedAddLoad {
-                rd,
-                rs1,
-                rs2,
-                width,
-                signed,
-                lrd,
-                offset,
-            } => {
-                let base = m.hart.reg(rs1).wrapping_add(m.hart.reg(rs2));
-                m.hart.set_reg(rd, base);
-                exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
-                let addr = base.wrapping_add(offset);
-                match load_value(&m.mem, addr, width, signed) {
-                    Ok(value) => {
-                        m.hart.set_reg(lrd, value);
-                        exec::retire(m, InsnClass::Load, false, false);
-                        retired += 1;
-                    }
-                    Err(cause) => raise_at!(cause, addr),
-                }
-            }
-            SbOp::FusedAddiLoad {
-                rd,
-                rs1,
-                imm,
-                width,
-                signed,
-                lrd,
-                offset,
-            } => {
-                let base = m.hart.reg(rs1).wrapping_add(imm);
-                m.hart.set_reg(rd, base);
-                exec::retire(m, InsnClass::Alu, false, false);
-                retired += 1;
-                let addr = base.wrapping_add(offset);
-                match load_value(&m.mem, addr, width, signed) {
-                    Ok(value) => {
-                        m.hart.set_reg(lrd, value);
-                        exec::retire(m, InsnClass::Load, false, false);
-                        retired += 1;
-                    }
-                    Err(cause) => raise_at!(cause, addr),
-                }
-            }
-            SbOp::FusedCreStore {
-                key,
-                rd,
-                rs,
-                rt,
-                range,
-                width,
-                srs1,
-                offset,
-            } => {
-                if m.hart.privilege() != Privilege::Kernel {
-                    raise_at!(ExceptionCause::IllegalInstruction, 0);
-                }
-                let tweak = m.hart.reg(rt);
-                let value = m.hart.reg(rs);
-                let result = m.engine_encrypt(key, tweak, value, range);
-                m.hart.set_reg(rd, result.value);
-                m.stats.encrypts += 1;
-                exec::retire(m, InsnClass::Crypto, false, result.clb_hit);
-                retired += 1;
-                // Address and value re-read after the cre write, exactly
-                // like the interpreter would (srs1 may alias rd).
-                let addr = m.hart.reg(srs1).wrapping_add(offset);
-                let stored = m.hart.reg(rd);
-                if let Err(cause) = store_value(&mut m.mem, addr, width, stored) {
-                    raise_at!(cause, addr);
-                }
-                exec::retire(m, InsnClass::Store, false, false);
-                retired += 1;
-                smc_check!(addr, width);
             }
         }
     }
@@ -1235,7 +934,8 @@ pub(crate) fn execute(m: &mut Machine, block: &Superblock) -> SbExit {
     // Ran off the end of the trace (the next instruction wasn't
     // translatable, or the trace hit its length cap): exit to the pc after
     // its last instruction.
-    m.hart.set_pc(block.pcs[retired as usize]);
+    m.hart.set_pc(block.pcs[block.ops.len()]);
+    let retired = block.ops.len() as u64;
     SbExit {
         retired,
         consumed: retired,
@@ -1277,5 +977,28 @@ mod tests {
             .all(|slot| (slot.pc, slot.count, slot.block) == (FRESH.pc, 0, NO_BLOCK)));
         assert_eq!(cache.stats(), SuperblockStats::default());
         assert_eq!(cache.enter(0x1000, &mem, &cost), None, "re-warms from cold");
+    }
+
+    #[test]
+    fn every_op_is_one_instruction() {
+        // Each pair here once shared a handler: addi+ld, add+ld, cre+sd and
+        // addi+blt.
+        let program = regvault_isa::asm::assemble(
+            "loop: addi  t0, a0, 8
+                   ld    t1, 0(t0)
+                   add   t2, a0, a1
+                   ld    t3, 0(t2)
+                   creak a2, a3[7:0], t4
+                   sd    a2, 0(s0)
+                   addi  s1, s1, 1
+                   blt   s1, s2, loop",
+        )
+        .unwrap();
+        let mut mem = Memory::new();
+        mem.write_slice(0x1000, program.bytes());
+        let block = build(&mem, &CostModel::default(), 0x1000).unwrap();
+        assert_eq!(block.ops.len() + 1, block.pcs.len());
+        assert_eq!(block.ops.len(), 8);
+        assert!(matches!(block.ops[7], SbOp::Branch { .. }));
     }
 }

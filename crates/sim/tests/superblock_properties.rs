@@ -108,8 +108,8 @@ enum BodyOp {
     Store { width: usize, rs: usize, slot: u64 },
     /// Load from the scratch page into a data register.
     Load { width: usize, rd: usize, slot: u64 },
-    /// `cre` then either store the ciphertext (exercising cre+store
-    /// fusion) or round-trip it through `crd`.
+    /// `cre` then either store the ciphertext straight away or round-trip
+    /// it through `crd`.
     Crypto {
         src: usize,
         rd: usize,

@@ -146,7 +146,7 @@ target/release/regvault-cli metrics "$scratch/replay_smoke.s" --json \
 echo "==> hotpath ratio guard (SWAR/reference QARMA, dhry2 and SPEC tier on/off, FULL/off, rekey/FULL, armed plan/FULL, restore digest unhashed/memoised, micro-restore fork/in-place)"
 target/release/hotpath
 
-# The committed BENCH_*.json are exact: delete them, regenerate all six,
+# The committed BENCH_*.json are exact: delete them, regenerate all seven,
 # and fail on any changed byte, deleted file or untracked file.
 echo "==> delete the committed bench artifacts; the steps below regenerate them"
 rm -f BENCH_*.json
@@ -167,6 +167,9 @@ echo "==> figure 5 overheads (rewrites BENCH_fig5{a,b,c}_*.json)"
 for fig in fig5a_unixbench fig5b_lmbench fig5c_spec; do
     "target/release/$fig" > /dev/null
 done
+
+echo "==> design-choice ablations (rewrites BENCH_ablations.json)"
+target/release/ablations > /dev/null
 
 echo "==> committed bench artifacts are exact (git status over BENCH_*.json)"
 if [ -n "$(git status --porcelain -- 'BENCH_*.json')" ]; then
